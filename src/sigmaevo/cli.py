@@ -51,7 +51,7 @@ SCHEMA = {
     "m": (float, 1.0, "data integrability exponent, in [1, 2]"),
     "N": (int, 8192, "grid points per axis (power of two >= 8)"),
     "L": (str, "auto", "box side length, or 'auto' for the horizon rule"),
-    "dt": (float, 0.1, "time step (<= 0.5)"),
+    "dt": (float, 0.1, "time step (<= 0.5; must divide t_end)"),
     "t_end": (float, 200.0, "final time"),
     "dealias": (bool, True, "apply the 2/3 mask inside the nonlinearity"),
     "epsilon": (float, 0.01, "data amplitude"),

@@ -247,6 +247,7 @@ def _record_norms(grid: Grid, tables: StepTables, u_hat, ut_hat, m: float):
 def integrate(config: SolverConfig) -> Trajectory:
     """Run the exponential integrator over ``[0, t_end]``.
 
+    ``t_end`` must be a whole number of steps ``dt`` (to 1e-9 relative).
     Norms are recorded every ``snapshot_interval`` time units (default:
     every step up to 1200 snapshots, then coarsened).  A blow-up signal
     truncates the trajectory and labels it, which is a normal outcome.
@@ -257,6 +258,12 @@ def integrate(config: SolverConfig) -> Trajectory:
             f"t_end = {config.t_end} exceeds the box-validity horizon "
             f"{limit:.6g}; enlarge the box")
 
+    n_steps = int(round(config.t_end / config.dt))
+    if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
+        raise ValueError(
+            f"t_end = {config.t_end} is not a whole number of steps of "
+            f"dt = {config.dt}")
+
     grid = build_grid(config.grid)
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
@@ -265,7 +272,6 @@ def integrate(config: SolverConfig) -> Trajectory:
     u_hat = np.zeros(grid.shape, dtype=np.complex128)
     ut_hat = _forward_coeffs(grid, u1.values)
 
-    n_steps = int(round(config.t_end / config.dt))
     if config.snapshot_interval is None:
         every = max(1, int(np.ceil(n_steps / 1200)))
     else:

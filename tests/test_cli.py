@@ -200,6 +200,9 @@ def test_main_entrypoint(tmp_path):
 def test_main_validation_exit(tmp_path):
     assert main(["linear", "--alpha", "2", "--n", "1",
                  "--output_dir", str(tmp_path)]) == 2
+    # t_end = 1.0 is not a whole number of steps dt = 0.3
+    assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
+                 "--dt", "0.3", "--output_dir", str(tmp_path)]) == 2
 
 
 def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sigmaevo.grid import GridSpec, build_grid, transform_forward
+from sigmaevo.grid import GridSpec, _forward_coeffs, build_grid, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import picard_apply
-from sigmaevo.propagator import propagate_linear
-from sigmaevo.solver import (SolverConfig, integrate, make_data, xt_distance,
-                             xt_norm, zero_trajectory)
+from sigmaevo.propagator import kernel_arrays, propagate_linear
+from sigmaevo.solver import (SolverConfig, StepTables, _nonlinearity_hat,
+                             integrate, make_data, xt_distance, xt_norm,
+                             zero_trajectory)
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -91,3 +94,72 @@ def test_density_and_horizon_preconditions():
                                    data_amplitude=0.01))
     with pytest.raises(ValueError, match="store"):
         picard_apply(traj3, make_data(stateless), stateless)
+
+
+def test_trajectory_must_end_at_configured_horizon():
+    long_cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 300.0),
+                            dt=0.04, t_end=20.0, data_amplitude=0.01,
+                            store_states=True, snapshot_interval=0.04)
+    traj = integrate(long_cfg)
+    short_cfg = replace(long_cfg, t_end=4.0)
+    with pytest.raises(ValueError, match="ends at t = 20"):
+        picard_apply(traj, make_data(short_cfg, traj.grid), short_cfg)
+
+
+def test_grids_must_match():
+    cfg = dense_config(0.01, n=256)
+    wide = replace(cfg, grid=GridSpec(1, 256, 300.0))
+    traj_wide = zero_trajectory(wide)
+    u1 = make_data(cfg)
+    with pytest.raises(ValueError, match="grid"):
+        picard_apply(traj_wide, u1, wide)
+    with pytest.raises(ValueError, match="grid"):
+        picard_apply(traj_wide, u1, cfg)
+
+
+def _double_sum_states(traj_in, u1, config):
+    """Reference: the trapezoid Duhamel sum over all snapshot pairs."""
+    grid = traj_in.grid
+    params = config.params
+    dt = config.dt
+    tables = StepTables(grid, params, dt, config.dealias)
+    u1_hat = _forward_coeffs(grid, u1.values)
+    f_hats = [_nonlinearity_hat(state[0], tables, t, i)
+              for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states))]
+    k = grid.xi_mag ** (2.0 * params.sigma)
+    n_snap = len(traj_in.times)
+    K1_lag = np.empty((n_snap,) + grid.shape)
+    dK1_lag = np.empty((n_snap,) + grid.shape)
+    for lag in range(n_snap):
+        _, K1_lag[lag], _, dK1_lag[lag] = kernel_arrays(k, lag * dt)
+    states = []
+    for i in range(n_snap):
+        u_hat = K1_lag[i] * u1_hat
+        ut_hat = dK1_lag[i] * u1_hat
+        if i > 0:
+            w = np.full(i + 1, dt)
+            w[0] = w[-1] = 0.5 * dt
+            for j in range(i + 1):
+                u_hat = u_hat + (w[j] * K1_lag[i - j]) * f_hats[j]
+                ut_hat = ut_hat + (w[j] * dK1_lag[i - j]) * f_hats[j]
+        states.append((u_hat, ut_hat))
+    return states
+
+
+def test_recurrence_matches_double_sum():
+    # L = 128 pi puts the modes j = +-64 at k = 1, inside the double-root band
+    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 128.0 * np.pi),
+                       dt=0.04, t_end=2.0, data_amplitude=0.1,
+                       store_states=True, snapshot_interval=0.04)
+    grid = build_grid(cfg.grid)
+    k = grid.xi_mag ** (2.0 * PARAMS.sigma)
+    assert np.count_nonzero(np.abs(1.0 - k) <= 1e-4) == 2
+    u1 = make_data(cfg, grid)
+    traj = zero_trajectory(cfg)
+    for _ in range(3):
+        ref = _double_sum_states(traj, u1, cfg)
+        traj = picard_apply(traj, u1, cfg)
+        for c in (0, 1):
+            want = np.array([s[c] for s in ref])
+            got = np.array([s[c] for s in traj.states])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

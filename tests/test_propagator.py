@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaevo.grid import GridSpec, build_grid, field_from_function, transform_forward
 from sigmaevo.params import ModelParams
@@ -41,6 +42,39 @@ def test_derivative_identity():
         for t in T_SAMPLES:
             ker = kernels(k, t)
             assert abs(ker.dA + k * ker.K1) <= 1e-12
+
+
+# k across the spectrum, with a share of draws forced into the band
+# |1 - k| <= DOUBLE_ROOT_BAND where the series-stabilized branch is used.
+K_DRAWS = st.one_of(st.floats(0.0, 1e4),
+                    st.floats(1.0 - DOUBLE_ROOT_BAND, 1.0 + DOUBLE_ROOT_BAND))
+T_DRAWS = st.floats(0.0, 10.0)
+
+
+def _kernel_matrix(k, t):
+    A, K1, dA, dK1 = kernel_arrays(np.array([k]), t)
+    return np.array([[A[0], K1[0]], [dA[0], dK1[0]]])
+
+
+@settings(deadline=None)  # run time is not the property under test
+@given(K_DRAWS, T_DRAWS, T_DRAWS)
+def test_kernel_matrix_semigroup(k, s, t):
+    # The Picard recurrence advances Duhamel sums by M(dt); it is exact
+    # only if M(s) M(t) = M(s + t).  Entries are O(1); the far branch's
+    # cancellation at the band edge costs about 2e-12 of that.
+    product = _kernel_matrix(k, s) @ _kernel_matrix(k, t)
+    assert np.max(np.abs(product - _kernel_matrix(k, s + t))) <= 1e-11
+
+
+@settings(deadline=None)
+@given(K_DRAWS, T_DRAWS)
+def test_derivative_identity_and_wronskian(k, t):
+    # dA = -k K1, and with it det M(t) = exp(-(1 + k) t) (Abel's identity
+    # for v'' + (1 + k) v' + k v = 0), which a wrong dA would break.
+    (A, K1), (dA, dK1) = _kernel_matrix(k, t)
+    assert abs(dA + k * K1) <= 1e-15 * max(1.0, k * abs(K1))
+    scale = max(abs(A * dK1), abs(K1 * dA), np.exp(-(1.0 + k) * t))
+    assert abs(A * dK1 - K1 * dA - np.exp(-(1.0 + k) * t)) <= 1e-10 * scale
 
 
 def test_branch_continuity_at_band_edge():

@@ -170,6 +170,14 @@ def test_horizon_precondition():
         integrate(small_config(t_end=400.0))
 
 
+def test_final_time_must_be_whole_number_of_steps():
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(small_config(t_end=1.0, dt=0.3))
+    # 0.3 / 0.1 rounds to 2.9999999999999996 in binary; still three steps
+    traj = integrate(small_config(t_end=0.3, dt=0.1))
+    assert traj.times[-1] == pytest.approx(0.3, rel=1e-12)
+
+
 def test_blowup_is_labeled_and_deterministic():
     params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=2.0, m=1.0)
     cfg = SolverConfig(params=params, grid=GridSpec(1, 256, 100.0), dt=0.1,
