@@ -29,7 +29,8 @@ from .decay import (default_window, fit_decay, check_rate, run_linear,
 from .checks import kernel_oracle_suite, riesz_oracle_suite
 from .fieldio import (config_hash, fmt17, save_field, write_norms_csv,
                       write_sweep_csv)
-from .grid import GridSpec, build_grid, transform_inverse
+from .grid import (GridSpec, RealField, build_grid, transform_forward,
+                   transform_inverse, _inverse_half)
 from .params import ModelParams
 from .propagator import propagate_linear
 from .solver import SolverConfig, integrate, make_data
@@ -63,7 +64,8 @@ SCHEMA = {
     "window_lo": (str, "auto", "fit window start, or 'auto' (= 0.1 t_end)"),
     "window_hi": (str, "auto", "fit window end, or 'auto' (= t_end)"),
     "snapshot_interval": (str, "auto",
-                          "norm recording interval, or 'auto'"),
+                          "norm recording interval (a whole number of "
+                          "steps dt), or 'auto'"),
     "rate_tol": (float, 0.05, "tolerance for rate verdicts"),
     "output_dir": (str, "runs", "directory receiving all outputs"),
     "emit": (str, "csv,json", "comma-set from {csv, json, fields}"),
@@ -92,7 +94,7 @@ class RunConfig:
     sweep_kind: str
     sweep_param: str
     sweep_values: tuple
-    effective: dict  # canonical key -> value mapping, hashed into the manifest
+    effective: dict  # canonical key -> value mapping, echoed in the manifest
 
 
 def _parse_bool(text: str) -> bool:
@@ -273,25 +275,21 @@ def _emit_series(series, config: RunConfig, outputs: list[Path]) -> None:
 
 def _emit_fields(config: RunConfig, outputs: list[Path],
                  final_state=None) -> None:
+    """Write u1 and, when known, the final ``(u, du/dt)``; a semilinear
+    ``final_state`` is in the half-spectrum layout of Trajectory."""
     grid = build_grid(config.grid)
     u1 = make_data(config.solver, grid)
-    path = config.output_dir / "u1.bin"
-    save_field(path, u1)
-    outputs.append(path)
+    fields = [u1]
     if config.subcommand == "linear":
-        from .grid import transform_forward
-        u_hat, ut_hat = propagate_linear(transform_forward(u1),
-                                         config.model.sigma,
-                                         config.solver.t_end)
-        final_state = (u_hat.coeffs, ut_hat.coeffs)
-    if final_state is None:
-        return
-    from .grid import SpectralField
-    for name, coeffs in (("u_final.bin", final_state[0]),
-                         ("ut_final.bin", final_state[1])):
-        p = config.output_dir / name
-        save_field(p, transform_inverse(SpectralField(grid, coeffs)))
-        outputs.append(p)
+        fields += [transform_inverse(F) for F in propagate_linear(
+            transform_forward(u1), config.model.sigma, config.solver.t_end)]
+    elif final_state is not None:
+        fields += [RealField(grid, _inverse_half(grid, half))
+                   for half in final_state]
+    for name, field in zip(("u1.bin", "u_final.bin", "ut_final.bin"), fields):
+        path = config.output_dir / name
+        save_field(path, field)
+        outputs.append(path)
 
 
 def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
@@ -359,10 +357,7 @@ def dispatch(config: RunConfig) -> int:
     outputs: list[Path] = []
     try:
         status = _run_subcommand(config, outputs)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
@@ -373,7 +368,8 @@ def dispatch(config: RunConfig) -> int:
         "subcommand": config.subcommand,
         "config": {k: (fmt17(v) if isinstance(v, float) else v)
                    for k, v in sorted(config.effective.items())},
-        "config_hash": config_hash(config.effective),
+        "config_hash": config_hash({k: v for k, v in config.effective.items()
+                                    if k != "output_dir"}),
         "versions": {"sigmaevo": __version__,
                      "numpy": np.__version__,
                      "scipy": scipy.__version__,

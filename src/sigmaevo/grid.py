@@ -13,6 +13,17 @@ Conventions used throughout the package:
   approximates the continuum integral ``F(xi) = int f(x) exp(-i xi.x) dx``
   taken over the box.  Under this convention Parseval reads
   ``||f||_{L2}^2 = sum_j |F_j|^2 / L^dim``.
+
+The public transforms and :class:`SpectralField` use this full layout.
+The stepper, norms, linear flow and Picard map work on the half spectrum
+of ``rfftn`` instead: last-axis columns ``j = 0..N/2`` only, shape
+``N^(dim-1) x (N/2+1)``, with the quadrature weight but without the
+lattice phase, which would cancel between forward and inverse around
+real radial multipliers.  Parseval there weighs the ``j = 0`` and
+``j = N/2`` planes once and interior columns twice (``_half_l2``);
+``half_from_full``/``full_from_half`` convert layouts without a
+transform.  Coefficients built in spectral space (``spectral_tail``,
+test symbols) keep the phase, which centres them at ``x = 0``.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ __all__ = [
     "transform_forward",
     "transform_inverse",
     "field_from_function",
+    "half_from_full",
+    "full_from_half",
 ]
 
 
@@ -96,6 +109,11 @@ class Grid:
 
     def wavevector_count(self) -> int:
         return int(self.xi_mag.size)
+
+    @property
+    def half_xi_mag(self) -> np.ndarray:
+        """``xi_mag`` on the half spectrum (a view of the full table)."""
+        return self.xi_mag[..., :self.spec.points_per_axis // 2 + 1]
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -171,6 +189,39 @@ def _forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def _inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(coeffs * grid.phase).real / grid.cell_volume
+
+
+def _forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
+    out = np.fft.rfftn(values, s=grid.shape, axes=tuple(range(grid.dim)))
+    out *= grid.cell_volume
+    return out
+
+
+def _inverse_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    out = np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)))
+    out /= grid.cell_volume
+    return out
+
+
+def _half_l2(grid: Grid, half: np.ndarray) -> float:
+    """L2 norm of a real field from its half-spectrum coefficients."""
+    sq = half.real ** 2 + half.imag ** 2
+    total = 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+    return float(np.sqrt(total / grid.box_length ** grid.dim))
+
+
+def half_from_full(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of a full-layout (phased) spectrum."""
+    m = grid.spec.points_per_axis // 2 + 1
+    return coeffs[..., :m] * grid.phase[..., :m]
+
+
+def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full-layout (phased) spectrum, columns ``j > N/2`` filled by
+    conjugate symmetry ``F(-j) = conj(F(j))``."""
+    axes = tuple(range(grid.dim - 1))  # index i -> -i mod N on these
+    mirror = np.roll(np.flip(half[..., -2:0:-1], axes), 1, axes)
+    return np.concatenate([half, np.conj(mirror)], axis=-1) * grid.phase
 
 
 def transform_forward(f: RealField) -> SpectralField:

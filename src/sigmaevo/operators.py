@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .grid import Grid, RealField, SpectralField, _forward_coeffs, _inverse_values
+from .grid import (RealField, SpectralField, _forward_half, _half_l2,
+                   _inverse_half)
 
 __all__ = [
     "MultiplierSymbol",
@@ -54,12 +55,14 @@ class MultiplierSymbol:
     rule: Callable[[np.ndarray], np.ndarray]
     zero_mode_value: float = 0.0
 
-    def evaluate(self, grid: Grid) -> np.ndarray:
+    def evaluate(self, xi_mag: np.ndarray) -> np.ndarray:
+        """Values on a table of ``|xi|`` (full or half layout) whose
+        first entry is the zero mode."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(self.rule(grid.xi_mag), dtype=np.float64)
-        if vals.shape != grid.shape:
-            vals = np.broadcast_to(vals, grid.shape).copy()
-        vals[(0,) * grid.dim] = self.zero_mode_value
+            vals = np.asarray(self.rule(xi_mag), dtype=np.float64)
+        if vals.shape != xi_mag.shape:
+            vals = np.broadcast_to(vals, xi_mag.shape).copy()
+        vals[(0,) * xi_mag.ndim] = self.zero_mode_value
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"symbol '{self.name}' is non-finite on the grid")
         return vals
@@ -75,7 +78,7 @@ def riesz_symbol(alpha: float) -> MultiplierSymbol:
 
 def apply_symbol(F: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
     """Multiply coefficients pointwise by the symbol values."""
-    return SpectralField(F.grid, F.coeffs * symbol.evaluate(F.grid))
+    return SpectralField(F.grid, F.coeffs * symbol.evaluate(F.grid.xi_mag))
 
 
 def fractional_laplacian(f: RealField, sigma: float) -> RealField:
@@ -83,9 +86,9 @@ def fractional_laplacian(f: RealField, sigma: float) -> RealField:
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1; got {sigma}")
     grid = f.grid
-    coeffs = _forward_coeffs(grid, f.values)
-    coeffs *= fractional_laplacian_symbol(sigma).evaluate(grid)
-    return RealField(grid, _inverse_values(grid, coeffs))
+    coeffs = _forward_half(grid, f.values)
+    coeffs *= fractional_laplacian_symbol(sigma).evaluate(grid.half_xi_mag)
+    return RealField(grid, _inverse_half(grid, coeffs))
 
 
 def riesz_potential(f: RealField, alpha: float) -> RealField:
@@ -93,9 +96,9 @@ def riesz_potential(f: RealField, alpha: float) -> RealField:
     grid = f.grid
     if not 0.0 < alpha < grid.dim:
         raise ValueError(f"alpha must lie in (0, {grid.dim}); got {alpha}")
-    coeffs = _forward_coeffs(grid, f.values)
-    coeffs *= riesz_symbol(alpha).evaluate(grid)
-    return RealField(grid, _inverse_values(grid, coeffs))
+    coeffs = _forward_half(grid, f.values)
+    coeffs *= riesz_symbol(alpha).evaluate(grid.half_xi_mag)
+    return RealField(grid, _inverse_half(grid, coeffs))
 
 
 def riesz_constant(n: int, alpha: float) -> float:
@@ -165,22 +168,15 @@ def lebesgue_norm(f: RealField, r: float) -> float:
     return float((np.sum(a ** r) * f.grid.cell_volume) ** (1.0 / r))
 
 
-def _spectral_weighted_l2(grid: Grid, coeffs: np.ndarray, weight: np.ndarray) -> float:
-    total = np.sum(weight * weight * (coeffs.real ** 2 + coeffs.imag ** 2))
-    return float(np.sqrt(total / grid.box_length ** grid.dim))
-
-
 def sobolev_seminorm(f: RealField, s: float) -> float:
     """Parseval-weighted norm of ``|xi|^s`` times the transform, ``s >= 0``."""
     if s < 0:
         raise ValueError(f"s must be >= 0; got {s}")
     grid = f.grid
-    coeffs = _forward_coeffs(grid, f.values)
-    if s == 0:
-        weight = np.ones_like(grid.xi_mag)
-    else:
-        weight = grid.xi_mag ** s
-    return _spectral_weighted_l2(grid, coeffs, weight)
+    coeffs = _forward_half(grid, f.values)
+    if s != 0:
+        coeffs *= grid.half_xi_mag ** s
+    return _half_l2(grid, coeffs)
 
 
 def sobolev_norm_inhom(f: RealField, s: float) -> float:
@@ -188,6 +184,6 @@ def sobolev_norm_inhom(f: RealField, s: float) -> float:
     if s < 0:
         raise ValueError(f"s must be >= 0; got {s}")
     grid = f.grid
-    coeffs = _forward_coeffs(grid, f.values)
-    weight = (1.0 + grid.xi_mag ** 2) ** (s / 2.0)
-    return _spectral_weighted_l2(grid, coeffs, weight)
+    coeffs = _forward_half(grid, f.values)
+    coeffs *= (1.0 + grid.half_xi_mag ** 2) ** (s / 2.0)
+    return _half_l2(grid, coeffs)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import RealField, _forward_coeffs
+from .grid import RealField, _forward_half, _inverse_half
 from .propagator import kernel_arrays
 from .solver import (SolverConfig, StepTables, Trajectory, _nonlinearity_hat,
                      _record_norms)
@@ -82,17 +82,17 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     grid = traj_in.grid
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
-    k = grid.xi_mag ** (2.0 * params.sigma)
-    u1_hat = _forward_coeffs(grid, u1.values)
+    k = grid.half_xi_mag ** (2.0 * params.sigma)
+    u1_hat = _forward_half(grid, u1.values)
     half_dt = 0.5 * config.dt
 
-    v_hat = np.zeros(grid.shape, dtype=np.complex128)
-    w_hat = np.zeros(grid.shape, dtype=np.complex128)
+    v_hat = np.zeros_like(u1_hat)
+    w_hat = np.zeros_like(u1_hat)
     f_prev = None
     records = []
     states = []
     for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states)):
-        f_hat = _nonlinearity_hat(state[0], tables, t, i)
+        f_hat = _nonlinearity_hat(_inverse_half(grid, state[0]), tables, t, i)
         if i > 0:
             w_mid = w_hat + half_dt * f_prev
             v_hat, w_hat = (tables.A * v_hat + tables.K1 * w_mid,
@@ -102,7 +102,8 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
         _, K1, _, dK1 = kernel_arrays(k, float(t))
         u_hat = K1 * u1_hat + v_hat
         ut_hat = dK1 * u1_hat + w_hat
-        records.append(_record_norms(grid, tables, u_hat, ut_hat, params.m))
+        records.append(_record_norms(grid, tables.xi_sigma, u_hat, ut_hat,
+                                     params.m))
         states.append((u_hat, ut_hat))
 
     arr = np.array(records)

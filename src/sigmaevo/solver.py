@@ -22,9 +22,10 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _forward_coeffs, _inverse_values)
+                   full_from_half, half_from_full, _forward_half, _half_l2,
+                   _inverse_half)
 from .params import ModelParams
-from .propagator import duhamel_weight, kernel_arrays
+from .propagator import decay_exponent, duhamel_weight, kernel_arrays
 from . import operators
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "etd_step",
     "integrate",
     "horizon_limit",
-    "xt_decay_exponent",
     "xt_weighted_sums",
     "xt_norm",
     "xt_distance",
@@ -105,6 +105,23 @@ def horizon_limit(config: SolverConfig) -> float:
     return 0.1 * ratio ** (2.0 * config.params.sigma)
 
 
+def _check_horizon(config: SolverConfig) -> None:
+    """Preflight shared by every run: refuse t_end past the horizon."""
+    limit = horizon_limit(config)
+    if config.t_end > limit * (1.0 + 1e-9):
+        raise ValueError(
+            f"t_end = {config.t_end} exceeds the box-validity horizon "
+            f"{limit:.6g}; enlarge the box")
+
+
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    steps = int(round(span / dt))
+    if steps < 1 or abs(steps * dt - span) > 1e-9 * span:
+        raise ValueError(
+            f"{name} = {span} is not a whole number of steps of dt = {dt}")
+    return steps
+
+
 def make_data(config: SolverConfig, grid: Grid | None = None) -> RealField:
     """Initial velocity for ``config`` (see :mod:`sigmaevo.data`)."""
     if grid is None:
@@ -124,20 +141,28 @@ def _dealias_mask(grid: Grid) -> np.ndarray:
     return keep
 
 
-class StepTables:
-    """Per-mode coefficient tables reused by every step of one run."""
+class _ForcingTables:
+    """Smoothing symbol on the half spectrum, times the dealias mask."""
+
+    def __init__(self, grid: Grid, params: ModelParams, dealias: bool):
+        self.grid = grid
+        self.params = params
+        xi = grid.half_xi_mag
+        self.riesz_mult = operators.riesz_symbol(params.alpha).evaluate(xi)
+        if dealias:
+            self.riesz_mult *= _dealias_mask(grid)[..., :xi.shape[-1]]
+
+
+class StepTables(_ForcingTables):
+    """Per-mode half-spectrum tables reused by every step of one run."""
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float,
                  dealias: bool):
-        self.grid = grid
-        self.params = params
-        self.dt = dt
-        k = grid.xi_mag ** (2.0 * params.sigma)
+        super().__init__(grid, params, dealias)
+        k = grid.half_xi_mag ** (2.0 * params.sigma)
         self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
         self.IK1 = duhamel_weight(k, dt)
-        self.riesz_mult = operators.riesz_symbol(params.alpha).evaluate(grid)
-        self.mask = _dealias_mask(grid) if dealias else None
-        self.xi_sigma = grid.xi_mag ** params.sigma
+        self.xi_sigma = grid.half_xi_mag ** params.sigma
 
 
 def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
@@ -146,19 +171,16 @@ def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
         return np.maximum(np.abs(values), ABS_FLOOR) ** p
 
 
-def _nonlinearity_hat(u_hat: np.ndarray, tables: StepTables,
+def _nonlinearity_hat(u_phys: np.ndarray, tables: _ForcingTables,
                       t: float, step: int) -> np.ndarray:
-    """Spectral coefficients of the smoothed pointwise power of u."""
-    grid = tables.grid
-    u_phys = _inverse_values(grid, u_hat)
+    """Half-spectrum coefficients of the smoothed pointwise power of the
+    physical samples ``u_phys``."""
     if not np.all(np.isfinite(u_phys)):
         raise BlowUpSignal(t, step, "non-finite state in nonlinearity")
     powed = _abs_power(u_phys, tables.params.p)
     if not np.all(np.isfinite(powed)):
         raise BlowUpSignal(t, step, "overflow in pointwise power")
-    f_hat = _forward_coeffs(grid, powed)
-    if tables.mask is not None:
-        f_hat[~tables.mask] = 0.0
+    f_hat = _forward_half(tables.grid, powed)
     f_hat *= tables.riesz_mult
     return f_hat
 
@@ -170,11 +192,9 @@ def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
     With ``dealias`` the two-thirds mask is applied to the transform of
     the pointwise power before smoothing.
     """
-    # dt is irrelevant here; only the smoothing multiplier and mask are used
-    tables = StepTables(u.grid, params, dt=0.1, dealias=dealias)
-    u_hat = _forward_coeffs(u.grid, u.values)
-    f_hat = _nonlinearity_hat(u_hat, tables, t=0.0, step=0)
-    return RealField(u.grid, _inverse_values(u.grid, f_hat))
+    tables = _ForcingTables(u.grid, params, dealias)
+    f_hat = _nonlinearity_hat(u.values, tables, t=0.0, step=0)
+    return RealField(u.grid, _inverse_half(u.grid, f_hat))
 
 
 def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
@@ -184,9 +204,10 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
     hom_ut = tables.dA * u_hat + tables.dK1 * ut_hat
     if not nonlinear:
         return hom_u, hom_ut
-    f0 = _nonlinearity_hat(u_hat, tables, t, step)
+    grid = tables.grid
+    f0 = _nonlinearity_hat(_inverse_half(grid, u_hat), tables, t, step)
     u_pred = hom_u + tables.IK1 * f0
-    f1 = _nonlinearity_hat(u_pred, tables, t, step)
+    f1 = _nonlinearity_hat(_inverse_half(grid, u_pred), tables, t, step)
     favg = 0.5 * (f0 + f1)
     return hom_u + tables.IK1 * favg, hom_ut + tables.K1 * favg
 
@@ -197,15 +218,20 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
     """Advance one step; exact whenever the forcing vanishes."""
     if not 0 < dt <= 0.5:
         raise ValueError(f"dt must lie in (0, 0.5]; got {dt}")
-    u, ut = state
-    tables = StepTables(u.grid, params, dt, dealias)
-    nu, nut = _etd_step_arrays(u.coeffs, ut.coeffs, tables, 0.0, 0, nonlinear)
-    return SpectralField(u.grid, nu), SpectralField(u.grid, nut)
+    grid = state[0].grid
+    new = _etd_step_arrays(*(half_from_full(grid, F.coeffs) for F in state),
+                           StepTables(grid, params, dt, dealias), 0.0, 0,
+                           nonlinear)
+    return tuple(SpectralField(grid, full_from_half(grid, c)) for c in new)
 
 
 @dataclass
 class Trajectory:
-    """Sampled states and norms along one integration."""
+    """Sampled states and norms along one integration.
+
+    ``states`` and ``final_state`` hold ``(u, du/dt)`` in the half-spectrum
+    layout of :mod:`sigmaevo.grid` (``full_from_half`` gives the full one).
+    """
 
     times: np.ndarray
     l2: np.ndarray
@@ -225,60 +251,42 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0) or self.times[0] != 0.0:
             raise ValueError("snapshot times must start at 0 and increase")
 
-    @property
-    def truncated(self) -> bool:
-        return self.blew_up
 
-
-def _spectral_l2(grid: Grid, coeffs: np.ndarray) -> float:
-    total = np.sum(coeffs.real ** 2 + coeffs.imag ** 2)
-    return float(np.sqrt(total / grid.box_length ** grid.dim))
-
-
-def _record_norms(grid: Grid, tables: StepTables, u_hat, ut_hat, m: float):
-    l2 = _spectral_l2(grid, u_hat)
-    dt_l2 = _spectral_l2(grid, ut_hat)
-    hs = _spectral_l2(grid, tables.xi_sigma * u_hat)
-    u_phys = _inverse_values(grid, u_hat)
+def _record_norms(grid: Grid, xi_sigma: np.ndarray, u_hat, ut_hat, m: float):
+    """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum state."""
+    u_phys = _inverse_half(grid, u_hat)
     lm = float((np.sum(np.abs(u_phys) ** m) * grid.cell_volume) ** (1.0 / m))
-    return l2, dt_l2, hs, lm
+    return (_half_l2(grid, u_hat), _half_l2(grid, ut_hat),
+            _half_l2(grid, xi_sigma * u_hat), lm)
 
 
 def integrate(config: SolverConfig) -> Trajectory:
     """Run the exponential integrator over ``[0, t_end]``.
 
-    ``t_end`` must be a whole number of steps ``dt`` (to 1e-9 relative).
-    Norms are recorded every ``snapshot_interval`` time units (default:
-    every step up to 1200 snapshots, then coarsened).  A blow-up signal
-    truncates the trajectory and labels it, which is a normal outcome.
+    ``t_end`` and ``snapshot_interval`` must both be whole numbers of
+    steps ``dt`` (to 1e-9 relative).  Norms are recorded every
+    ``snapshot_interval`` time units (default: every step up to 1200
+    snapshots, then coarsened).  A blow-up signal truncates the
+    trajectory and labels it, which is a normal outcome.
     """
-    limit = horizon_limit(config)
-    if config.t_end > limit * (1.0 + 1e-9):
-        raise ValueError(
-            f"t_end = {config.t_end} exceeds the box-validity horizon "
-            f"{limit:.6g}; enlarge the box")
-
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise ValueError(
-            f"t_end = {config.t_end} is not a whole number of steps of "
-            f"dt = {config.dt}")
+    _check_horizon(config)
+    n_steps = _whole_steps(config.t_end, config.dt, "t_end")
+    if config.snapshot_interval is None:
+        every = max(1, int(np.ceil(n_steps / 1200)))
+    else:
+        every = _whole_steps(config.snapshot_interval, config.dt,
+                             "snapshot_interval")
 
     grid = build_grid(config.grid)
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
 
     u1 = make_data(config, grid)
-    u_hat = np.zeros(grid.shape, dtype=np.complex128)
-    ut_hat = _forward_coeffs(grid, u1.values)
-
-    if config.snapshot_interval is None:
-        every = max(1, int(np.ceil(n_steps / 1200)))
-    else:
-        every = max(1, int(round(config.snapshot_interval / config.dt)))
+    ut_hat = _forward_half(grid, u1.values)
+    u_hat = np.zeros_like(ut_hat)
 
     times = [0.0]
-    records = [_record_norms(grid, tables, u_hat, ut_hat, params.m)]
+    records = [_record_norms(grid, tables.xi_sigma, u_hat, ut_hat, params.m)]
     states = [(u_hat.copy(), ut_hat.copy())] if config.store_states else None
     ref = max(max(records[0]), ABS_FLOOR)
 
@@ -295,7 +303,7 @@ def integrate(config: SolverConfig) -> Trajectory:
             blowup_time = sig.time
             break
         if step % every == 0 or step == n_steps:
-            rec = _record_norms(grid, tables, u_hat, ut_hat, params.m)
+            rec = _record_norms(grid, tables.xi_sigma, u_hat, ut_hat, params.m)
             times.append(t)
             records.append(rec)
             if config.store_states:
@@ -333,18 +341,17 @@ class XTNorm:
     dt_supremum: float
 
 
-def xt_decay_exponent(params: ModelParams) -> float:
-    """Base weight exponent ``(n / (2 sigma)) (1/m - 1/2)``."""
-    return (params.n / (2.0 * params.sigma)) * (1.0 / params.m - 0.5)
+def _xt_terms(times, l2, hsigma, dt_l2, params: ModelParams):
+    # Weights (1+t)^g, (1+t)^(g+1/2), (1+t)^(g+1), g the linear L2 decay rate.
+    base = -decay_exponent(params, 0.0, 0)
+    w = 1.0 + np.asarray(times)
+    return w ** base * l2, w ** (base + 0.5) * hsigma, w ** (base + 1.0) * dt_l2
 
 
 def xt_weighted_sums(times: np.ndarray, l2: np.ndarray, hsigma: np.ndarray,
                      dt_l2: np.ndarray, params: ModelParams) -> np.ndarray:
     """Weighted term sum per snapshot; its sup over time is the norm."""
-    base = xt_decay_exponent(params)
-    w = 1.0 + np.asarray(times)
-    return (w ** base * l2 + w ** (base + 0.5) * hsigma
-            + w ** (base + 1.0) * dt_l2)
+    return sum(_xt_terms(times, l2, hsigma, dt_l2, params))
 
 
 def xt_norm(traj: Trajectory, params: ModelParams | None = None,
@@ -358,15 +365,10 @@ def xt_norm(traj: Trajectory, params: ModelParams | None = None,
     times = traj.times[sel]
     if times.size == 0:
         raise ValueError("no snapshots in the requested time range")
-    base = xt_decay_exponent(params)
-    w = 1.0 + times
-    term_l2 = w ** base * traj.l2[sel]
-    term_hs = w ** (base + 0.5) * traj.hsigma[sel]
-    term_dt = w ** (base + 1.0) * traj.dt_l2[sel]
-    return XTNorm(value=float(np.max(term_l2 + term_hs + term_dt)),
-                  l2_supremum=float(np.max(term_l2)),
-                  hsigma_supremum=float(np.max(term_hs)),
-                  dt_supremum=float(np.max(term_dt)))
+    terms = _xt_terms(times, traj.l2[sel], traj.hsigma[sel], traj.dt_l2[sel],
+                      params)
+    return XTNorm(float(np.max(sum(terms))),
+                  *(float(np.max(term)) for term in terms))
 
 
 def xt_distance(a: Trajectory, b: Trajectory,
@@ -378,14 +380,14 @@ def xt_distance(a: Trajectory, b: Trajectory,
         raise ValueError("trajectories must share snapshot times")
     params = params or a.params
     grid = a.grid
-    xs = grid.xi_mag ** params.sigma
+    xs = grid.half_xi_mag ** params.sigma
     l2 = np.empty(len(a.times))
     hs = np.empty(len(a.times))
     dt = np.empty(len(a.times))
     for i, ((ua, uta), (ub, utb)) in enumerate(zip(a.states, b.states)):
         du = ua - ub
         dut = uta - utb
-        l2[i] = _spectral_l2(grid, du)
-        hs[i] = _spectral_l2(grid, xs * du)
-        dt[i] = _spectral_l2(grid, dut)
+        l2[i] = _half_l2(grid, du)
+        hs[i] = _half_l2(grid, xs * du)
+        dt[i] = _half_l2(grid, dut)
     return float(np.max(xt_weighted_sums(a.times, l2, hs, dt, params)))

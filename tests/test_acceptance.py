@@ -10,7 +10,7 @@ import pytest
 
 from sigmaevo.checks import kernel_oracle_suite, riesz_cross_check
 from sigmaevo.decay import check_rate, fit_decay, run_linear
-from sigmaevo.grid import GridSpec, RealField, build_grid
+from sigmaevo.grid import GridSpec, RealField, build_grid, full_from_half
 from sigmaevo.operators import lebesgue_norm, sobolev_seminorm
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import picard_apply
@@ -144,7 +144,8 @@ def test_criterion_7_self_convergence():
         cfg = SolverConfig(params=REFERENCE, grid=GridSpec(1, 2048, 200.0),
                            dt=dt, t_end=5.0, data_amplitude=0.01,
                            store_states=True, snapshot_interval=5.0)
-        return integrate(cfg).states[-1][0]
+        traj = integrate(cfg)
+        return full_from_half(traj.grid, traj.states[-1][0])
 
     ref = final_state(0.0125)
     errs = [np.linalg.norm(final_state(dt) - ref) for dt in (0.1, 0.05, 0.025)]

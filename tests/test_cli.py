@@ -117,6 +117,21 @@ def test_manifest_written_with_hash(tmp_path):
     assert manifest2["config_hash"] != manifest["config_hash"]
 
 
+def test_manifest_hash_ignores_output_dir(tmp_path, monkeypatch):
+    def run_hash(out):
+        cfg = parse_config(None, {**FAST_LINEAR, "output_dir": str(out)},
+                           subcommand="linear")
+        assert dispatch(cfg) == 0
+        return json.loads((cfg.output_dir / "manifest.json").read_text())[
+            "config_hash"]
+
+    hashes = [run_hash(tmp_path / "a"), run_hash(tmp_path / "b")]
+    monkeypatch.setenv("SIGMAEVO_OUTPUT_DIR", str(tmp_path / "env"))
+    hashes.append(run_hash(tmp_path / "c"))
+    assert (tmp_path / "env" / "manifest.json").exists()
+    assert hashes[0] == hashes[1] == hashes[2]
+
+
 def test_fields_emitted_in_binary_format(tmp_path):
     from sigmaevo.fieldio import load_field
     over = dict(FAST_LINEAR)
@@ -203,6 +218,10 @@ def test_main_validation_exit(tmp_path):
     # t_end = 1.0 is not a whole number of steps dt = 0.3
     assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
                  "--dt", "0.3", "--output_dir", str(tmp_path)]) == 2
+    # snapshot_interval = 0.15 is not a whole number of steps dt = 0.1
+    assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
+                 "--dt", "0.1", "--snapshot_interval", "0.15",
+                 "--output_dir", str(tmp_path)]) == 2
 
 
 def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):

@@ -119,6 +119,24 @@ def test_run_semilinear_zero_data():
     assert series.provenance["config_hash"]
 
 
+def test_semilinear_label_sees_turnover_after_ramp():
+    # From rest the L2 norm first ramps up (u ~ t u1), then decays; the
+    # label used to compare with the first positive snapshot on the ramp.
+    t_end = 200.0
+    cfg = SolverConfig(params=PARAMS,
+                       grid=GridSpec(1, 2048, suggest_box_length(t_end, 1.0)),
+                       dt=0.1, t_end=t_end, data_amplitude=0.01)
+    series = run_semilinear(cfg)
+    positive = series.l2[series.l2 > 0]
+    assert series.l2[-1] > positive[0]
+    assert series.l2[-1] < 0.5 * np.max(series.l2)
+    assert series.label == "decayed"
+    # the ramp alone never turned over
+    from sigmaevo.decay import _label
+    ramp = series.l2[:np.argmax(series.l2) + 1]
+    assert _label(ramp, truncated=False) == "growth-detected"
+
+
 def test_run_semilinear_exploratory_below_threshold():
     # p = 2 sits below every admissible bound; the run is labeled, with
     # no claim attached, and a blow-up shows up as a truncated series.

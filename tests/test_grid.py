@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sigmaevo.grid import (GridSpec, RealField, build_grid, field_from_function,
-                           transform_forward, transform_inverse)
+                           full_from_half, half_from_full, transform_forward,
+                           transform_inverse, _forward_half, _half_l2,
+                           _inverse_half)
 
 
 def test_wavenumbers_unit_box():
@@ -88,3 +92,51 @@ def test_shape_mismatch_rejected():
         RealField(grid, np.zeros(8))
     with pytest.raises(ValueError):
         RealField(grid, np.full(16, np.nan))
+
+
+# --- internal half-spectrum layout -----------------------------------------
+
+SIZES = {1: (8, 16, 64, 256), 2: (8, 16, 32), 3: (8, 16)}
+
+
+@st.composite
+def real_fields(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from(SIZES[dim]))
+    grid = build_grid(GridSpec(dim, n, draw(st.floats(0.5, 100.0))))
+    values = draw(hnp.arrays(np.float64, grid.shape,
+                             elements=st.floats(-1e3, 1e3,
+                                                allow_subnormal=False)))
+    return grid, values
+
+
+@settings(deadline=None, max_examples=60)
+@given(real_fields())
+def test_half_full_conversion_round_trips_exactly(case):
+    grid, values = case
+    half = _forward_half(grid, values)
+    full = full_from_half(grid, half)
+    assert np.array_equal(half_from_full(grid, full), half)
+    assert np.array_equal(full_from_half(grid, half_from_full(grid, full)), full)
+    # the filled spectrum is the public (phased) transform
+    ref = transform_forward(RealField(grid, values)).coeffs
+    scale = max(np.max(np.abs(ref)), 1e-300)
+    assert np.max(np.abs(full - ref)) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(real_fields(), st.sampled_from([0.0, 1.0, 2.5]))
+def test_half_spectrum_parseval_matches_full_layout(case, s):
+    grid, values = case
+    half = _forward_half(grid, values) * grid.half_xi_mag ** s
+    full = transform_forward(RealField(grid, values)).coeffs * grid.xi_mag ** s
+    want = np.sqrt(np.sum(np.abs(full) ** 2) / grid.box_length ** grid.dim)
+    assert abs(_half_l2(grid, half) - want) <= 1e-12 * want
+
+
+@settings(deadline=None, max_examples=60)
+@given(real_fields())
+def test_real_transform_pair_returns_samples(case):
+    grid, values = case
+    back = _inverse_half(grid, _forward_half(grid, values))
+    assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sigmaevo.grid import GridSpec, _forward_coeffs, build_grid, transform_forward
+from sigmaevo.grid import (GridSpec, _forward_coeffs, _inverse_half, build_grid,
+                           full_from_half, transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import picard_apply
 from sigmaevo.propagator import kernel_arrays, propagate_linear
@@ -29,9 +30,10 @@ def test_map_of_zero_is_linear_flow():
     u1_hat = transform_forward(u1)
     for i, t in enumerate(out.times):
         u, ut = propagate_linear(u1_hat, PARAMS.sigma, float(t))
+        got_u, got_ut = (full_from_half(grid, c) for c in out.states[i])
         scale = max(np.max(np.abs(ut.coeffs)), 1e-300)
-        assert np.max(np.abs(out.states[i][0] - u.coeffs)) <= 1e-12 * scale
-        assert np.max(np.abs(out.states[i][1] - ut.coeffs)) <= 1e-12 * scale
+        assert np.max(np.abs(got_u - u.coeffs)) <= 1e-12 * scale
+        assert np.max(np.abs(got_ut - ut.coeffs)) <= 1e-12 * scale
 
 
 def test_fixed_point_self_consistency():
@@ -118,13 +120,15 @@ def test_grids_must_match():
 
 
 def _double_sum_states(traj_in, u1, config):
-    """Reference: the trapezoid Duhamel sum over all snapshot pairs."""
+    """Reference: the trapezoid Duhamel sum over all snapshot pairs, in
+    the full spectral layout."""
     grid = traj_in.grid
     params = config.params
     dt = config.dt
     tables = StepTables(grid, params, dt, config.dealias)
     u1_hat = _forward_coeffs(grid, u1.values)
-    f_hats = [_nonlinearity_hat(state[0], tables, t, i)
+    f_hats = [full_from_half(grid, _nonlinearity_hat(
+                  _inverse_half(grid, state[0]), tables, t, i))
               for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states))]
     k = grid.xi_mag ** (2.0 * params.sigma)
     n_snap = len(traj_in.times)
@@ -161,5 +165,5 @@ def test_recurrence_matches_double_sum():
         traj = picard_apply(traj, u1, cfg)
         for c in (0, 1):
             want = np.array([s[c] for s in ref])
-            got = np.array([s[c] for s in traj.states])
+            got = np.array([full_from_half(grid, s[c]) for s in traj.states])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

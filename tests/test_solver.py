@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigmaevo.grid import (GridSpec, build_grid, field_from_function,
-                           transform_forward)
+                           full_from_half, transform_forward)
 from sigmaevo.operators import lebesgue_norm
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import propagate_linear
@@ -157,9 +157,10 @@ def test_integrate_matches_propagator_with_nonlinearity_off():
     u1_hat = transform_forward(make_data(cfg, grid))
     for i, t in enumerate(traj.times):
         u, ut = propagate_linear(u1_hat, PARAMS.sigma, float(t))
+        got_u, got_ut = (full_from_half(grid, c) for c in traj.states[i])
         scale = max(np.max(np.abs(u.coeffs)), 1e-300)
-        assert np.max(np.abs(traj.states[i][0] - u.coeffs)) <= 1e-10 * scale
-        assert np.max(np.abs(traj.states[i][1] - ut.coeffs)) \
+        assert np.max(np.abs(got_u - u.coeffs)) <= 1e-10 * scale
+        assert np.max(np.abs(got_ut - ut.coeffs)) \
             <= 1e-10 * np.max(np.abs(ut.coeffs))
 
 
@@ -176,6 +177,14 @@ def test_final_time_must_be_whole_number_of_steps():
     # 0.3 / 0.1 rounds to 2.9999999999999996 in binary; still three steps
     traj = integrate(small_config(t_end=0.3, dt=0.1))
     assert traj.times[-1] == pytest.approx(0.3, rel=1e-12)
+
+
+def test_snapshot_interval_must_be_whole_number_of_steps():
+    # 0.15 used to be rounded to one step: norms every 0.1, 11 rows
+    with pytest.raises(ValueError, match="snapshot_interval.*whole number"):
+        integrate(small_config(t_end=1.0, snapshot_interval=0.15))
+    traj = integrate(small_config(t_end=1.0, snapshot_interval=0.2))
+    assert np.allclose(traj.times, np.arange(6) * 0.2, rtol=0, atol=1e-12)
 
 
 def test_blowup_is_labeled_and_deterministic():
@@ -214,7 +223,8 @@ def test_self_convergence_order():
         cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 2048, 200.0),
                            dt=dt, t_end=5.0, data_amplitude=0.01,
                            store_states=True, snapshot_interval=5.0)
-        return integrate(cfg).states[-1][0]
+        traj = integrate(cfg)
+        return full_from_half(traj.grid, traj.states[-1][0])
 
     ref = final_state(0.0125)
     errs = [np.linalg.norm(final_state(dt) - ref) for dt in (0.1, 0.05, 0.025)]
