@@ -27,20 +27,25 @@ from . import __version__
 from .decay import (default_window, fit_decay, check_rate, run_linear,
                     series_from_trajectory, suggest_box_length, sweep)
 from .checks import kernel_oracle_suite, riesz_oracle_suite
-from .fieldio import (config_hash, fmt17, save_field, write_norms_csv,
-                      write_sweep_csv)
+from .fieldio import (config_hash, fmt17, report_to_json, save_field,
+                      write_norms_csv, write_sweep_csv)
 from .grid import (GridSpec, RealField, build_grid, transform_forward,
                    transform_inverse, _inverse_half)
 from .params import ModelParams
 from .propagator import propagate_linear
 from .solver import SolverConfig, integrate, make_data
-from .theory import admissibility, report_to_json
+from .theory import admissibility
 
 __all__ = ["RunConfig", "ValidationError", "parse_config", "dispatch", "main"]
 
 SUBCOMMANDS = ("linear", "semilinear", "admissible", "sweep", "oracle-test")
 
 ENV_OUTPUT_DIR = "SIGMAEVO_OUTPUT_DIR"
+
+
+def float_or_auto(text: str) -> float | str:
+    return "auto" if text == "auto" else float(text)
+
 
 # key -> (parser, default, help).  "auto" defaults are resolved after parsing.
 SCHEMA = {
@@ -51,7 +56,8 @@ SCHEMA = {
     "p": (float, 4.0, "nonlinearity power (> 1)"),
     "m": (float, 1.0, "data integrability exponent, in [1, 2]"),
     "N": (int, 8192, "grid points per axis (power of two >= 8)"),
-    "L": (str, "auto", "box side length, or 'auto' for the horizon rule"),
+    "L": (float_or_auto, "auto",
+          "box side length, or 'auto' for the horizon rule"),
     "dt": (float, 0.1, "time step (<= 0.5; must divide t_end)"),
     "t_end": (float, 200.0, "final time"),
     "dealias": (bool, True, "apply the 2/3 mask inside the nonlinearity"),
@@ -61,9 +67,11 @@ SCHEMA = {
     "mean_zero": (bool, False, "use the mean-zero (dipole) data variant"),
     "seed": (int, 0, "RNG seed for noise data"),
     "n_samples": (int, 200, "sample count for linear runs"),
-    "window_lo": (str, "auto", "fit window start, or 'auto' (= 0.1 t_end)"),
-    "window_hi": (str, "auto", "fit window end, or 'auto' (= t_end)"),
-    "snapshot_interval": (str, "auto",
+    "window_lo": (float_or_auto, "auto",
+                  "fit window start, or 'auto' (= 0.1 t_end)"),
+    "window_hi": (float_or_auto, "auto",
+                  "fit window end, or 'auto' (= t_end)"),
+    "snapshot_interval": (float_or_auto, "auto",
                           "norm recording interval (a whole number of "
                           "steps dt), or 'auto'"),
     "rate_tol": (float, 0.05, "tolerance for rate verdicts"),
@@ -177,23 +185,14 @@ def parse_config(path: str | Path | None = None,
             f"expected one of {', '.join(SUBCOMMANDS)}")
 
     # Resolve the auto values.
-    if values["L"] == "auto":
+    length = values["L"]
+    if length == "auto":
         length = suggest_box_length(values["t_end"], values["sigma"])
-    else:
-        try:
-            length = float(values["L"])
-        except ValueError:
-            raise ValidationError(
-                f"key 'L': expected a number or 'auto', got {values['L']!r}"
-            ) from None
-    if values["window_lo"] == "auto" or values["window_hi"] == "auto":
-        auto_win = default_window(values["t_end"])
-    window = (float(values["window_lo"]) if values["window_lo"] != "auto"
-              else auto_win[0],
-              float(values["window_hi"]) if values["window_hi"] != "auto"
-              else auto_win[1])
+    lo, hi = default_window(values["t_end"])
+    window = (lo if values["window_lo"] == "auto" else values["window_lo"],
+              hi if values["window_hi"] == "auto" else values["window_hi"])
     snap = values["snapshot_interval"]
-    snapshot_interval = None if snap == "auto" else float(snap)
+    snapshot_interval = None if snap == "auto" else snap
 
     try:
         model = ModelParams(n=values["n"], sigma=values["sigma"],
@@ -229,8 +228,6 @@ def parse_config(path: str | Path | None = None,
     effective = dict(values)
     effective["L"] = length
     effective["window_lo"], effective["window_hi"] = window
-    effective["snapshot_interval"] = ("auto" if snapshot_interval is None
-                                      else snapshot_interval)
     effective["output_dir"] = str(output_dir)
     effective["emit"] = ",".join(sorted(emit))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, RealField, _forward_coeffs, _inverse_values
+from .grid import Grid, RealField, _forward_half, _inverse_half
 
 __all__ = ["PROFILES", "make_profile"]
 
@@ -32,24 +32,26 @@ def _bump(grid: Grid) -> np.ndarray:
 def _noise_bandlimited(grid: Grid, seed: int) -> np.ndarray:
     n = grid.spec.points_per_axis
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape)
-    coeffs = _forward_coeffs(grid, white)
-    j2 = np.meshgrid(*[idx * idx for idx in grid.indices], indexing="ij")
-    jmag = np.sqrt(sum(j2))
+    coeffs = _forward_half(grid, rng.standard_normal(grid.shape))
+    j2 = [idx * idx for idx in grid.indices]
+    j2[-1] = j2[-1][:n // 2 + 1]
+    jmag = np.sqrt(sum(np.meshgrid(*j2, indexing="ij")))
     coeffs[jmag > n / 8.0] = 0.0
-    field = _inverse_values(grid, coeffs)
+    field = _inverse_half(grid, coeffs)
     peak = np.max(np.abs(field))
     return field / peak if peak > 0 else field
 
 
 def _spectral_tail(grid: Grid, n: int, m: float) -> np.ndarray:
     # Data saturating the L^m estimates: transform ~ |xi|^(-n(1-1/m)) at the
-    # origin (floored at the first nonzero mode), with a smooth taper.
+    # origin (floored at the first nonzero mode), with a smooth taper; the
+    # lattice phase centres it at x = 0.
     gam = n * (1.0 - 1.0 / m)
     xi_floor = 2.0 * np.pi / grid.box_length
-    q = np.maximum(grid.xi_mag, xi_floor)
-    coeffs = (q ** (-gam) * np.exp(-grid.xi_mag ** 2 / 2.0)).astype(np.complex128)
-    field = _inverse_values(grid, coeffs)
+    xi = grid.half_xi_mag
+    q = np.maximum(xi, xi_floor)
+    phase = grid.phase[..., :xi.shape[-1]]
+    field = _inverse_half(grid, q ** (-gam) * np.exp(-xi ** 2 / 2.0) * phase)
     l2 = np.sqrt(np.sum(field * field) * grid.cell_volume)
     return field / l2 if l2 > 0 else field
 
@@ -58,12 +60,15 @@ def _dipole(grid: Grid, values: np.ndarray) -> np.ndarray:
     # Difference of copies shifted by +-DIPOLE_SHIFT along the first axis;
     # the transform then vanishes linearly at xi = 0 (true mean-zero data,
     # not just a zeroed DC mode).
-    coeffs = _forward_coeffs(grid, values)
-    xi1 = grid.wavenumbers[0]
+    coeffs = _forward_half(grid, values)
+    rows = coeffs.shape[0]  # N, or N/2+1 when the first axis is the last
+    sine = np.sin(grid.wavenumbers[0][:rows] * DIPOLE_SHIFT)
+    # The j = -N/2 plane has no +N/2 partner, so an odd factor there is not
+    # conjugate symmetric; the real part of the result drops that plane.
+    sine[grid.spec.points_per_axis // 2] = 0.0
     shape = [1] * grid.dim
-    shape[0] = xi1.size
-    factor = -2j * np.sin(xi1 * DIPOLE_SHIFT).reshape(shape)
-    return _inverse_values(grid, coeffs * factor)
+    shape[0] = rows
+    return _inverse_half(grid, coeffs * (-2j * sine).reshape(shape))
 
 
 def make_profile(grid: Grid, profile: str, amplitude: float,

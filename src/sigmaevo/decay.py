@@ -20,7 +20,6 @@ from .propagator import decay_exponent, kernel_arrays
 from .solver import (SolverConfig, _check_horizon, _record_norms, integrate,
                      make_data)
 from .theory import AdmissibilityReport, admissibility
-from .fieldio import config_mapping, config_hash
 
 __all__ = [
     "NormTimeSeries",
@@ -129,10 +128,9 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> NormTimeSeries:
         records.append(_record_norms(grid, xi_sigma, K1 * u1_hat,
                                      dK1 * u1_hat, params.m))
     arr = np.array(records)
-    prov = {"kind": "linear", "config_hash": config_hash(config_mapping(config))}
     return NormTimeSeries(times=times, l2=arr[:, 0], dt_l2=arr[:, 1],
                           hsigma=arr[:, 2], lm=arr[:, 3], params=params,
-                          grid=config.grid, provenance=prov)
+                          grid=config.grid, provenance={"kind": "linear"})
 
 
 def _label(series_l2: np.ndarray, truncated: bool) -> str:
@@ -146,7 +144,6 @@ def _label(series_l2: np.ndarray, truncated: bool) -> str:
 def series_from_trajectory(traj, config: SolverConfig) -> NormTimeSeries:
     """Wrap an integration's norm records as a labeled series."""
     prov = {"kind": "semilinear",
-            "config_hash": config_hash(config_mapping(config)),
             "admissibility": admissibility(config.params),
             "blowup_time": traj.blowup_time}
     series = NormTimeSeries(times=traj.times, l2=traj.l2, dt_l2=traj.dt_l2,

@@ -1,4 +1,5 @@
-"""On-disk formats: binary fields, norm CSVs, sweep CSVs, config hashes.
+"""On-disk formats: binary fields, norm, sweep and admissibility-region
+CSVs, the admissibility report as JSON, and the one config hash.
 
 The binary field layout is a 24-byte header of little-endian 64-bit
 values (dim and N as signed integers, L as a float) followed by the
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridSpec, RealField, build_grid
-from .solver import SolverConfig, xt_weighted_sums
+from .params import ModelParams
+from .solver import xt_weighted_sums
+from .theory import AdmissibilityReport, admissibility
 
 __all__ = [
     "fmt17",
@@ -25,7 +29,8 @@ __all__ = [
     "load_field",
     "write_norms_csv",
     "write_sweep_csv",
-    "config_mapping",
+    "write_region_sweep_csv",
+    "report_to_json",
     "config_hash",
 ]
 
@@ -116,18 +121,55 @@ def _cell(value) -> str:
     return str(value)
 
 
-def config_mapping(config: SolverConfig) -> dict:
-    """Flatten a solver config into primitive key/value pairs."""
-    out = {}
-    out.update(asdict(config.params))
-    out.update({"dim": config.grid.dim,
-                "points_per_axis": config.grid.points_per_axis,
-                "box_length": config.grid.box_length})
-    for key in ("dt", "t_end", "data_amplitude", "data_profile", "dealias",
-                "mean_zero", "seed", "snapshot_interval", "store_states",
-                "nonlinearity_enabled"):
-        out[key] = getattr(config, key)
-    return out
+def write_region_sweep_csv(path: str | Path, p_values, n_values,
+                           sigma: float, alpha: float, m: float) -> None:
+    """Admissibility flags over a (p, n) grid at fixed (sigma, alpha, m)."""
+    rows = []
+    for n in n_values:
+        for p in p_values:
+            try:
+                rep = admissibility(ModelParams(n=n, sigma=sigma, alpha=alpha,
+                                                p=p, m=m))
+            except ValueError as exc:
+                rows.append({"n": n, "p": p, "error": str(exc)})
+                continue
+            rows.append({
+                "n": n, "p": p, "p_crit": rep.p_crit,
+                "p_lower": rep.p_lower, "p_lower_ok": rep.p_lower_ok,
+                "p_upper": rep.p_upper, "p_upper_ok": rep.p_upper_ok,
+                "dim_bound": rep.dim_bound, "dim_ok": rep.dim_ok,
+                "p_integrability": rep.p_integrability,
+                "p_integrability_ok": rep.p_integrability_ok,
+                "gn_theta_s2": rep.gn_theta_s2,
+                "gn_theta_s2_ok": rep.gn_theta_s2_ok,
+                "gn_theta_sm": rep.gn_theta_sm,
+                "gn_theta_sm_ok": rep.gn_theta_sm_ok,
+                "riesz_q_s2": rep.riesz_q_s2, "riesz_q_s2_ok": rep.riesz_q_s2_ok,
+                "riesz_q_sm": rep.riesz_q_sm, "riesz_q_sm_ok": rep.riesz_q_sm_ok,
+                "overall": rep.overall, "error": "",
+            })
+    # an error row holds only n, p and error; take the header from a full row
+    fields = max((list(row) for row in rows), key=len,
+                 default=["n", "p", "error"])
+    for row in rows:
+        for key in fields:
+            row.setdefault(key, "")
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _cell(v) for k, v in row.items()})
+
+
+def report_to_json(report: AdmissibilityReport, path: str | Path | None = None
+                   ) -> str:
+    """Serialize a report (bounds, flags, warnings) as JSON."""
+    payload = asdict(report)
+    payload["params"] = asdict(report.params)
+    text = json.dumps(payload, indent=2, default=lambda x: repr(x))
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
 
 
 def config_hash(mapping: dict) -> str:

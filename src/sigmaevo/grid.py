@@ -15,15 +15,15 @@ Conventions used throughout the package:
   ``||f||_{L2}^2 = sum_j |F_j|^2 / L^dim``.
 
 The public transforms and :class:`SpectralField` use this full layout.
-The stepper, norms, linear flow and Picard map work on the half spectrum
-of ``rfftn`` instead: last-axis columns ``j = 0..N/2`` only, shape
-``N^(dim-1) x (N/2+1)``, with the quadrature weight but without the
-lattice phase, which would cancel between forward and inverse around
-real radial multipliers.  Parseval there weighs the ``j = 0`` and
-``j = N/2`` planes once and interior columns twice (``_half_l2``);
+The data profiles, stepper, norms, linear flow and Picard map work on
+the half spectrum of ``rfftn`` instead: last-axis columns ``j = 0..N/2``
+only, shape ``N^(dim-1) x (N/2+1)``, with the quadrature weight but
+without the lattice phase, which would cancel between forward and
+inverse around real multipliers.  Parseval there weighs the ``j = 0``
+and ``j = N/2`` planes once and interior columns twice (``_half_l2``);
 ``half_from_full``/``full_from_half`` convert layouts without a
-transform.  Coefficients built in spectral space (``spectral_tail``,
-test symbols) keep the phase, which centres them at ``x = 0``.
+transform.  Coefficients built in spectral space (the ``spectral_tail``
+profile, test symbols) carry the phase, which centres them at ``x = 0``.
 """
 
 from __future__ import annotations

@@ -10,10 +10,7 @@ a decaying solution.  Comparisons against bounds are made at tolerance
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,8 +25,6 @@ __all__ = [
     "duhamel_decay",
     "nonlinearity_decay_exponent",
     "integral_inequality_check",
-    "report_to_json",
-    "write_region_sweep_csv",
 ]
 
 TOL = 1e-12
@@ -47,6 +42,10 @@ def _gt(x: float, bound: float) -> bool:
     return x > bound + TOL
 
 
+def _p_crit(n: int, m: float, sigma: float) -> float:
+    return 1.0 + 2.0 * m * sigma / n
+
+
 def critical_exponent(n: int, m: float, sigma: float) -> float:
     """Threshold power ``1 + 2 m sigma / n`` separating the small-data
     global-existence range from blow-up for the local power nonlinearity."""
@@ -56,7 +55,7 @@ def critical_exponent(n: int, m: float, sigma: float) -> float:
         raise ValueError(f"m must lie in [1, 2); got {m}")
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1; got {sigma}")
-    return 1.0 + 2.0 * m * sigma / n
+    return _p_crit(n, m, sigma)
 
 
 def gn_theta(q: float, n: int, sigma: float) -> float:
@@ -132,7 +131,7 @@ def admissibility(params: ModelParams) -> AdmissibilityReport:
                            params.p, params.m)
     warnings: list[str] = []
 
-    p_crit = 1.0 + 2.0 * m * sig / n  # reduces to the critical exponent
+    p_crit = _p_crit(n, m, sig)
     p_lower = 2.0 / m + 2.0 * alpha / n
     p_lower_ok = _ge(p, p_lower)
 
@@ -210,60 +209,3 @@ def integral_inequality_check(a: float, b: float, t_grid) -> float:
         ratio = (lo + hi) / (1.0 + t) ** (-min(a, b))
         worst = max(worst, ratio)
     return worst
-
-
-def report_to_json(report: AdmissibilityReport, path: str | Path | None = None
-                   ) -> str:
-    """Serialize a report (bounds, flags, warnings) as JSON."""
-    payload = asdict(report)
-    payload["params"] = asdict(report.params)
-    text = json.dumps(payload, indent=2, default=lambda x: repr(x))
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text
-
-
-def write_region_sweep_csv(path: str | Path, p_values, n_values,
-                           sigma: float, alpha: float, m: float) -> None:
-    """Admissibility flags over a (p, n) grid at fixed (sigma, alpha, m)."""
-    rows = []
-    for n in n_values:
-        for p in p_values:
-            try:
-                rep = admissibility(ModelParams(n=n, sigma=sigma, alpha=alpha,
-                                                p=p, m=m))
-            except ValueError as exc:
-                rows.append({"n": n, "p": p, "error": str(exc)})
-                continue
-            rows.append({
-                "n": n, "p": p, "p_crit": rep.p_crit,
-                "p_lower": rep.p_lower, "p_lower_ok": rep.p_lower_ok,
-                "p_upper": rep.p_upper, "p_upper_ok": rep.p_upper_ok,
-                "dim_bound": rep.dim_bound, "dim_ok": rep.dim_ok,
-                "p_integrability": rep.p_integrability,
-                "p_integrability_ok": rep.p_integrability_ok,
-                "gn_theta_s2": rep.gn_theta_s2,
-                "gn_theta_s2_ok": rep.gn_theta_s2_ok,
-                "gn_theta_sm": rep.gn_theta_sm,
-                "gn_theta_sm_ok": rep.gn_theta_sm_ok,
-                "riesz_q_s2": rep.riesz_q_s2, "riesz_q_s2_ok": rep.riesz_q_s2_ok,
-                "riesz_q_sm": rep.riesz_q_sm, "riesz_q_sm_ok": rep.riesz_q_sm_ok,
-                "overall": rep.overall, "error": "",
-            })
-    fields = list(rows[0].keys()) if rows else ["n", "p", "error"]
-    for row in rows:
-        for key in fields:
-            row.setdefault(key, "")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _render(v) for k, v in row.items()})
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)

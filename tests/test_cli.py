@@ -1,10 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaevo.cli import (SCHEMA, ValidationError, dispatch, main,
                           parse_config)
+from sigmaevo.data import PROFILES
+from sigmaevo.fieldio import config_hash, fmt17
 
 FAST_LINEAR = {"N": "256", "L": "150", "t_end": "50", "epsilon": "1.0",
                "n_samples": "80"}
@@ -222,6 +227,9 @@ def test_main_validation_exit(tmp_path):
     assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
                  "--dt", "0.1", "--snapshot_interval", "0.15",
                  "--output_dir", str(tmp_path)]) == 2
+    for key in ("snapshot_interval", "window_lo", "window_hi"):
+        assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
+                     f"--{key}", "abc", "--output_dir", str(tmp_path)]) == 2
 
 
 def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):
@@ -234,3 +242,59 @@ def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):
     assert dispatch(cfg) == 0
     entries = {p.name for p in tmp_path.iterdir()}
     assert entries == {"only_here"}
+
+
+def _auto_or(floats):
+    return st.one_of(st.just("auto"), floats.map(repr))
+
+
+@st.composite
+def flat_overrides(draw):
+    n = draw(st.integers(1, 3))
+    return {
+        "n": str(n),
+        "sigma": repr(draw(st.floats(1.0, 3.0))),
+        "alpha": repr(n * draw(st.floats(0.01, 0.99))),
+        "p": repr(draw(st.floats(1.01, 10.0))),
+        "m": repr(draw(st.floats(1.0, 2.0))),
+        "N": str(draw(st.sampled_from([8, 64, 1024]))),
+        "L": draw(_auto_or(st.floats(1.0, 1e5))),
+        "dt": repr(draw(st.floats(1e-3, 0.5))),
+        "t_end": repr(draw(st.floats(0.5, 1e3))),
+        "dealias": draw(st.sampled_from(["true", "off", "1"])),
+        "epsilon": repr(draw(st.floats(0.0, 10.0))),
+        "profile": draw(st.sampled_from(PROFILES)),
+        "mean_zero": draw(st.sampled_from(["false", "on"])),
+        "seed": str(draw(st.integers(0, 2 ** 31))),
+        "window_lo": draw(_auto_or(st.floats(1.0, 1e3))),
+        "window_hi": draw(_auto_or(st.floats(1.0, 1e3))),
+        "snapshot_interval": draw(_auto_or(st.floats(1e-3, 10.0))),
+        "rate_tol": repr(draw(st.floats(1e-3, 1.0))),
+    }
+
+
+def _manifest_hash(cfg):
+    # as dispatch() stamps it: every effective key but output_dir
+    return config_hash({k: v for k, v in cfg.effective.items()
+                        if k != "output_dir"})
+
+
+@settings(deadline=None, max_examples=40)
+@given(flat_overrides())
+def test_effective_config_round_trips_through_flat_file(over):
+    # The manifest echoes the effective mapping; fed back as a config file
+    # it must give the same mapping and the same hash.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = parse_config(None, {**over, "output_dir": tmp}, "admissible")
+        lines = []
+        for key, value in cfg.effective.items():
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, float):
+                value = fmt17(value)
+            lines.append(f"{key} = {value}")
+        path = Path(tmp) / "effective.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        back = parse_config(path)
+        assert back.effective == cfg.effective
+        assert _manifest_hash(back) == _manifest_hash(cfg)

@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from sigmaevo.data import (DIPOLE_SHIFT, PROFILES, _bump, _gaussian,
+                           make_profile)
+from sigmaevo.grid import GridSpec, _forward_coeffs, _inverse_values, build_grid
+
+
+# Reference: the profiles as first written, on the full complex layout with
+# the lattice phase on both sides of every round trip.
+
+def _noise_full(grid, seed):
+    n = grid.spec.points_per_axis
+    rng = np.random.default_rng(seed)
+    coeffs = _forward_coeffs(grid, rng.standard_normal(grid.shape))
+    j2 = np.meshgrid(*[idx * idx for idx in grid.indices], indexing="ij")
+    coeffs[np.sqrt(sum(j2)) > n / 8.0] = 0.0
+    field = _inverse_values(grid, coeffs)
+    return field / np.max(np.abs(field))
+
+
+def _spectral_tail_full(grid, n, m):
+    gam = n * (1.0 - 1.0 / m)
+    q = np.maximum(grid.xi_mag, 2.0 * np.pi / grid.box_length)
+    coeffs = (q ** (-gam) * np.exp(-grid.xi_mag ** 2 / 2.0)).astype(complex)
+    field = _inverse_values(grid, coeffs)
+    return field / np.sqrt(np.sum(field * field) * grid.cell_volume)
+
+
+def _dipole_full(grid, values):
+    coeffs = _forward_coeffs(grid, values)
+    shape = [1] * grid.dim
+    shape[0] = grid.spec.points_per_axis
+    factor = -2j * np.sin(grid.wavenumbers[0] * DIPOLE_SHIFT).reshape(shape)
+    return _inverse_values(grid, coeffs * factor)
+
+
+def _reference_profile(grid, profile, seed, mean_zero, n, m):
+    values = {"gaussian": lambda: _gaussian(grid),
+              "bump": lambda: _bump(grid),
+              "noise_bandlimited": lambda: _noise_full(grid, seed),
+              "spectral_tail": lambda: _spectral_tail_full(grid, n, m)}[profile]()
+    return _dipole_full(grid, values) if mean_zero else values
+
+
+@pytest.mark.parametrize("dim,points", [(1, 128), (1, 2048), (2, 64), (3, 32)])
+@pytest.mark.parametrize("mean_zero", [False, True])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_profiles_match_full_layout_reference(dim, points, mean_zero, profile):
+    grid = build_grid(GridSpec(dim, points, 30.0))
+    got = make_profile(grid, profile, 1.0, seed=7, mean_zero=mean_zero,
+                       n=dim, m=1.5).values
+    ref = _reference_profile(grid, profile, 7, mean_zero, dim, 1.5)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

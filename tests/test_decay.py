@@ -116,7 +116,6 @@ def test_run_semilinear_zero_data():
     assert np.all(series.l2 == 0)
     assert series.label == "decayed"
     assert "admissibility" in series.provenance
-    assert series.provenance["config_hash"]
 
 
 def test_semilinear_label_sees_turnover_after_ramp():

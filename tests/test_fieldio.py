@@ -1,9 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 from sigmaevo.decay import run_linear
-from sigmaevo.fieldio import (config_hash, config_mapping, fmt17, load_field,
-                              save_field, write_norms_csv, write_sweep_csv)
+from sigmaevo.cli import parse_config
+from sigmaevo.fieldio import (config_hash, fmt17, load_field, save_field,
+                              write_norms_csv, write_region_sweep_csv,
+                              write_sweep_csv)
 from sigmaevo.grid import GridSpec, RealField, build_grid
 from sigmaevo.params import ModelParams
 from sigmaevo.solver import SolverConfig
@@ -88,12 +92,24 @@ def test_sweep_csv_rows_sorted(tmp_path):
 
 
 def test_config_hash_sensitivity():
-    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
-                       t_end=50.0, data_amplitude=1.0)
-    base = config_hash(config_mapping(cfg))
-    assert base == config_hash(config_mapping(cfg))
-    import dataclasses
-    bumped = dataclasses.replace(cfg, dt=0.2)
-    assert config_hash(config_mapping(bumped)) != base
-    reparam = dataclasses.replace(cfg, params=dataclasses.replace(PARAMS, p=4.5))
-    assert config_hash(config_mapping(reparam)) != base
+    def effective_hash(**changes):
+        over = {"N": "256", "L": "150", "dt": "0.1", "t_end": "50",
+                "epsilon": "1.0", **changes}
+        return config_hash(parse_config(None, over, "linear").effective)
+
+    base = effective_hash()
+    assert base == effective_hash()
+    assert effective_hash(dt="0.2") != base
+    assert effective_hash(p="4.5") != base
+
+
+def test_region_sweep_header_survives_error_first_row(tmp_path):
+    # n = 1, p = 1.5, m = 1 puts the L^m interpolation exponent's q at 1,
+    # so the first grid point is an error row holding only n, p, error
+    path = tmp_path / "region.csv"
+    write_region_sweep_csv(path, p_values=(1.5, 4.0), n_values=(1,),
+                           sigma=1.0, alpha=0.5, m=1.0)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["error"].startswith("q must") and rows[0]["overall"] == ""
+    assert rows[1]["overall"] == "true" and rows[1]["error"] == ""

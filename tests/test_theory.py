@@ -141,7 +141,7 @@ def test_integral_inequality_validation():
 
 
 def test_region_sweep_csv(tmp_path):
-    from sigmaevo.theory import write_region_sweep_csv
+    from sigmaevo.fieldio import write_region_sweep_csv
     path = tmp_path / "region.csv"
     write_region_sweep_csv(path, p_values=(2.0, 4.0, 9.0), n_values=(1, 3),
                            sigma=1.0, alpha=0.5, m=1.0)
