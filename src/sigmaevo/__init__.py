@@ -18,9 +18,8 @@ from .picard import picard_apply
 from .theory import (AdmissibilityReport, critical_exponent, admissibility,
                      gn_theta, duhamel_decay, nonlinearity_decay_exponent,
                      integral_inequality_check)
-from .decay import (NormTimeSeries, DecayFit, RateVerdict, run_linear,
-                    run_semilinear, fit_decay, check_rate, sweep,
-                    default_window, suggest_box_length)
+from .decay import (DecayFit, RateVerdict, run_linear, fit_decay,
+                    check_rate, sweep, default_window, suggest_box_length)
 from .fieldio import save_field, load_field, write_norms_csv, write_sweep_csv
 
 __all__ = [
@@ -38,8 +37,7 @@ __all__ = [
     "AdmissibilityReport", "critical_exponent", "admissibility", "gn_theta",
     "duhamel_decay", "nonlinearity_decay_exponent",
     "integral_inequality_check",
-    "NormTimeSeries", "DecayFit", "RateVerdict", "run_linear",
-    "run_semilinear", "fit_decay", "check_rate", "sweep", "default_window",
-    "suggest_box_length",
+    "DecayFit", "RateVerdict", "run_linear", "fit_decay", "check_rate",
+    "sweep", "default_window", "suggest_box_length",
     "save_field", "load_field", "write_norms_csv", "write_sweep_csv",
 ]

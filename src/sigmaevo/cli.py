@@ -25,14 +25,12 @@ import scipy
 
 from . import __version__
 from .decay import (default_window, fit_decay, check_rate, run_linear,
-                    series_from_trajectory, suggest_box_length, sweep)
+                    suggest_box_length, sweep)
 from .checks import kernel_oracle_suite, riesz_oracle_suite
 from .fieldio import (config_hash, fmt17, report_to_json, save_field,
                       write_norms_csv, write_sweep_csv)
-from .grid import (GridSpec, RealField, build_grid, transform_forward,
-                   transform_inverse, _inverse_half)
+from .grid import GridSpec, RealField, _inverse_half
 from .params import ModelParams
-from .propagator import propagate_linear
 from .solver import SolverConfig, integrate, make_data
 from .theory import admissibility
 
@@ -241,9 +239,9 @@ def parse_config(path: str | Path | None = None,
 
 
 def _verdict_payload(series, config: RunConfig) -> dict:
-    payload = {"label": series.label, "truncated": series.truncated,
+    payload = {"label": series.label, "truncated": series.blew_up,
                "window": list(config.window), "fits": {}, "verdicts": {}}
-    if series.truncated:
+    if series.blew_up:
         return payload
     for quantity in ("u_L2", "dtu_L2", "Hsigma_semi"):
         try:
@@ -270,19 +268,12 @@ def _emit_series(series, config: RunConfig, outputs: list[Path]) -> None:
         outputs.append(path)
 
 
-def _emit_fields(config: RunConfig, outputs: list[Path],
-                 final_state=None) -> None:
-    """Write u1 and, when known, the final ``(u, du/dt)``; a semilinear
-    ``final_state`` is in the half-spectrum layout of Trajectory."""
-    grid = build_grid(config.grid)
-    u1 = make_data(config.solver, grid)
-    fields = [u1]
-    if config.subcommand == "linear":
-        fields += [transform_inverse(F) for F in propagate_linear(
-            transform_forward(u1), config.model.sigma, config.solver.t_end)]
-    elif final_state is not None:
-        fields += [RealField(grid, _inverse_half(grid, half))
-                   for half in final_state]
+def _emit_fields(series, config: RunConfig, outputs: list[Path]) -> None:
+    """Write u1 and the run's final ``(u, du/dt)``."""
+    grid = series.grid
+    fields = [make_data(config.solver, grid)]
+    fields += [RealField(grid, _inverse_half(grid, half))
+               for half in series.final_state]
     for name, field in zip(("u1.bin", "u_final.bin", "ut_final.bin"), fields):
         path = config.output_dir / name
         save_field(path, field)
@@ -290,20 +281,14 @@ def _emit_fields(config: RunConfig, outputs: list[Path],
 
 
 def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
-    if config.subcommand == "linear":
-        series = run_linear(config.solver, n_samples=config.n_samples)
+    if config.subcommand in ("linear", "semilinear"):
+        series = (run_linear(config.solver, n_samples=config.n_samples)
+                  if config.subcommand == "linear"
+                  else integrate(config.solver))
         _emit_series(series, config, outputs)
         if "fields" in config.emit:
-            _emit_fields(config, outputs)
-        return 0
-
-    if config.subcommand == "semilinear":
-        traj = integrate(config.solver)
-        series = series_from_trajectory(traj, config.solver)
-        _emit_series(series, config, outputs)
-        if "fields" in config.emit:
-            _emit_fields(config, outputs, final_state=traj.final_state)
-        return 3 if series.truncated else 0
+            _emit_fields(series, config, outputs)
+        return 3 if series.blew_up else 0
 
     if config.subcommand == "admissible":
         path = config.output_dir / "admissibility.json"

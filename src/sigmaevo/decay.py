@@ -14,21 +14,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import linregress
 
-from .grid import GridSpec, _forward_half, build_grid
+from .grid import _forward_half, build_grid
 from .params import ModelParams
 from .propagator import decay_exponent, kernel_arrays
-from .solver import (SolverConfig, _check_horizon, _record_norms, integrate,
-                     make_data)
+from .solver import (SolverConfig, Trajectory, _check_horizon, _record_norms,
+                     integrate, make_data)
 from .theory import AdmissibilityReport, admissibility
 
 __all__ = [
-    "NormTimeSeries",
     "DecayFit",
     "RateVerdict",
     "SweepRow",
     "run_linear",
-    "run_semilinear",
-    "series_from_trajectory",
     "fit_decay",
     "check_rate",
     "sweep",
@@ -36,43 +33,8 @@ __all__ = [
     "suggest_box_length",
 ]
 
-QUANTITIES = ("u_L2", "dtu_L2", "Hsigma_semi", "Lm")
-
 # (seminorm order a, time derivatives j) per checkable quantity.
 _RATE_KEYS = {"u_L2": (0.0, 0), "dtu_L2": (0.0, 1), "Hsigma_semi": (None, 0)}
-
-
-@dataclass
-class NormTimeSeries:
-    """Time-stamped norms of one run, with provenance."""
-
-    times: np.ndarray
-    l2: np.ndarray
-    dt_l2: np.ndarray
-    hsigma: np.ndarray
-    lm: np.ndarray
-    params: ModelParams
-    grid: GridSpec
-    provenance: dict
-    label: str = "decayed"
-    truncated: bool = False
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("series times must be strictly increasing")
-        norms = np.stack([self.l2, self.dt_l2, self.hsigma, self.lm])
-        if np.any(norms < 0):
-            raise ValueError("norms must be nonnegative")
-        # a truncated series may end on the runaway record
-        if not self.truncated and not np.all(np.isfinite(norms)):
-            raise ValueError("norms must be finite unless the run blew up")
-
-    def quantity(self, name: str) -> np.ndarray:
-        try:
-            return {"u_L2": self.l2, "dtu_L2": self.dt_l2,
-                    "Hsigma_semi": self.hsigma, "Lm": self.lm}[name]
-        except KeyError:
-            raise ValueError(f"unknown quantity '{name}'") from None
 
 
 @dataclass(frozen=True)
@@ -112,8 +74,13 @@ def _sample_times(t_end: float, n_samples: int) -> np.ndarray:
     return np.expm1(np.linspace(0.0, np.log1p(t_end), n_samples))
 
 
-def run_linear(config: SolverConfig, n_samples: int = 200) -> NormTimeSeries:
-    """Exact linear flow sampled at log-spaced times (no stepping error)."""
+def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
+    """Exact linear flow sampled at log-spaced times (no stepping error).
+
+    ``final_state`` is the state at the last sample, ``t_end``.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1; got {n_samples}")
     _check_horizon(config)
     grid = build_grid(config.grid)
     params = config.params
@@ -125,41 +92,13 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> NormTimeSeries:
     records = []
     for t in times:
         _, K1, _, dK1 = kernel_arrays(k, float(t))
-        records.append(_record_norms(grid, xi_sigma, K1 * u1_hat,
-                                     dK1 * u1_hat, params.m))
-    arr = np.array(records)
-    return NormTimeSeries(times=times, l2=arr[:, 0], dt_l2=arr[:, 1],
-                          hsigma=arr[:, 2], lm=arr[:, 3], params=params,
-                          grid=config.grid, provenance={"kind": "linear"})
+        state = (K1 * u1_hat, dK1 * u1_hat)
+        records.append(_record_norms(grid, xi_sigma, *state, params.m))
+    return Trajectory.from_records(times, records, params, grid,
+                                   final_state=state)
 
 
-def _label(series_l2: np.ndarray, truncated: bool) -> str:
-    # A run from rest first ramps up (u ~ t u1); it has decayed once the
-    # L2 norm turned over, i.e. ends below its maximum.
-    if truncated or 0 < series_l2[-1] >= np.max(series_l2):
-        return "growth-detected"
-    return "decayed"
-
-
-def series_from_trajectory(traj, config: SolverConfig) -> NormTimeSeries:
-    """Wrap an integration's norm records as a labeled series."""
-    prov = {"kind": "semilinear",
-            "admissibility": admissibility(config.params),
-            "blowup_time": traj.blowup_time}
-    series = NormTimeSeries(times=traj.times, l2=traj.l2, dt_l2=traj.dt_l2,
-                            hsigma=traj.hsigma, lm=traj.lm,
-                            params=config.params, grid=config.grid,
-                            provenance=prov, truncated=traj.blew_up)
-    series.label = _label(series.l2, series.truncated)
-    return series
-
-
-def run_semilinear(config: SolverConfig) -> NormTimeSeries:
-    """Full model run; admissibility is reported, not enforced."""
-    return series_from_trajectory(integrate(config), config)
-
-
-def fit_decay(series: NormTimeSeries, quantity: str,
+def fit_decay(series: Trajectory, quantity: str,
               window: tuple[float, float]) -> DecayFit:
     """OLS fit of log(norm) against log(1+t) inside ``window``."""
     t_lo, t_hi = window
@@ -233,12 +172,12 @@ def sweep(points: list[dict], base_config: SolverConfig, kind: str = "linear",
             cfg = _apply_overrides(base_config, overrides)
             row.params = cfg.params
             row.admissibility = admissibility(cfg.params)
-            series = run_linear(cfg) if kind == "linear" else run_semilinear(cfg)
+            series = run_linear(cfg) if kind == "linear" else integrate(cfg)
             row.label = series.label
             win = window or default_window(cfg.t_end)
             row.fits = {}
             row.verdicts = {}
-            if not series.truncated:
+            if not series.blew_up:
                 for q in quantities:
                     fit = fit_decay(series, q, win)
                     row.fits[q] = fit

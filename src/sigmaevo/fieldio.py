@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import GridSpec, RealField, build_grid
 from .params import ModelParams
-from .solver import xt_weighted_sums
+from .solver import Trajectory, xt_weighted_sums
 from .theory import AdmissibilityReport, admissibility
 
 __all__ = [
@@ -61,11 +61,10 @@ def load_field(path: str | Path) -> RealField:
     return RealField(build_grid(spec), data.reshape(spec.shape).astype(np.float64))
 
 
-def write_norms_csv(path: str | Path, series, params=None) -> None:
+def write_norms_csv(path: str | Path, series: Trajectory) -> None:
     """Norm table: t, L2, dtL2, Hsigma_semi, Lm, weighted_sum."""
-    params = params or series.params
     weighted = xt_weighted_sums(series.times, series.l2, series.hsigma,
-                                series.dt_l2, params)
+                                series.dt_l2, series.params)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "L2", "dtL2", "Hsigma_semi", "Lm", "weighted_sum"])

@@ -106,7 +106,5 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
                                      params.m))
         states.append((u_hat, ut_hat))
 
-    arr = np.array(records)
-    return Trajectory(times=np.array(traj_in.times), l2=arr[:, 0],
-                      dt_l2=arr[:, 1], hsigma=arr[:, 2], lm=arr[:, 3],
-                      params=params, grid=grid, states=states)
+    return Trajectory.from_records(traj_in.times, records, params, grid,
+                                   states=states)

@@ -227,8 +227,10 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
 
 @dataclass
 class Trajectory:
-    """Sampled states and norms along one integration.
+    """Result of every run (linear flow, integration, Picard map).
 
+    ``l2``, ``dt_l2``, ``hsigma`` and ``lm`` are ``||u||_2``,
+    ``||u_t||_2``, ``|u|_{H^sigma}`` and ``||u||_m`` at ``times``.
     ``states`` and ``final_state`` hold ``(u, du/dt)`` in the half-spectrum
     layout of :mod:`sigmaevo.grid` (``full_from_half`` gives the full one).
     """
@@ -250,6 +252,35 @@ class Trajectory:
             raise ValueError("trajectory must contain at least one snapshot")
         if np.any(np.diff(self.times) <= 0) or self.times[0] != 0.0:
             raise ValueError("snapshot times must start at 0 and increase")
+        norms = np.stack([self.l2, self.dt_l2, self.hsigma, self.lm])
+        if np.any(norms < 0):
+            raise ValueError("norms must be nonnegative")
+        # a blown-up run may end on the runaway record
+        if not self.blew_up and not np.all(np.isfinite(norms)):
+            raise ValueError("norms must be finite unless the run blew up")
+
+    @classmethod
+    def from_records(cls, times, records, params: ModelParams, grid: Grid,
+                     **extra) -> "Trajectory":
+        """Build from one ``_record_norms`` tuple per time."""
+        l2, dt_l2, hsigma, lm = np.array(records).T
+        return cls(np.array(times, dtype=float), l2, dt_l2, hsigma, lm,
+                   params, grid, **extra)
+
+    @property
+    def label(self) -> str:
+        # A run from rest first ramps up (u ~ t u1); it has decayed once the
+        # L2 norm turned over, i.e. ends below its maximum.
+        if self.blew_up or 0 < self.l2[-1] >= np.max(self.l2):
+            return "growth-detected"
+        return "decayed"
+
+    def quantity(self, name: str) -> np.ndarray:
+        try:
+            return {"u_L2": self.l2, "dtu_L2": self.dt_l2,
+                    "Hsigma_semi": self.hsigma, "Lm": self.lm}[name]
+        except KeyError:
+            raise ValueError(f"unknown quantity '{name}'") from None
 
 
 def _record_norms(grid: Grid, xi_sigma: np.ndarray, u_hat, ut_hat, m: float):
@@ -313,12 +344,10 @@ def integrate(config: SolverConfig) -> Trajectory:
                 blowup_time = t
                 break
 
-    arr = np.array(records)
-    return Trajectory(times=np.array(times), l2=arr[:, 0], dt_l2=arr[:, 1],
-                      hsigma=arr[:, 2], lm=arr[:, 3], params=params,
-                      grid=grid, states=states,
-                      final_state=(u_hat.copy(), ut_hat.copy()),
-                      blew_up=blew_up, blowup_time=blowup_time)
+    return Trajectory.from_records(times, records, params, grid,
+                                   states=states,
+                                   final_state=(u_hat.copy(), ut_hat.copy()),
+                                   blew_up=blew_up, blowup_time=blowup_time)
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:
@@ -354,33 +383,29 @@ def xt_weighted_sums(times: np.ndarray, l2: np.ndarray, hsigma: np.ndarray,
     return sum(_xt_terms(times, l2, hsigma, dt_l2, params))
 
 
-def xt_norm(traj: Trajectory, params: ModelParams | None = None,
-            t_max: float | None = None) -> XTNorm:
+def xt_norm(traj: Trajectory, t_max: float | None = None) -> XTNorm:
     """Decay-weighted supremum norm of a trajectory.
 
     ``t_max`` restricts the supremum to snapshots with ``t <= t_max``.
     """
-    params = params or traj.params
     sel = slice(None) if t_max is None else traj.times <= t_max
     times = traj.times[sel]
     if times.size == 0:
         raise ValueError("no snapshots in the requested time range")
     terms = _xt_terms(times, traj.l2[sel], traj.hsigma[sel], traj.dt_l2[sel],
-                      params)
+                      traj.params)
     return XTNorm(float(np.max(sum(terms))),
                   *(float(np.max(term)) for term in terms))
 
 
-def xt_distance(a: Trajectory, b: Trajectory,
-                params: ModelParams | None = None) -> float:
+def xt_distance(a: Trajectory, b: Trajectory) -> float:
     """Decay-weighted supremum distance between two state-storing trajectories."""
     if a.states is None or b.states is None:
         raise ValueError("both trajectories must store states")
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise ValueError("trajectories must share snapshot times")
-    params = params or a.params
     grid = a.grid
-    xs = grid.half_xi_mag ** params.sigma
+    xs = grid.half_xi_mag ** a.params.sigma
     l2 = np.empty(len(a.times))
     hs = np.empty(len(a.times))
     dt = np.empty(len(a.times))
@@ -390,4 +415,4 @@ def xt_distance(a: Trajectory, b: Trajectory,
         l2[i] = _half_l2(grid, du)
         hs[i] = _half_l2(grid, xs * du)
         dt[i] = _half_l2(grid, dut)
-    return float(np.max(xt_weighted_sums(a.times, l2, hs, dt, params)))
+    return float(np.max(xt_weighted_sums(a.times, l2, hs, dt, a.params)))

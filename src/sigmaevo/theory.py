@@ -121,11 +121,28 @@ def _dimension_bound(sigma: float, m: float, alpha: float) -> float:
         / (2.0 * (2.0 - m)))
 
 
+def _theta_checked(name: str, q: float, n: int, sigma: float,
+                   warnings: list[str]) -> tuple[float, bool]:
+    """Interpolation exponent at ``q`` and whether it lies in [0, 1]; NaN
+    and not ok when ``q <= 1``.  Failures are appended to ``warnings``."""
+    if q <= 1.0:
+        warnings.append(f"interpolation exponent {name} is undefined for "
+                        f"q = {q:.6g} (needs q > 1)")
+        return np.nan, False
+    theta = gn_theta(q, n, sigma)
+    ok = -TOL <= theta <= 1.0 + TOL
+    if not ok:
+        warnings.append(
+            f"interpolation exponent {name} = {theta:.6g} lies outside [0, 1]")
+    return theta, ok
+
+
 def admissibility(params: ModelParams) -> AdmissibilityReport:
     """Evaluate every admissibility condition at ``params``.
 
     A report is always produced; hypothesis failures of the smoothing
-    boundedness exponents are surfaced as warnings, not hard failures.
+    boundedness and interpolation exponents are surfaced as warnings,
+    not hard failures.
     """
     n, sig, alpha, p, m = (params.n, params.sigma, params.alpha,
                            params.p, params.m)
@@ -159,15 +176,10 @@ def admissibility(params: ModelParams) -> AdmissibilityReport:
                 f"smoothing boundedness hypothesis fails for {name} = {q:.6g} "
                 f"(needs q in (1, n/alpha) = (1, {n / alpha:.6g}))")
 
-    theta_s2 = gn_theta(2.0 * n * p / (n + 2.0 * alpha), n, sig)
-    theta_sm = gn_theta(m * n * p / (n + m * alpha), n, sig)
-    theta_s2_ok = -TOL <= theta_s2 <= 1.0 + TOL
-    theta_sm_ok = -TOL <= theta_sm <= 1.0 + TOL
-    for name, th, ok in (("theta_s2", theta_s2, theta_s2_ok),
-                         ("theta_sm", theta_sm, theta_sm_ok)):
-        if not ok:
-            warnings.append(
-                f"interpolation exponent {name} = {th:.6g} lies outside [0, 1]")
+    theta_s2, theta_s2_ok = _theta_checked(
+        "theta_s2", 2.0 * n * p / (n + 2.0 * alpha), n, sig, warnings)
+    theta_sm, theta_sm_ok = _theta_checked(
+        "theta_sm", m * n * p / (n + m * alpha), n, sig, warnings)
 
     overall = p_lower_ok and p_upper_ok and dim_ok and p_integ_ok
 

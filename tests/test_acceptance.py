@@ -101,15 +101,11 @@ def test_criterion_4_riesz_cross_validation():
 
 
 def test_criterion_5_semilinear_rates(semilinear_reference_trajectory):
-    from sigmaevo.decay import NormTimeSeries
     traj, elapsed = semilinear_reference_trajectory
-    series = NormTimeSeries(times=traj.times, l2=traj.l2, dt_l2=traj.dt_l2,
-                            hsigma=traj.hsigma, lm=traj.lm, params=REFERENCE,
-                            grid=traj.grid.spec, provenance={})
     ok = not traj.blew_up and elapsed < 300.0
     slopes = {}
     for quantity in ("u_L2", "dtu_L2", "Hsigma_semi"):
-        fit = fit_decay(series, quantity, (100.0, 1000.0))
+        fit = fit_decay(traj, quantity, (100.0, 1000.0))
         verdict = check_rate(fit, REFERENCE, quantity, 0.10)
         slopes[quantity] = fit.slope
         ok = ok and verdict.passed

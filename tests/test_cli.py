@@ -93,6 +93,17 @@ def test_admissible_reference_point(tmp_path):
     assert report["p_integrability"] == 3.5
 
 
+def test_admissible_reports_undefined_interpolation_exponent(tmp_path):
+    # p = 1.5 with the defaults n = 1, alpha = 0.5, m = 1 puts the L^m
+    # interpolation exponent's q at 1, outside the exponent's domain
+    out = tmp_path / "out"
+    assert main(["admissible", "--p", "1.5", "--output_dir", str(out)]) == 0
+    report = json.loads((out / "admissibility.json").read_text())
+    assert report["gn_theta_sm_ok"] is False
+    assert any("theta_sm" in w and "q = 1" in w for w in report["warnings"])
+    assert report["overall"] is False
+
+
 def test_linear_runs_are_byte_identical(tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -148,6 +159,22 @@ def test_fields_emitted_in_binary_format(tmp_path):
     assert u1.grid.spec.points_per_axis == 256
     assert abs(u1.values.max() - 1.0) < 1e-12
     assert (tmp_path / "out" / "u_final.bin").exists()
+
+
+def test_linear_final_fields_are_linear_flow_at_t_end(tmp_path):
+    from sigmaevo.fieldio import load_field
+    from sigmaevo.grid import transform_forward, transform_inverse
+    from sigmaevo.propagator import propagate_linear
+    from sigmaevo.solver import make_data
+    over = dict(FAST_LINEAR, emit="fields", output_dir=str(tmp_path / "out"))
+    cfg = parse_config(None, over, subcommand="linear")
+    assert dispatch(cfg) == 0
+    u1 = make_data(cfg.solver)
+    expected = [transform_inverse(F).values for F in propagate_linear(
+        transform_forward(u1), cfg.model.sigma, cfg.solver.t_end)]
+    for name, ref in zip(("u_final.bin", "ut_final.bin"), expected):
+        got = load_field(tmp_path / "out" / name).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_semilinear_emits_final_state_fields(tmp_path):
@@ -230,6 +257,9 @@ def test_main_validation_exit(tmp_path):
     for key in ("snapshot_interval", "window_lo", "window_hi"):
         assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
                      f"--{key}", "abc", "--output_dir", str(tmp_path)]) == 2
+    # a linear run needs at least one sample
+    assert main(["linear", "--N", "64", "--t_end", "1.0", "--n_samples", "0",
+                 "--output_dir", str(tmp_path)]) == 2
 
 
 def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from sigmaevo.decay import (NormTimeSeries, check_rate, default_window,
-                            fit_decay, run_linear, run_semilinear,
-                            suggest_box_length, sweep, DecayFit)
-from sigmaevo.grid import GridSpec
+from sigmaevo.decay import (check_rate, default_window, fit_decay,
+                            run_linear, suggest_box_length, sweep, DecayFit)
+from sigmaevo.grid import (GridSpec, build_grid, full_from_half,
+                           transform_forward)
 from sigmaevo.params import ModelParams
-from sigmaevo.solver import SolverConfig
+from sigmaevo.propagator import propagate_linear
+from sigmaevo.solver import SolverConfig, Trajectory, integrate, make_data
+from sigmaevo.theory import admissibility
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -14,9 +16,8 @@ PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 def synthetic_series(fn, t_end=2000.0, n=300):
     times = np.linspace(0.0, t_end, n)
     vals = fn(times)
-    return NormTimeSeries(times=times, l2=vals, dt_l2=vals, hsigma=vals,
-                          lm=vals, params=PARAMS, grid=GridSpec(1, 8, 1.0),
-                          provenance={})
+    return Trajectory(times=times, l2=vals, dt_l2=vals, hsigma=vals, lm=vals,
+                      params=PARAMS, grid=build_grid(GridSpec(1, 8, 1.0)))
 
 
 def test_fit_recovers_exact_power_law():
@@ -109,13 +110,39 @@ def test_run_linear_mean_zero_regression():
     assert fit.slope <= -0.7
 
 
+def test_run_linear_final_state_is_linear_flow_at_t_end():
+    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
+                       t_end=50.0, data_amplitude=1.0)
+    series = run_linear(cfg, n_samples=40)
+    grid = series.grid
+    expected = propagate_linear(transform_forward(make_data(cfg, grid)),
+                                PARAMS.sigma, cfg.t_end)
+    for half, full in zip(series.final_state, expected):
+        got = full_from_half(grid, half)
+        assert np.max(np.abs(got - full.coeffs)) <= 1e-12 * np.max(
+            np.abs(full.coeffs))
+
+
+def test_linear_label_sees_ramp_before_turnover():
+    # Short linear runs from rest end while L2 still ramps up; the label
+    # must say so instead of always reading "decayed".
+    for t_end in (1.0, 2.0):
+        gs = GridSpec(1, 256, suggest_box_length(t_end, 1.0))
+        cfg = SolverConfig(params=PARAMS, grid=gs, dt=0.1, t_end=t_end,
+                           data_amplitude=1.0)
+        assert run_linear(cfg).label == "growth-detected"
+    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
+                       t_end=50.0, data_amplitude=1.0)
+    assert run_linear(cfg).label == "decayed"
+
+
 def test_run_semilinear_zero_data():
     cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
                        t_end=20.0, data_amplitude=0.0)
-    series = run_semilinear(cfg)
+    series = integrate(cfg)
     assert np.all(series.l2 == 0)
     assert series.label == "decayed"
-    assert "admissibility" in series.provenance
+    assert admissibility(cfg.params).overall
 
 
 def test_semilinear_label_sees_turnover_after_ramp():
@@ -125,15 +152,17 @@ def test_semilinear_label_sees_turnover_after_ramp():
     cfg = SolverConfig(params=PARAMS,
                        grid=GridSpec(1, 2048, suggest_box_length(t_end, 1.0)),
                        dt=0.1, t_end=t_end, data_amplitude=0.01)
-    series = run_semilinear(cfg)
+    series = integrate(cfg)
     positive = series.l2[series.l2 > 0]
     assert series.l2[-1] > positive[0]
     assert series.l2[-1] < 0.5 * np.max(series.l2)
     assert series.label == "decayed"
     # the ramp alone never turned over
-    from sigmaevo.decay import _label
-    ramp = series.l2[:np.argmax(series.l2) + 1]
-    assert _label(ramp, truncated=False) == "growth-detected"
+    peak = np.argmax(series.l2) + 1
+    ramp = Trajectory(times=series.times[:peak], l2=series.l2[:peak],
+                      dt_l2=series.dt_l2[:peak], hsigma=series.hsigma[:peak],
+                      lm=series.lm[:peak], params=PARAMS, grid=series.grid)
+    assert ramp.label == "growth-detected"
 
 
 def test_run_semilinear_exploratory_below_threshold():
@@ -142,9 +171,9 @@ def test_run_semilinear_exploratory_below_threshold():
     params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=2.0, m=1.0)
     cfg = SolverConfig(params=params, grid=GridSpec(1, 256, 100.0), dt=0.1,
                        t_end=20.0, data_amplitude=1.0)
-    series = run_semilinear(cfg)
+    series = integrate(cfg)
     assert series.label in ("decayed", "growth-detected")
-    assert not series.provenance["admissibility"].overall
+    assert not admissibility(params).overall
 
 
 def test_sweep_empty_grid():

@@ -104,12 +104,12 @@ def test_config_hash_sensitivity():
 
 
 def test_region_sweep_header_survives_error_first_row(tmp_path):
-    # n = 1, p = 1.5, m = 1 puts the L^m interpolation exponent's q at 1,
-    # so the first grid point is an error row holding only n, p, error
+    # ModelParams rejects p = 1, so the first grid point is an error row
+    # holding only n, p, error
     path = tmp_path / "region.csv"
-    write_region_sweep_csv(path, p_values=(1.5, 4.0), n_values=(1,),
+    write_region_sweep_csv(path, p_values=(1.0, 4.0), n_values=(1,),
                            sigma=1.0, alpha=0.5, m=1.0)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows[0]["error"].startswith("q must") and rows[0]["overall"] == ""
+    assert rows[0]["error"].startswith("p must") and rows[0]["overall"] == ""
     assert rows[1]["overall"] == "true" and rows[1]["error"] == ""

@@ -1,6 +1,8 @@
-"""Module layers run one way: no module imports one ranked above it."""
+"""Module layers run one way: no module imports one ranked above it.
+Every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,12 @@ def test_no_import_points_up(name):
     upward = sorted(dep for dep in _package_imports(tree)
                     if RANK[dep] > RANK[name])
     assert not upward, f"{name} imports higher layers: {upward}"
+
+
+@pytest.mark.parametrize("name", ["__init__"] + sorted(RANK))
+def test_every_exported_name_exists(name):
+    module = (sigmaevo if name == "__init__"
+              else importlib.import_module(f"sigmaevo.{name}"))
+    missing = [attr for attr in getattr(module, "__all__", ())
+               if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
