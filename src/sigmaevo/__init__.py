@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .grid import (GridSpec, Grid, RealField, SpectralField, build_grid,
                    transform_forward, transform_inverse, field_from_function)
-from .operators import (MultiplierSymbol, apply_symbol, fractional_laplacian,
+from .operators import (apply_symbol, riesz_multiplier, fractional_laplacian,
                         riesz_potential, riesz_oracle, riesz_constant,
                         lebesgue_norm, sobolev_seminorm, sobolev_norm_inhom)
 from .params import ModelParams
@@ -25,7 +25,7 @@ from .fieldio import save_field, load_field, write_norms_csv, write_sweep_csv
 __all__ = [
     "GridSpec", "Grid", "RealField", "SpectralField", "build_grid",
     "transform_forward", "transform_inverse", "field_from_function",
-    "MultiplierSymbol", "apply_symbol", "fractional_laplacian",
+    "apply_symbol", "riesz_multiplier", "fractional_laplacian",
     "riesz_potential", "riesz_oracle", "riesz_constant",
     "lebesgue_norm", "sobolev_seminorm", "sobolev_norm_inhom",
     "ModelParams",

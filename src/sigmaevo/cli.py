@@ -5,9 +5,10 @@ Usage: ``sigmaevo <subcommand> --config <file> [--key=value ...]``
 The config file is a flat ``key = value`` document (``#`` starts a
 comment); command-line flags override file values, and every key has a
 documented default.  Each run writes its outputs plus a ``manifest.json``
-(config echo, config hash, library versions, wall time, output list)
-into the output directory.  Exit status: 0 success, 2 validation error,
-3 labeled blow-up termination, 1 internal error.
+(config echo, config hash, library versions, wall time, output list,
+exit status, and the error of a failed run) into the output directory.
+Exit status: 0 success, 2 validation error, 3 labeled blow-up
+termination, 1 internal error.
 """
 
 from __future__ import annotations
@@ -333,18 +334,23 @@ def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
 
 
 def dispatch(config: RunConfig) -> int:
-    """Run one subcommand, writing artifacts and a manifest under output_dir."""
+    """Run one subcommand, writing artifacts and a manifest under output_dir.
+
+    The manifest is written on every exit; a failed run adds ``error``
+    (exception class and message) to it.
+    """
     start = time.perf_counter()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
+    error = None
     try:
         status = _run_subcommand(config, outputs)
     except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status, error = 2, exc
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        status, error = 1, exc
 
     manifest = {
         "subcommand": config.subcommand,
@@ -360,6 +366,9 @@ def dispatch(config: RunConfig) -> int:
         "outputs": [p.name for p in outputs],
         "exit_status": status,
     }
+    if error is not None:
+        manifest["error"] = {"class": type(error).__name__,
+                             "message": str(error)}
     (config.output_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n")
     return status

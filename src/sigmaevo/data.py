@@ -48,10 +48,10 @@ def _spectral_tail(grid: Grid, n: int, m: float) -> np.ndarray:
     # lattice phase centres it at x = 0.
     gam = n * (1.0 - 1.0 / m)
     xi_floor = 2.0 * np.pi / grid.box_length
-    xi = grid.half_xi_mag
+    xi = grid.xi_mag
     q = np.maximum(xi, xi_floor)
-    phase = grid.phase[..., :xi.shape[-1]]
-    field = _inverse_half(grid, q ** (-gam) * np.exp(-xi ** 2 / 2.0) * phase)
+    field = _inverse_half(grid,
+                          q ** (-gam) * np.exp(-xi ** 2 / 2.0) * grid.phase)
     l2 = np.sqrt(np.sum(field * field) * grid.cell_volume)
     return field / l2 if l2 > 0 else field
 
@@ -63,8 +63,8 @@ def _dipole(grid: Grid, values: np.ndarray) -> np.ndarray:
     coeffs = _forward_half(grid, values)
     rows = coeffs.shape[0]  # N, or N/2+1 when the first axis is the last
     sine = np.sin(grid.wavenumbers[0][:rows] * DIPOLE_SHIFT)
-    # The j = -N/2 plane has no +N/2 partner, so an odd factor there is not
-    # conjugate symmetric; the real part of the result drops that plane.
+    # The j = -N/2 plane is its own mirror image (there is no +N/2 partner),
+    # so an odd factor there would not describe a real field; it is zeroed.
     sine[grid.spec.points_per_axis // 2] = 0.0
     shape = [1] * grid.dim
     shape[0] = rows

@@ -85,8 +85,8 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     grid = build_grid(config.grid)
     params = config.params
     u1_hat = _forward_half(grid, make_data(config, grid).values)
-    k = grid.half_xi_mag ** (2.0 * params.sigma)
-    xi_sigma = grid.half_xi_mag ** params.sigma
+    k = grid.xi_mag ** (2.0 * params.sigma)
+    xi_sigma = grid.xi_mag ** params.sigma
 
     times = _sample_times(config.t_end, n_samples)
     records = []

@@ -4,26 +4,24 @@ Conventions used throughout the package:
 
 * The box is ``[-L/2, L/2)^dim``, sampled on the uniform lattice
   ``x_j = j*L/N - L/2``.
-* Spectral coefficients are stored in FFT layout, one entry per integer
-  wavevector ``j in [-N/2, N/2)`` along each axis (ascending storage
-  order ``0, 1, ..., N/2-1, -N/2, ..., -1``), with physical wavenumber
-  ``xi = 2*pi*j/L``.
-* The forward transform carries the quadrature weight ``(L/N)^dim`` and
-  the lattice phase ``(-1)^(j_1+...+j_dim)``, so a coefficient
-  approximates the continuum integral ``F(xi) = int f(x) exp(-i xi.x) dx``
-  taken over the box.  Under this convention Parseval reads
-  ``||f||_{L2}^2 = sum_j |F_j|^2 / L^dim``.
-
-The public transforms and :class:`SpectralField` use this full layout.
-The data profiles, stepper, norms, linear flow and Picard map work on
-the half spectrum of ``rfftn`` instead: last-axis columns ``j = 0..N/2``
-only, shape ``N^(dim-1) x (N/2+1)``, with the quadrature weight but
-without the lattice phase, which would cancel between forward and
-inverse around real multipliers.  Parseval there weighs the ``j = 0``
-and ``j = N/2`` planes once and interior columns twice (``_half_l2``);
-``half_from_full``/``full_from_half`` convert layouts without a
-transform.  Coefficients built in spectral space (the ``spectral_tail``
-profile, test symbols) carry the phase, which centres them at ``x = 0``.
+* Every operator of the model is a real radial Fourier multiplier acting
+  on a real field, so spectral coefficients are stored on the half
+  spectrum of ``rfftn``: one entry per integer wavevector with
+  ``j in [-N/2, N/2)`` along the leading axes (storage order
+  ``0, 1, ..., N/2-1, -N/2, ..., -1``) and ``j = 0..N/2`` along the last
+  axis, shape ``N^(dim-1) x (N/2+1)``, with physical wavenumber
+  ``xi = 2*pi*j/L``.  ``Grid.xi_mag`` and ``Grid.phase`` are tables on
+  this layout.
+* The forward transform carries the quadrature weight ``(L/N)^dim`` but
+  not the lattice phase ``(-1)^(j_1+...+j_dim)``, which would cancel
+  between forward and inverse around real multipliers.  Parseval weighs
+  the ``j = 0`` and ``j = N/2`` last-axis planes once and interior
+  columns twice (``_half_l2``).
+* ``full_from_half`` gives the full ``N^dim`` layout times the phase,
+  whose coefficients approximate the continuum integral
+  ``F(xi) = int f(x) exp(-i xi.x) dx`` over the box.  Coefficients built
+  in spectral space (the ``spectral_tail`` profile) carry the phase,
+  which centres them at ``x = 0``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "transform_forward",
     "transform_inverse",
     "field_from_function",
-    "half_from_full",
     "full_from_half",
 ]
 
@@ -77,8 +74,9 @@ class GridSpec:
 class Grid:
     """Lattice coordinates and the wavenumber table for a :class:`GridSpec`.
 
-    ``coords`` and ``wavenumbers`` hold one 1-D array per axis;
-    ``xi_mag`` is the full ``N^dim`` table of wavevector magnitudes.
+    ``coords``, ``indices`` and ``wavenumbers`` hold one full 1-D array
+    per axis; ``xi_mag`` (wavevector magnitudes) and ``phase`` (the
+    lattice phase) are half-spectrum tables.
     """
 
     spec: GridSpec
@@ -107,20 +105,14 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.coords, indexing="ij")
 
-    def wavevector_count(self) -> int:
-        return int(self.xi_mag.size)
-
-    @property
-    def half_xi_mag(self) -> np.ndarray:
-        """``xi_mag`` on the half spectrum (a view of the full table)."""
-        return self.xi_mag[..., :self.spec.points_per_axis // 2 + 1]
-
 
 def build_grid(spec: GridSpec) -> Grid:
-    """Build lattice coordinates and the wavenumber table.
+    """Build lattice coordinates and the half-spectrum tables.
 
     Wavenumbers follow FFT storage order, e.g. ``N=8, L=2*pi`` gives
-    ``{0, 1, 2, 3, -4, -3, -2, -1}`` along each axis.
+    ``{0, 1, 2, 3, -4, -3, -2, -1}`` along each axis; the tables keep
+    the first ``N/2+1`` of them on the last axis (``-4`` stands for
+    ``+4`` there, and both enter only through even functions).
     """
     n = spec.points_per_axis
     length = spec.box_length
@@ -132,14 +124,13 @@ def build_grid(spec: GridSpec) -> Grid:
     axes_x = tuple(x.copy() for _ in range(spec.dim))
     axes_xi = tuple(xi.copy() for _ in range(spec.dim))
 
-    mags = np.meshgrid(*axes_xi, indexing="ij")
-    xi_mag = np.sqrt(sum(m * m for m in mags))
+    half = (slice(None),) * (spec.dim - 1) + (slice(0, n // 2 + 1),)
+    mags = np.meshgrid(*axes_xi, indexing="ij", sparse=True)
+    xi_mag = np.sqrt(sum(m[half] * m[half] for m in mags))
 
     # (-1)^(j_1+...+j_dim): relates samples on [-L/2, L/2) to the FFT origin.
-    sign_1d = np.where((np.abs(j).astype(np.int64) % 2) == 0, 1.0, -1.0)
-    phase = sign_1d
-    for _ in range(spec.dim - 1):
-        phase = np.multiply.outer(phase, sign_1d)
+    jsum = sum(g[half] for g in np.meshgrid(*axes_j, indexing="ij", sparse=True))
+    phase = np.where(jsum % 2 == 0, 1.0, -1.0)
 
     return Grid(spec=spec, coords=axes_x, indices=axes_j,
                 wavenumbers=axes_xi, xi_mag=xi_mag, phase=phase)
@@ -164,31 +155,18 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a field, in FFT storage order."""
+    """Half-spectrum coefficients of a real field (layout of ``Grid.xi_mag``)."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
+        if c.shape != self.grid.xi_mag.shape:
             raise ValueError(
-                f"coefficient shape {c.shape} does not match grid shape {self.grid.shape}")
+                f"coefficient shape {c.shape} does not match the half "
+                f"spectrum {self.grid.xi_mag.shape}")
         object.__setattr__(self, "coeffs", c)
-
-    def is_conjugate_symmetric(self, tol: float = 1e-10) -> bool:
-        """True when the coefficients represent a real function."""
-        back = np.fft.ifftn(self.coeffs * self.grid.phase)
-        scale = np.max(np.abs(self.coeffs)) or 1.0
-        return bool(np.max(np.abs(back.imag)) <= tol * scale)
-
-
-def _forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values) * (grid.phase * grid.cell_volume)
-
-
-def _inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(coeffs * grid.phase).real / grid.cell_volume
 
 
 def _forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -210,28 +188,25 @@ def _half_l2(grid: Grid, half: np.ndarray) -> float:
     return float(np.sqrt(total / grid.box_length ** grid.dim))
 
 
-def half_from_full(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients of a full-layout (phased) spectrum."""
-    m = grid.spec.points_per_axis // 2 + 1
-    return coeffs[..., :m] * grid.phase[..., :m]
-
-
 def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full-layout (phased) spectrum, columns ``j > N/2`` filled by
-    conjugate symmetry ``F(-j) = conj(F(j))``."""
+    """Full ``N^dim`` spectrum times the lattice phase, columns ``j > N/2``
+    filled by conjugate symmetry ``F(-j) = conj(F(j))``; its entries
+    approximate the continuum integrals."""
+    phased = half * grid.phase
     axes = tuple(range(grid.dim - 1))  # index i -> -i mod N on these
-    mirror = np.roll(np.flip(half[..., -2:0:-1], axes), 1, axes)
-    return np.concatenate([half, np.conj(mirror)], axis=-1) * grid.phase
+    # (-1)^j is even in j, so the mirrored columns carry their own phase
+    mirror = np.roll(np.flip(phased[..., -2:0:-1], axes), 1, axes)
+    return np.concatenate([phased, np.conj(mirror)], axis=-1)
 
 
 def transform_forward(f: RealField) -> SpectralField:
-    """Forward transform; coefficients approximate the continuum integral."""
-    return SpectralField(f.grid, _forward_coeffs(f.grid, f.values))
+    """Forward transform to the half spectrum, with quadrature weight."""
+    return SpectralField(f.grid, _forward_half(f.grid, f.values))
 
 
 def transform_inverse(F: SpectralField) -> RealField:
-    """Inverse transform back to real samples (imaginary residue dropped)."""
-    return RealField(F.grid, _inverse_values(F.grid, F.coeffs))
+    """Inverse transform back to real samples."""
+    return RealField(F.grid, _inverse_half(F.grid, F.coeffs))
 
 
 def field_from_function(grid: Grid, fn) -> RealField:

@@ -16,9 +16,6 @@ cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
@@ -26,10 +23,8 @@ from .grid import (RealField, SpectralField, _forward_half, _half_l2,
                    _inverse_half)
 
 __all__ = [
-    "MultiplierSymbol",
     "apply_symbol",
-    "fractional_laplacian_symbol",
-    "riesz_symbol",
+    "riesz_multiplier",
     "fractional_laplacian",
     "riesz_potential",
     "riesz_constant",
@@ -43,42 +38,21 @@ __all__ = [
 ORACLE_MAX_POINTS = 2 ** 16
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """Radial Fourier multiplier ``xi -> rule(|xi|)``.
-
-    The value at ``xi = 0`` is always set explicitly through
-    ``zero_mode_value``; the rule is never consulted there.
-    """
-
-    name: str
-    rule: Callable[[np.ndarray], np.ndarray]
-    zero_mode_value: float = 0.0
-
-    def evaluate(self, xi_mag: np.ndarray) -> np.ndarray:
-        """Values on a table of ``|xi|`` (full or half layout) whose
-        first entry is the zero mode."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(self.rule(xi_mag), dtype=np.float64)
-        if vals.shape != xi_mag.shape:
-            vals = np.broadcast_to(vals, xi_mag.shape).copy()
-        vals[(0,) * xi_mag.ndim] = self.zero_mode_value
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"symbol '{self.name}' is non-finite on the grid")
-        return vals
+def riesz_multiplier(xi_mag: np.ndarray, alpha: float) -> np.ndarray:
+    """``|xi|^(-alpha)`` on a ``|xi|`` table whose first entry is the zero
+    mode, where the value is 0 (the mean is projected out)."""
+    with np.errstate(divide="ignore"):
+        vals = xi_mag ** (-alpha)
+    vals[(0,) * vals.ndim] = 0.0
+    return vals
 
 
-def fractional_laplacian_symbol(sigma: float) -> MultiplierSymbol:
-    return MultiplierSymbol(f"|xi|^{2 * sigma}", lambda r: r ** (2.0 * sigma), 0.0)
-
-
-def riesz_symbol(alpha: float) -> MultiplierSymbol:
-    return MultiplierSymbol(f"|xi|^-{alpha}", lambda r: r ** (-alpha), 0.0)
-
-
-def apply_symbol(F: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
-    """Multiply coefficients pointwise by the symbol values."""
-    return SpectralField(F.grid, F.coeffs * symbol.evaluate(F.grid.xi_mag))
+def apply_symbol(F: SpectralField, values: np.ndarray) -> SpectralField:
+    """Multiply coefficients pointwise by a real table on ``F.grid.xi_mag``."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("symbol table is non-finite")
+    return SpectralField(F.grid, F.coeffs * values)
 
 
 def fractional_laplacian(f: RealField, sigma: float) -> RealField:
@@ -87,7 +61,7 @@ def fractional_laplacian(f: RealField, sigma: float) -> RealField:
         raise ValueError(f"sigma must be >= 1; got {sigma}")
     grid = f.grid
     coeffs = _forward_half(grid, f.values)
-    coeffs *= fractional_laplacian_symbol(sigma).evaluate(grid.half_xi_mag)
+    coeffs *= grid.xi_mag ** (2.0 * sigma)
     return RealField(grid, _inverse_half(grid, coeffs))
 
 
@@ -97,7 +71,7 @@ def riesz_potential(f: RealField, alpha: float) -> RealField:
     if not 0.0 < alpha < grid.dim:
         raise ValueError(f"alpha must lie in (0, {grid.dim}); got {alpha}")
     coeffs = _forward_half(grid, f.values)
-    coeffs *= riesz_symbol(alpha).evaluate(grid.half_xi_mag)
+    coeffs *= riesz_multiplier(grid.xi_mag, alpha)
     return RealField(grid, _inverse_half(grid, coeffs))
 
 
@@ -175,7 +149,7 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
     grid = f.grid
     coeffs = _forward_half(grid, f.values)
     if s != 0:
-        coeffs *= grid.half_xi_mag ** s
+        coeffs *= grid.xi_mag ** s
     return _half_l2(grid, coeffs)
 
 
@@ -185,5 +159,5 @@ def sobolev_norm_inhom(f: RealField, s: float) -> float:
         raise ValueError(f"s must be >= 0; got {s}")
     grid = f.grid
     coeffs = _forward_half(grid, f.values)
-    coeffs *= (1.0 + grid.half_xi_mag ** 2) ** (s / 2.0)
+    coeffs *= (1.0 + grid.xi_mag ** 2) ** (s / 2.0)
     return _half_l2(grid, coeffs)

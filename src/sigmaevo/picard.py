@@ -82,7 +82,7 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     grid = traj_in.grid
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
-    k = grid.half_xi_mag ** (2.0 * params.sigma)
+    k = grid.xi_mag ** (2.0 * params.sigma)
     u1_hat = _forward_half(grid, u1.values)
     half_dt = 0.5 * config.dt
 

@@ -186,22 +186,15 @@ def decay_exponent(params: ModelParams, a: float, j: int) -> float:
     return -gain - a / (2.0 * params.sigma) - j
 
 
-def ode_oracle(k: float, t: float, rtol: float = 1e-12,
-               atol: float = 1e-20) -> PropagatorKernels:
-    """Independent kernel values from adaptive integration of the mode ODE.
+def _ode_kernels(k: float, times, rtol: float = 1e-12,
+                 atol: float = 1e-20) -> list[PropagatorKernels]:
+    """Kernel values at each of the sorted ``times`` from one adaptive
+    integration of the mode ODE.
 
-    Integrates both initial-condition columns of ``v'' + (1+k)v' + kv = 0``
-    up to ``t <= 100`` with local tolerance ``1e-12``.  A stiff method
-    takes over for large k, where the fast component decays on the
-    ``1/k`` scale.
+    The ODE is autonomous, so each segment restarts from the end state
+    of the one before.  A stiff method takes over for large k, where the
+    fast component decays on the ``1/k`` scale.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative; got {k}")
-    if not 0 <= t <= 100:
-        raise ValueError(f"t must lie in [0, 100]; got {t}")
-    if t == 0:
-        return PropagatorKernels(k=k, t=0.0, A=1.0, K1=0.0, dA=0.0, dK1=1.0)
-
     def rhs(_t, y):
         a, da, k1, dk1 = y
         return [da, -(1.0 + k) * da - k * a,
@@ -217,10 +210,35 @@ def ode_oracle(k: float, t: float, rtol: float = 1e-12,
     options = {"method": "DOP853"}
     if k > 50.0:
         options = {"method": "BDF", "jac": jac}
-    sol = solve_ivp(rhs, (0.0, t), [1.0, 0.0, 0.0, 1.0],
-                    rtol=rtol, atol=atol, dense_output=False, **options)
-    if not sol.success:
-        raise RuntimeError(f"kernel ODE integration failed: {sol.message}")
-    a, da, k1, dk1 = sol.y[:, -1]
-    return PropagatorKernels(k=float(k), t=float(t), A=float(a),
-                             K1=float(k1), dA=float(da), dK1=float(dk1))
+    y = [1.0, 0.0, 0.0, 1.0]  # columns (A, dA) and (K1, dK1) at t = 0
+    start = 0.0
+    found = []
+    for t in times:
+        if t < start:
+            raise ValueError(f"times must be sorted; got {tuple(times)}")
+        if t > start:
+            sol = solve_ivp(rhs, (start, t), y, rtol=rtol, atol=atol,
+                            dense_output=False, **options)
+            if not sol.success:
+                raise RuntimeError(
+                    f"kernel ODE integration failed: {sol.message}")
+            y, start = sol.y[:, -1], t
+        a, da, k1, dk1 = y
+        found.append(PropagatorKernels(k=float(k), t=float(t), A=float(a),
+                                       K1=float(k1), dA=float(da),
+                                       dK1=float(dk1)))
+    return found
+
+
+def ode_oracle(k: float, t: float, rtol: float = 1e-12,
+               atol: float = 1e-20) -> PropagatorKernels:
+    """Independent kernel values from adaptive integration of the mode ODE.
+
+    Integrates both initial-condition columns of ``v'' + (1+k)v' + kv = 0``
+    up to ``t <= 100`` with local tolerance ``1e-12``.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative; got {k}")
+    if not 0 <= t <= 100:
+        raise ValueError(f"t must lie in [0, 100]; got {t}")
+    return _ode_kernels(k, (t,), rtol, atol)[0]

@@ -22,11 +22,10 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   full_from_half, half_from_full, _forward_half, _half_l2,
-                   _inverse_half)
+                   _forward_half, _half_l2, _inverse_half)
 from .params import ModelParams
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
-from . import operators
+from .operators import riesz_multiplier
 
 __all__ = [
     "SolverConfig",
@@ -132,9 +131,11 @@ def make_data(config: SolverConfig, grid: Grid | None = None) -> RealField:
 
 
 def _dealias_mask(grid: Grid) -> np.ndarray:
+    """Two-thirds rule on the half spectrum: keep ``|j| <= N/3`` on every axis."""
     n = grid.spec.points_per_axis
-    keep = np.ones(grid.shape, dtype=bool)
+    keep = np.ones(grid.xi_mag.shape, dtype=bool)
     for axis, idx in enumerate(grid.indices):
+        idx = idx[:keep.shape[axis]]
         shape = [1] * grid.dim
         shape[axis] = idx.size
         keep &= (np.abs(idx) <= n / 3.0).reshape(shape)
@@ -147,10 +148,9 @@ class _ForcingTables:
     def __init__(self, grid: Grid, params: ModelParams, dealias: bool):
         self.grid = grid
         self.params = params
-        xi = grid.half_xi_mag
-        self.riesz_mult = operators.riesz_symbol(params.alpha).evaluate(xi)
+        self.riesz_mult = riesz_multiplier(grid.xi_mag, params.alpha)
         if dealias:
-            self.riesz_mult *= _dealias_mask(grid)[..., :xi.shape[-1]]
+            self.riesz_mult *= _dealias_mask(grid)
 
 
 class StepTables(_ForcingTables):
@@ -159,10 +159,10 @@ class StepTables(_ForcingTables):
     def __init__(self, grid: Grid, params: ModelParams, dt: float,
                  dealias: bool):
         super().__init__(grid, params, dealias)
-        k = grid.half_xi_mag ** (2.0 * params.sigma)
+        k = grid.xi_mag ** (2.0 * params.sigma)
         self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
         self.IK1 = duhamel_weight(k, dt)
-        self.xi_sigma = grid.half_xi_mag ** params.sigma
+        self.xi_sigma = grid.xi_mag ** params.sigma
 
 
 def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
@@ -219,10 +219,10 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
     if not 0 < dt <= 0.5:
         raise ValueError(f"dt must lie in (0, 0.5]; got {dt}")
     grid = state[0].grid
-    new = _etd_step_arrays(*(half_from_full(grid, F.coeffs) for F in state),
+    new = _etd_step_arrays(state[0].coeffs, state[1].coeffs,
                            StepTables(grid, params, dt, dealias), 0.0, 0,
                            nonlinear)
-    return tuple(SpectralField(grid, full_from_half(grid, c)) for c in new)
+    return tuple(SpectralField(grid, c) for c in new)
 
 
 @dataclass
@@ -231,8 +231,8 @@ class Trajectory:
 
     ``l2``, ``dt_l2``, ``hsigma`` and ``lm`` are ``||u||_2``,
     ``||u_t||_2``, ``|u|_{H^sigma}`` and ``||u||_m`` at ``times``.
-    ``states`` and ``final_state`` hold ``(u, du/dt)`` in the half-spectrum
-    layout of :mod:`sigmaevo.grid` (``full_from_half`` gives the full one).
+    ``states`` and ``final_state`` hold the coefficient arrays of
+    ``(u, du/dt)``, laid out like ``SpectralField.coeffs``.
     """
 
     times: np.ndarray
@@ -405,7 +405,7 @@ def xt_distance(a: Trajectory, b: Trajectory) -> float:
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise ValueError("trajectories must share snapshot times")
     grid = a.grid
-    xs = grid.half_xi_mag ** a.params.sigma
+    xs = grid.xi_mag ** a.params.sigma
     l2 = np.empty(len(a.times))
     hs = np.empty(len(a.times))
     dt = np.empty(len(a.times))

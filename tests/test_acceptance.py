@@ -19,6 +19,8 @@ from sigmaevo.solver import (SolverConfig, integrate, make_data, xt_distance,
 from sigmaevo.theory import (admissibility, critical_exponent, gn_theta,
                              integral_inequality_check)
 
+from full_layout import full_inverse
+
 REFERENCE = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
 
@@ -183,7 +185,6 @@ def test_criterion_9_integral_inequality():
 
 
 def _band_limited(grid, rng):
-    from sigmaevo.grid import _inverse_values
     n = grid.spec.points_per_axis
     j = grid.indices[0]
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
@@ -192,7 +193,7 @@ def _band_limited(grid, rng):
     coeffs[band] = vals
     for idx in np.nonzero(band)[0]:
         coeffs[int(-j[idx]) % n] = np.conj(coeffs[idx])
-    return RealField(grid, _inverse_values(grid, coeffs))
+    return RealField(grid, full_inverse(grid, coeffs))
 
 
 def test_criterion_10_gn_scaling_and_flags():

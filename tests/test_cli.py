@@ -148,6 +148,24 @@ def test_manifest_hash_ignores_output_dir(tmp_path, monkeypatch):
     assert hashes[0] == hashes[1] == hashes[2]
 
 
+def test_manifest_written_on_failure(tmp_path):
+    # t_end = 100 lies past the box-validity horizon of L = 50: exit 2
+    out = tmp_path / "out"
+    assert main(["linear", "--L", "50", "--t_end", "100", "--N", "256",
+                 "--output_dir", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["outputs"] == []
+    assert manifest["error"]["class"] == "ValueError"
+    assert "horizon" in manifest["error"]["message"]
+    assert len(manifest["config_hash"]) == 64
+    # a successful run records no error
+    cfg = parse_config(None, {**FAST_LINEAR, "output_dir": str(out)},
+                       subcommand="linear")
+    assert dispatch(cfg) == 0
+    assert "error" not in json.loads((out / "manifest.json").read_text())
+
+
 def test_fields_emitted_in_binary_format(tmp_path):
     from sigmaevo.fieldio import load_field
     over = dict(FAST_LINEAR)

@@ -3,7 +3,9 @@ import pytest
 
 from sigmaevo.data import (DIPOLE_SHIFT, PROFILES, _bump, _gaussian,
                            make_profile)
-from sigmaevo.grid import GridSpec, _forward_coeffs, _inverse_values, build_grid
+from sigmaevo.grid import GridSpec, build_grid
+
+from full_layout import full_forward, full_inverse, full_xi_mag
 
 
 # Reference: the profiles as first written, on the full complex layout with
@@ -12,27 +14,28 @@ from sigmaevo.grid import GridSpec, _forward_coeffs, _inverse_values, build_grid
 def _noise_full(grid, seed):
     n = grid.spec.points_per_axis
     rng = np.random.default_rng(seed)
-    coeffs = _forward_coeffs(grid, rng.standard_normal(grid.shape))
+    coeffs = full_forward(grid, rng.standard_normal(grid.shape))
     j2 = np.meshgrid(*[idx * idx for idx in grid.indices], indexing="ij")
     coeffs[np.sqrt(sum(j2)) > n / 8.0] = 0.0
-    field = _inverse_values(grid, coeffs)
+    field = full_inverse(grid, coeffs)
     return field / np.max(np.abs(field))
 
 
 def _spectral_tail_full(grid, n, m):
     gam = n * (1.0 - 1.0 / m)
-    q = np.maximum(grid.xi_mag, 2.0 * np.pi / grid.box_length)
-    coeffs = (q ** (-gam) * np.exp(-grid.xi_mag ** 2 / 2.0)).astype(complex)
-    field = _inverse_values(grid, coeffs)
+    xi_mag = full_xi_mag(grid)
+    q = np.maximum(xi_mag, 2.0 * np.pi / grid.box_length)
+    coeffs = (q ** (-gam) * np.exp(-xi_mag ** 2 / 2.0)).astype(complex)
+    field = full_inverse(grid, coeffs)
     return field / np.sqrt(np.sum(field * field) * grid.cell_volume)
 
 
 def _dipole_full(grid, values):
-    coeffs = _forward_coeffs(grid, values)
+    coeffs = full_forward(grid, values)
     shape = [1] * grid.dim
     shape[0] = grid.spec.points_per_axis
     factor = -2j * np.sin(grid.wavenumbers[0] * DIPOLE_SHIFT).reshape(shape)
-    return _inverse_values(grid, coeffs * factor)
+    return full_inverse(grid, coeffs * factor)
 
 
 def _reference_profile(grid, profile, seed, mean_zero, n, m):

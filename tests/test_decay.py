@@ -3,8 +3,7 @@ import pytest
 
 from sigmaevo.decay import (check_rate, default_window, fit_decay,
                             run_linear, suggest_box_length, sweep, DecayFit)
-from sigmaevo.grid import (GridSpec, build_grid, full_from_half,
-                           transform_forward)
+from sigmaevo.grid import GridSpec, build_grid, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import SolverConfig, Trajectory, integrate, make_data
@@ -117,10 +116,9 @@ def test_run_linear_final_state_is_linear_flow_at_t_end():
     grid = series.grid
     expected = propagate_linear(transform_forward(make_data(cfg, grid)),
                                 PARAMS.sigma, cfg.t_end)
-    for half, full in zip(series.final_state, expected):
-        got = full_from_half(grid, half)
-        assert np.max(np.abs(got - full.coeffs)) <= 1e-12 * np.max(
-            np.abs(full.coeffs))
+    for got, want in zip(series.final_state, expected):
+        assert np.max(np.abs(got - want.coeffs)) <= 1e-12 * np.max(
+            np.abs(want.coeffs))
 
 
 def test_linear_label_sees_ramp_before_turnover():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sigmaevo.grid import (GridSpec, RealField, build_grid, field_from_function,
-                           full_from_half, half_from_full, transform_forward,
-                           transform_inverse, _forward_half, _half_l2,
-                           _inverse_half)
+from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
+                           field_from_function, full_from_half,
+                           transform_forward, transform_inverse, _forward_half,
+                           _half_l2, _inverse_half)
+
+from full_layout import full_forward, full_phase, full_xi_mag
 
 
 def test_wavenumbers_unit_box():
@@ -22,11 +24,12 @@ def test_wavenumbers_scaled_box():
 
 
 def test_wavevector_table_2d():
-    # The wavevector table has one entry per lattice point, with max
-    # component N/2 * (2 pi / L).
+    # The wavevector tables hold the half spectrum, N x (N/2+1) entries,
+    # with max component N/2 * (2 pi / L).
     grid = build_grid(GridSpec(2, 8, 2 * np.pi))
-    assert grid.wavevector_count() == 64
+    assert grid.xi_mag.shape == grid.phase.shape == (8, 5)
     assert max(np.max(np.abs(xi)) for xi in grid.wavenumbers) == 4.0
+    assert grid.xi_mag[4, 4] == np.sqrt(32.0)
 
 
 @pytest.mark.parametrize("n", [4, 12, 100])
@@ -46,11 +49,12 @@ def test_cosine_spectrum_matches_continuum_integral():
     # int cos(x) exp(-i x) dx over [-pi, pi] equals pi.
     grid = build_grid(GridSpec(1, 64, 2 * np.pi))
     F = transform_forward(field_from_function(grid, np.cos))
+    full = full_from_half(grid, F.coeffs)
     j = grid.indices[0]
     for target in (1, -1):
-        coeff = F.coeffs[j == target][0]
+        coeff = full[j == target][0]
         assert abs(coeff - np.pi) < 1e-12
-    assert np.max(np.abs(F.coeffs[np.abs(j) != 1])) < 1e-12
+    assert np.max(np.abs(full[np.abs(j) != 1])) < 1e-12
 
 
 def test_zero_field_transforms_to_zero():
@@ -74,16 +78,20 @@ def test_parseval(dim, n):
     grid = build_grid(GridSpec(dim, n, 7.5))
     f = RealField(grid, rng.standard_normal(grid.shape))
     physical = np.sum(f.values ** 2) * grid.cell_volume
-    coeffs = transform_forward(f).coeffs
+    coeffs = full_from_half(grid, transform_forward(f).coeffs)
     spectral = np.sum(np.abs(coeffs) ** 2) / grid.box_length ** dim
     assert abs(physical - spectral) <= 1e-10 * physical
 
 
 def test_conjugate_symmetry_of_real_fields():
+    # F(-j) = conj(F(j)) on the full layout, including the j = 0 and
+    # j = N/2 entries that the half spectrum holds without a mirror.
     rng = np.random.default_rng(3)
     grid = build_grid(GridSpec(1, 64, 2.0))
     F = transform_forward(RealField(grid, rng.standard_normal(grid.shape)))
-    assert F.is_conjugate_symmetric()
+    full = full_from_half(grid, F.coeffs)
+    mirrored = np.conj(np.roll(full[::-1], 1))
+    assert np.max(np.abs(full - mirrored)) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_shape_mismatch_rejected():
@@ -94,7 +102,16 @@ def test_shape_mismatch_rejected():
         RealField(grid, np.full(16, np.nan))
 
 
-# --- internal half-spectrum layout -----------------------------------------
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_spectral_field_holds_the_half_spectrum(dim):
+    grid = build_grid(GridSpec(dim, 8, 1.0))
+    assert SpectralField(grid, np.zeros(grid.xi_mag.shape)).coeffs.shape \
+        == grid.shape[:-1] + (5,)
+    with pytest.raises(ValueError, match="half spectrum"):
+        SpectralField(grid, np.zeros(grid.shape))
+
+
+# --- half-spectrum layout against the full complex reference --------------
 
 SIZES = {1: (8, 16, 64, 256), 2: (8, 16, 32), 3: (8, 16)}
 
@@ -112,24 +129,25 @@ def real_fields(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(real_fields())
-def test_half_full_conversion_round_trips_exactly(case):
+def test_full_from_half_matches_full_layout_reference(case):
     grid, values = case
-    half = _forward_half(grid, values)
+    half = transform_forward(RealField(grid, values)).coeffs
     full = full_from_half(grid, half)
-    assert np.array_equal(half_from_full(grid, full), half)
-    assert np.array_equal(full_from_half(grid, half_from_full(grid, full)), full)
-    # the filled spectrum is the public (phased) transform
-    ref = transform_forward(RealField(grid, values)).coeffs
+    ref = full_forward(grid, values)
     scale = max(np.max(np.abs(ref)), 1e-300)
     assert np.max(np.abs(full - ref)) <= 1e-12 * scale
+    # the half-spectrum tables are the leading columns of the full ones
+    m = grid.spec.points_per_axis // 2 + 1
+    assert np.array_equal(grid.xi_mag, full_xi_mag(grid)[..., :m])
+    assert np.array_equal(grid.phase, full_phase(grid)[..., :m])
 
 
 @settings(deadline=None, max_examples=60)
 @given(real_fields(), st.sampled_from([0.0, 1.0, 2.5]))
 def test_half_spectrum_parseval_matches_full_layout(case, s):
     grid, values = case
-    half = _forward_half(grid, values) * grid.half_xi_mag ** s
-    full = transform_forward(RealField(grid, values)).coeffs * grid.xi_mag ** s
+    half = _forward_half(grid, values) * grid.xi_mag ** s
+    full = full_forward(grid, values) * full_xi_mag(grid) ** s
     want = np.sqrt(np.sum(np.abs(full) ** 2) / grid.box_length ** grid.dim)
     assert abs(_half_l2(grid, half) - want) <= 1e-12 * want
 

@@ -1,5 +1,5 @@
 """Module layers run one way: no module imports one ranked above it.
-Every exported name exists."""
+Every exported name exists.  There is one transform path."""
 
 import ast
 import importlib
@@ -65,3 +65,24 @@ def test_every_exported_name_exists(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+# Complex transforms; the real pair rfftn/irfftn on the half spectrum is
+# the package's one transform path.
+COMPLEX_FFTS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+
+
+@pytest.mark.parametrize("name", ["__init__"] + sorted(RANK))
+def test_no_complex_transform(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in COMPLEX_FFTS]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = (func.attr if isinstance(func, ast.Attribute)
+                      else getattr(func, "id", None))
+            if called in COMPLEX_FFTS:
+                found.append(f"{called} (line {node.lineno})")
+    assert not found, f"{name} uses complex transforms: {found}"

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from sigmaevo.grid import (GridSpec, RealField, build_grid, field_from_function,
-                           transform_forward)
-from sigmaevo.operators import (MultiplierSymbol, apply_symbol,
-                                fractional_laplacian, lebesgue_norm,
+                           full_from_half, transform_forward)
+from sigmaevo.operators import (apply_symbol, fractional_laplacian,
+                                lebesgue_norm, riesz_multiplier,
                                 riesz_potential, sobolev_norm_inhom,
                                 sobolev_seminorm)
+
+from full_layout import full_phase
 
 
 def unit_circle_grid(n=64):
@@ -20,7 +22,7 @@ def rel_err(a, b):
 def test_identity_symbol():
     grid = unit_circle_grid()
     F = transform_forward(field_from_function(grid, lambda x: np.sin(2 * x)))
-    out = apply_symbol(F, MultiplierSymbol("one", lambda r: np.ones_like(r), 1.0))
+    out = apply_symbol(F, np.ones_like(grid.xi_mag))
     assert np.array_equal(out.coeffs, F.coeffs)
 
 
@@ -29,8 +31,7 @@ def test_power_symbols_on_eigenfunctions(power, factor):
     # Small grid keeps the |xi|^power amplification of roundoff modes tame.
     grid = unit_circle_grid(32)
     f = field_from_function(grid, lambda x: np.cos(2 * x))
-    sym = MultiplierSymbol(f"|xi|^{power}", lambda r: r ** power, 0.0)
-    out = apply_symbol(transform_forward(f), sym)
+    out = apply_symbol(transform_forward(f), grid.xi_mag ** power)
     expected = factor * transform_forward(f).coeffs
     assert np.max(np.abs(out.coeffs - expected)) < 1e-11 * factor
 
@@ -39,9 +40,10 @@ def test_symbol_composition():
     rng = np.random.default_rng(5)
     grid = unit_circle_grid(128)
     F = transform_forward(RealField(grid, rng.standard_normal(grid.shape)))
-    s1 = MultiplierSymbol("a", lambda r: 1.0 + r ** 2, 1.0)
-    s2 = MultiplierSymbol("b", lambda r: np.exp(-r / 4.0), 1.0)
-    s12 = MultiplierSymbol("ab", lambda r: (1.0 + r ** 2) * np.exp(-r / 4.0), 1.0)
+    r = grid.xi_mag
+    s1 = 1.0 + r ** 2
+    s2 = np.exp(-r / 4.0)
+    s12 = (1.0 + r ** 2) * np.exp(-r / 4.0)
     seq = apply_symbol(apply_symbol(F, s1), s2).coeffs
     joint = apply_symbol(F, s12).coeffs
     assert np.max(np.abs(seq - joint)) <= 1e-12 * np.max(np.abs(joint))
@@ -51,16 +53,32 @@ def test_real_even_symbol_preserves_conjugate_symmetry():
     rng = np.random.default_rng(9)
     grid = unit_circle_grid(128)
     F = transform_forward(RealField(grid, rng.standard_normal(grid.shape)))
-    out = apply_symbol(F, MultiplierSymbol("damp", lambda r: 1.0 / (1.0 + r), 1.0))
-    assert out.is_conjugate_symmetric()
+    out = apply_symbol(F, 1.0 / (1.0 + grid.xi_mag))
+    # the filled full layout is the spectrum of a real field
+    back = np.fft.ifftn(full_from_half(grid, out.coeffs) * full_phase(grid))
+    assert np.max(np.abs(back.imag)) <= 1e-10 * np.max(np.abs(out.coeffs))
 
 
 def test_nonfinite_symbol_rejected():
     grid = unit_circle_grid()
     F = transform_forward(field_from_function(grid, np.sin))
-    bad = MultiplierSymbol("inv", lambda r: 1.0 / (r - 1.0), 0.0)
+    with np.errstate(divide="ignore"):
+        bad = 1.0 / (grid.xi_mag - 1.0)  # infinite at |xi| = 1
+    bad[0] = 0.0
     with pytest.raises(ValueError, match="non-finite"):
         apply_symbol(F, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_symbol(F, np.full(grid.xi_mag.shape, np.nan))
+
+
+def test_riesz_multiplier_is_zero_at_zero_mode():
+    for dim, alpha in ((1, 0.5), (2, 1.5), (3, 2.5)):
+        grid = build_grid(GridSpec(dim, 8, 2 * np.pi))
+        vals = riesz_multiplier(grid.xi_mag, alpha)
+        assert vals[(0,) * dim] == 0.0
+        rest = grid.xi_mag > 0
+        assert np.all(np.isfinite(vals))
+        assert np.array_equal(vals[rest], grid.xi_mag[rest] ** -alpha)
 
 
 def test_fractional_laplacian_eigenfunctions():
@@ -120,8 +138,8 @@ def test_smooth_then_roughen_recovers_mean_free_part():
     grid = unit_circle_grid(128)
     f = RealField(grid, rng.standard_normal(grid.shape) + 2.0)
     alpha = 0.6
-    smooth = MultiplierSymbol("smooth", lambda r: r ** -alpha, 0.0)
-    rough = MultiplierSymbol("rough", lambda r: r ** alpha, 0.0)
+    smooth = riesz_multiplier(grid.xi_mag, alpha)
+    rough = grid.xi_mag ** alpha
     F = transform_forward(f)
     back = apply_symbol(apply_symbol(F, smooth), rough).coeffs
     expected = F.coeffs.copy()

@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sigmaevo.grid import (GridSpec, _forward_coeffs, _inverse_half, build_grid,
-                           full_from_half, transform_forward)
+from sigmaevo.grid import (GridSpec, _inverse_half, build_grid, full_from_half,
+                           transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import picard_apply
 from sigmaevo.propagator import kernel_arrays, propagate_linear
 from sigmaevo.solver import (SolverConfig, StepTables, _nonlinearity_hat,
                              integrate, make_data, xt_distance, xt_norm,
                              zero_trajectory)
+
+from full_layout import full_forward, full_xi_mag
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -24,13 +26,12 @@ def dense_config(eps, n=512, t_end=4.0, dt=0.04):
 def test_map_of_zero_is_linear_flow():
     cfg = dense_config(0.01)
     traj0 = zero_trajectory(cfg)
-    grid = traj0.grid
-    u1 = make_data(cfg, grid)
+    u1 = make_data(cfg, traj0.grid)
     out = picard_apply(traj0, u1, cfg)
     u1_hat = transform_forward(u1)
     for i, t in enumerate(out.times):
         u, ut = propagate_linear(u1_hat, PARAMS.sigma, float(t))
-        got_u, got_ut = (full_from_half(grid, c) for c in out.states[i])
+        got_u, got_ut = out.states[i]
         scale = max(np.max(np.abs(ut.coeffs)), 1e-300)
         assert np.max(np.abs(got_u - u.coeffs)) <= 1e-12 * scale
         assert np.max(np.abs(got_ut - ut.coeffs)) <= 1e-12 * scale
@@ -126,11 +127,11 @@ def _double_sum_states(traj_in, u1, config):
     params = config.params
     dt = config.dt
     tables = StepTables(grid, params, dt, config.dealias)
-    u1_hat = _forward_coeffs(grid, u1.values)
+    u1_hat = full_forward(grid, u1.values)
     f_hats = [full_from_half(grid, _nonlinearity_hat(
                   _inverse_half(grid, state[0]), tables, t, i))
               for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states))]
-    k = grid.xi_mag ** (2.0 * params.sigma)
+    k = full_xi_mag(grid) ** (2.0 * params.sigma)
     n_snap = len(traj_in.times)
     K1_lag = np.empty((n_snap,) + grid.shape)
     dK1_lag = np.empty((n_snap,) + grid.shape)
@@ -151,13 +152,14 @@ def _double_sum_states(traj_in, u1, config):
 
 
 def test_recurrence_matches_double_sum():
-    # L = 128 pi puts the modes j = +-64 at k = 1, inside the double-root band
+    # L = 128 pi puts the modes j = +-64 at k = 1, inside the double-root band;
+    # the half-spectrum table holds j = 64, its mirror -64 is implied
     cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 128.0 * np.pi),
                        dt=0.04, t_end=2.0, data_amplitude=0.1,
                        store_states=True, snapshot_interval=0.04)
     grid = build_grid(cfg.grid)
     k = grid.xi_mag ** (2.0 * PARAMS.sigma)
-    assert np.count_nonzero(np.abs(1.0 - k) <= 1e-4) == 2
+    assert np.count_nonzero(np.abs(1.0 - k) <= 1e-4) == 1
     u1 = make_data(cfg, grid)
     traj = zero_trajectory(cfg)
     for _ in range(3):

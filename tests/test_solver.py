@@ -53,7 +53,7 @@ def test_noise_is_seeded_and_bandlimited():
     assert np.array_equal(a.values, b.values)
     assert abs(np.max(np.abs(a.values)) - 0.5) < 1e-12
     coeffs = transform_forward(a).coeffs
-    j = a.grid.indices[0]
+    j = a.grid.indices[0][:coeffs.size]  # half spectrum, j = 0..N/2
     outside = np.abs(j) > a.grid.spec.points_per_axis / 8
     assert np.max(np.abs(coeffs[outside])) <= 1e-12 * np.max(np.abs(coeffs))
     other = make_data(small_config(data_profile="noise_bandlimited", seed=43,
@@ -113,7 +113,11 @@ def test_dealias_mask_idempotent():
     grid = build_grid(GridSpec(2, 16, 3.0))
     mask = _dealias_mask(grid)
     rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    # the half-spectrum mask is the leading N/2+1 columns of the full one
+    j = np.meshgrid(*grid.indices, indexing="ij")
+    full = np.all([np.abs(a) <= 16 / 3.0 for a in j], axis=0)
+    assert np.array_equal(mask, full[:, :9])
+    coeffs = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
     once = coeffs.copy()
     once[~mask] = 0.0
     twice = once.copy()
@@ -153,11 +157,10 @@ def test_integrate_matches_propagator_with_nonlinearity_off():
     cfg = small_config(nonlinearity_enabled=False, store_states=True,
                        snapshot_interval=0.5, data_amplitude=1.0)
     traj = integrate(cfg)
-    grid = traj.grid
-    u1_hat = transform_forward(make_data(cfg, grid))
+    u1_hat = transform_forward(make_data(cfg, traj.grid))
     for i, t in enumerate(traj.times):
         u, ut = propagate_linear(u1_hat, PARAMS.sigma, float(t))
-        got_u, got_ut = (full_from_half(grid, c) for c in traj.states[i])
+        got_u, got_ut = traj.states[i]
         scale = max(np.max(np.abs(u.coeffs)), 1e-300)
         assert np.max(np.abs(got_u - u.coeffs)) <= 1e-10 * scale
         assert np.max(np.abs(got_ut - ut.coeffs)) \

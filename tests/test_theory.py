@@ -8,6 +8,8 @@ from sigmaevo.theory import (admissibility, critical_exponent, duhamel_decay,
                              gn_theta, integral_inequality_check,
                              nonlinearity_decay_exponent)
 
+from full_layout import full_inverse
+
 
 def test_critical_exponent_values():
     assert critical_exponent(1, 1.0, 1.0) == 3.0
@@ -172,8 +174,7 @@ def band_limited_field(grid, rng):
     sym = coeffs.copy()
     for idx in np.nonzero(band)[0]:
         sym[int(-j[idx]) % n] = np.conj(coeffs[idx])
-    from sigmaevo.grid import _inverse_values
-    return RealField(grid, _inverse_values(grid, sym))
+    return RealField(grid, full_inverse(grid, sym))
 
 
 def test_gn_ratio_bounded_and_scale_invariant():
