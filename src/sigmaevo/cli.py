@@ -89,14 +89,11 @@ class ValidationError(ValueError):
 @dataclass
 class RunConfig:
     subcommand: str
-    model: ModelParams
-    grid: GridSpec
     solver: SolverConfig
     n_samples: int
     window: tuple[float, float]
     rate_tol: float
     output_dir: Path
-    seed: int
     emit: frozenset
     sweep_kind: str
     sweep_param: str
@@ -230,11 +227,10 @@ def parse_config(path: str | Path | None = None,
     effective["output_dir"] = str(output_dir)
     effective["emit"] = ",".join(sorted(emit))
 
-    return RunConfig(subcommand=values["subcommand"], model=model, grid=grid,
-                     solver=solver, n_samples=values["n_samples"],
-                     window=window, rate_tol=values["rate_tol"],
-                     output_dir=output_dir, seed=values["seed"], emit=emit,
-                     sweep_kind=values["sweep_kind"],
+    return RunConfig(subcommand=values["subcommand"], solver=solver,
+                     n_samples=values["n_samples"], window=window,
+                     rate_tol=values["rate_tol"], output_dir=output_dir,
+                     emit=emit, sweep_kind=values["sweep_kind"],
                      sweep_param=values["sweep_param"],
                      sweep_values=sweep_values, effective=effective)
 
@@ -250,7 +246,8 @@ def _verdict_payload(series, config: RunConfig) -> dict:
         except ValueError as exc:
             payload["fits"][quantity] = {"error": str(exc)}
             continue
-        verdict = check_rate(fit, config.model, quantity, config.rate_tol)
+        verdict = check_rate(fit, config.solver.params, quantity,
+                             config.rate_tol)
         payload["fits"][quantity] = asdict(fit)
         payload["verdicts"][quantity] = asdict(verdict)
     return payload
@@ -293,7 +290,7 @@ def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
 
     if config.subcommand == "admissible":
         path = config.output_dir / "admissibility.json"
-        report_to_json(admissibility(config.model), path)
+        report_to_json(admissibility(config.solver.params), path)
         outputs.append(path)
         return 0
 

@@ -132,21 +132,10 @@ def write_region_sweep_csv(path: str | Path, p_values, n_values,
             except ValueError as exc:
                 rows.append({"n": n, "p": p, "error": str(exc)})
                 continue
-            rows.append({
-                "n": n, "p": p, "p_crit": rep.p_crit,
-                "p_lower": rep.p_lower, "p_lower_ok": rep.p_lower_ok,
-                "p_upper": rep.p_upper, "p_upper_ok": rep.p_upper_ok,
-                "dim_bound": rep.dim_bound, "dim_ok": rep.dim_ok,
-                "p_integrability": rep.p_integrability,
-                "p_integrability_ok": rep.p_integrability_ok,
-                "gn_theta_s2": rep.gn_theta_s2,
-                "gn_theta_s2_ok": rep.gn_theta_s2_ok,
-                "gn_theta_sm": rep.gn_theta_sm,
-                "gn_theta_sm_ok": rep.gn_theta_sm_ok,
-                "riesz_q_s2": rep.riesz_q_s2, "riesz_q_s2_ok": rep.riesz_q_s2_ok,
-                "riesz_q_sm": rep.riesz_q_sm, "riesz_q_sm_ok": rep.riesz_q_sm_ok,
-                "overall": rep.overall, "error": "",
-            })
+            flags = asdict(rep)
+            for key in ("params", "in_low_dim_branch", "warnings"):
+                del flags[key]
+            rows.append({"n": n, "p": p, **flags, "error": ""})
     # an error row holds only n, p and error; take the header from a full row
     fields = max((list(row) for row in rows), key=len,
                  default=["n", "p", "error"])
@@ -163,9 +152,7 @@ def write_region_sweep_csv(path: str | Path, p_values, n_values,
 def report_to_json(report: AdmissibilityReport, path: str | Path | None = None
                    ) -> str:
     """Serialize a report (bounds, flags, warnings) as JSON."""
-    payload = asdict(report)
-    payload["params"] = asdict(report.params)
-    text = json.dumps(payload, indent=2, default=lambda x: repr(x))
+    text = json.dumps(asdict(report), indent=2, default=lambda x: repr(x))
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

@@ -182,9 +182,18 @@ def _inverse_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 
 def _half_l2(grid: Grid, half: np.ndarray) -> float:
-    """L2 norm of a real field from its half-spectrum coefficients."""
+    """L2 norm of a real field from its half-spectrum coefficients.
+
+    A sum below ``1e-250`` has squares in or near the subnormal range, so
+    it is redone on the field scaled by its coefficient peak; other
+    fields take the unscaled sum unchanged.
+    """
     sq = half.real ** 2 + half.imag ** 2
     total = 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+    if total < 1e-250:
+        peak = np.max(np.abs(half))
+        if peak > 0:
+            return float(peak * _half_l2(grid, half / peak))
     return float(np.sqrt(total / grid.box_length ** grid.dim))
 
 

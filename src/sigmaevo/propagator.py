@@ -16,7 +16,9 @@ with time derivatives ``dK1 = (-k exp(-k t) + exp(-t)) / (1 - k)`` and
 ``dA = -k K1``.  The double root at ``k = 1`` is removable; inside a
 band ``|1 - k| <= 1e-4`` the kernels are evaluated through
 ``phi1(z) = (exp(z) - 1)/z`` with ``z = (1 - k) t``, which is itself
-series-expanded below ``|z| < 1e-3``.
+series-expanded below ``|z| < 1e-3``.  Each table is evaluated in
+closed form over all entries in one pass, and only the band entries
+(and, in the forcing weight, ``k = 0``) are overwritten.
 
 An adaptive ODE integration (``ode_oracle``) provides an independent
 check of these closed forms.
@@ -65,7 +67,8 @@ class PropagatorKernels:
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(exp(z) - 1)/z, stable near z = 0 (phi1(0) = 1)."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(np.expm1(z) / z)  # writable for a scalar z too
     small = np.abs(z) < PHI1_SERIES_CUTOFF
     zs = z[small]
     term = np.ones_like(zs)
@@ -74,8 +77,6 @@ def _phi1(z: np.ndarray) -> np.ndarray:
         term = term * zs / j
         acc = acc + term
     out[small] = acc
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
     return out
 
 
@@ -109,14 +110,12 @@ def kernel_arrays(k: np.ndarray, t: float):
         raise ValueError("k must be nonnegative")
     if t < 0:
         raise ValueError(f"t must be nonnegative; got {t}")
+    # The closed form's only 0/0 is at k = 1, inside the patched band;
+    # asarray keeps the tables writable for a scalar k.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A, K1, dK1 = (np.asarray(v) for v in _kernels_far(k, t))
     near = np.abs(1.0 - k) <= DOUBLE_ROOT_BAND
-    A = np.empty_like(k)
-    K1 = np.empty_like(k)
-    dK1 = np.empty_like(k)
-    if np.any(~near):
-        A[~near], K1[~near], dK1[~near] = _kernels_far(k[~near], t)
-    if np.any(near):
-        A[near], K1[near], dK1[near] = _kernels_near(k[near], t)
+    A[near], K1[near], dK1[near] = _kernels_near(k[near], t)
     dA = -k * K1
     return A, K1, dA, dK1
 
@@ -140,16 +139,15 @@ def duhamel_weight(k: np.ndarray, dt: float) -> np.ndarray:
     if dt <= 0:
         raise ValueError(f"dt must be positive; got {dt}")
     k = np.asarray(k, dtype=np.float64)
-    out = np.empty_like(k)
-    near = np.abs(1.0 - k) <= DOUBLE_ROOT_BAND
-
-    kf = k[~near]
-    psi_k = np.where(kf > 0, -np.expm1(-kf * dt) / np.where(kf > 0, kf, 1.0), dt)
     psi_1 = -np.expm1(-dt)
-    out[~near] = (psi_k - psi_1) / (1.0 - kf)
+    # 0/0 arises only at k = 0 and k = 1; both are patched below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi_k = np.asarray(-np.expm1(-k * dt) / k)
+        psi_k[k == 0] = dt
+        out = np.asarray((psi_k - psi_1) / (1.0 - k))
 
-    kn = k[near]
-    w = 1.0 - kn
+    near = np.abs(1.0 - k) <= DOUBLE_ROOT_BAND
+    w = 1.0 - k[near]
     m1 = gammainc(2.0, dt) * 1.0
     m2 = gammainc(3.0, dt) * 2.0
     m3 = gammainc(4.0, dt) * 6.0

@@ -164,6 +164,12 @@ class StepTables(_ForcingTables):
         self.IK1 = duhamel_weight(k, dt)
         self.xi_sigma = grid.xi_mag ** params.sigma
 
+    def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Free flow over one step: ``M(dt) (u, u_t)`` per mode."""
+        return (self.A * u_hat + self.K1 * ut_hat,
+                self.dA * u_hat + self.dK1 * ut_hat)
+
 
 def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
     # Overflow is not an error here; it surfaces as a blow-up signal.
@@ -200,8 +206,7 @@ def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
 def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
                      tables: StepTables, t: float, step: int,
                      nonlinear: bool) -> tuple[np.ndarray, np.ndarray]:
-    hom_u = tables.A * u_hat + tables.K1 * ut_hat
-    hom_ut = tables.dA * u_hat + tables.dK1 * ut_hat
+    hom_u, hom_ut = tables.advance(u_hat, ut_hat)
     if not nonlinear:
         return hom_u, hom_ut
     grid = tables.grid

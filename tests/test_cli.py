@@ -26,17 +26,18 @@ def test_minimal_file_fills_defaults(tmp_path):
                                    "sigma = 1", "m = 1"])
     cfg = parse_config(path)
     assert cfg.subcommand == "linear"
-    assert cfg.grid.points_per_axis == 8192
+    assert cfg.solver.grid.points_per_axis == 8192
     assert cfg.solver.t_end == 200.0
     # auto box length satisfies the horizon rule with equality
-    assert cfg.grid.box_length == pytest.approx(2 * np.pi * np.sqrt(2000.0))
+    assert cfg.solver.grid.box_length == pytest.approx(
+        2 * np.pi * np.sqrt(2000.0))
     assert cfg.window == (20.0, 200.0)
 
 
 def test_flag_overrides_file(tmp_path):
     path = write_config(tmp_path, ["subcommand = linear", "p = 3"])
     cfg = parse_config(path, {"p": "4"})
-    assert cfg.model.p == 4.0
+    assert cfg.solver.params.p == 4.0
 
 
 def test_range_violation_names_key(tmp_path):
@@ -189,7 +190,7 @@ def test_linear_final_fields_are_linear_flow_at_t_end(tmp_path):
     assert dispatch(cfg) == 0
     u1 = make_data(cfg.solver)
     expected = [transform_inverse(F).values for F in propagate_linear(
-        transform_forward(u1), cfg.model.sigma, cfg.solver.t_end)]
+        transform_forward(u1), cfg.solver.params.sigma, cfg.solver.t_end)]
     for name, ref in zip(("u_final.bin", "ut_final.bin"), expected):
         got = load_field(tmp_path / "out" / name).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -148,8 +148,21 @@ def test_half_spectrum_parseval_matches_full_layout(case, s):
     grid, values = case
     half = _forward_half(grid, values) * grid.xi_mag ** s
     full = full_forward(grid, values) * full_xi_mag(grid) ** s
-    want = np.sqrt(np.sum(np.abs(full) ** 2) / grid.box_length ** grid.dim)
+    # scaled by the peak so that the reference itself cannot underflow
+    peak = np.max(np.abs(full)) or 1.0
+    want = peak * np.sqrt(np.sum(np.abs(full / peak) ** 2)
+                          / grid.box_length ** grid.dim)
     assert abs(_half_l2(grid, half) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("amplitude", [1e-160, 1e-300])
+def test_half_l2_of_tiny_fields_is_linear(amplitude):
+    # Squares of such coefficients underflow; the norm must not.
+    grid = build_grid(GridSpec(3, 8, 5.0))
+    values = np.random.default_rng(3).standard_normal(grid.spec.shape)
+    unit = _half_l2(grid, _forward_half(grid, values))
+    tiny = _half_l2(grid, _forward_half(grid, amplitude * values))
+    assert abs(tiny - amplitude * unit) <= 1e-13 * amplitude * unit
 
 
 @settings(deadline=None, max_examples=60)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from sigmaevo.grid import GridSpec, build_grid, field_from_function, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import (DOUBLE_ROOT_BAND, _kernels_far, _kernels_near,
-                                 decay_exponent, duhamel_weight, kernel_arrays,
-                                 kernels, ode_oracle, propagate_linear)
+                                 _phi1, decay_exponent, duhamel_weight,
+                                 kernel_arrays, kernels, ode_oracle,
+                                 propagate_linear)
 
 K_SAMPLES = [0.0, 1e-3, 0.2, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01, 2.0,
              10.0, 1e4, 1e6]
@@ -89,6 +90,34 @@ def test_branch_continuity_at_band_edge():
             scale = max(abs(v) for v in near)
             for a, b in zip(far, near):
                 assert abs(a - b) <= 1e-10 * max(abs(b), 1e-2 * scale)
+
+
+# Both sides of each band edge, the removable singularities k = 0 and
+# k = 1, and stiff modes whose exponentials underflow.
+PATCH_TABLE = np.array([0.0, 1e-3, 1.0 - 1.1e-4, 1.0 - 1e-4, 1.0 - 1e-6, 1.0,
+                        1.0 + 1e-6, 1.0 + 1e-4, 1.0 + 1.1e-4, 10.0, 1e4, 1e8])
+
+
+def _entrywise(fn, arg):
+    # the table in one call, and each entry alone as a scalar
+    whole = np.array(fn(PATCH_TABLE, arg)).reshape(-1, PATCH_TABLE.size)
+    alone = np.array([np.array(fn(float(k), arg)).reshape(-1)
+                      for k in PATCH_TABLE]).T
+    return whole, alone
+
+
+def test_kernel_tables_patch_singularities_entrywise():
+    # Tables are evaluated in closed form in one pass and patched where
+    # the closed form is 0/0; no such value may escape the patch, and a
+    # patched entry may not depend on its neighbours.
+    cases = [(kernel_arrays, t) for t in (0.0, 0.1, 10.0)]
+    cases += [(duhamel_weight, dt) for dt in (0.02, 0.5)]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for fn, arg in cases:
+            whole, alone = _entrywise(fn, arg)
+            assert np.all(np.isfinite(whole))
+            assert np.all(np.abs(whole - alone) <= 1e-14 * np.abs(alone))
+    assert _phi1(0.0) == 1.0
 
 
 def test_velocity_kernel_bounded():
