@@ -19,7 +19,7 @@ from .theory import (AdmissibilityReport, critical_exponent, admissibility,
                      gn_theta, duhamel_decay, nonlinearity_decay_exponent,
                      integral_inequality_check)
 from .decay import (DecayFit, RateVerdict, run_linear, fit_decay,
-                    check_rate, sweep, default_window, suggest_box_length)
+                    check_rate, default_window, suggest_box_length)
 from .fieldio import save_field, load_field, write_norms_csv, write_sweep_csv
 
 __all__ = [
@@ -38,6 +38,6 @@ __all__ = [
     "duhamel_decay", "nonlinearity_decay_exponent",
     "integral_inequality_check",
     "DecayFit", "RateVerdict", "run_linear", "fit_decay", "check_rate",
-    "sweep", "default_window", "suggest_box_length",
+    "default_window", "suggest_box_length",
     "save_field", "load_field", "write_norms_csv", "write_sweep_csv",
 ]

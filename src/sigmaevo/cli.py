@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ import scipy
 
 from . import __version__
 from .decay import (default_window, fit_decay, check_rate, run_linear,
-                    suggest_box_length, sweep)
+                    suggest_box_length)
 from .checks import kernel_oracle_suite, riesz_oracle_suite
 from .fieldio import (config_hash, fmt17, report_to_json, save_field,
                       write_norms_csv, write_sweep_csv)
@@ -35,9 +36,14 @@ from .params import ModelParams
 from .solver import SolverConfig, integrate, make_data
 from .theory import admissibility
 
-__all__ = ["RunConfig", "ValidationError", "parse_config", "dispatch", "main"]
+__all__ = ["RunConfig", "ValidationError", "SWEEPABLE", "parse_config",
+           "dispatch", "main"]
 
 SUBCOMMANDS = ("linear", "semilinear", "admissible", "sweep", "oracle-test")
+
+# Keys a sweep may vary; every point is resolved like a single run.
+SWEEPABLE = ("alpha", "dt", "epsilon", "m", "mean_zero", "p", "profile",
+             "seed", "sigma", "t_end")
 
 ENV_OUTPUT_DIR = "SIGMAEVO_OUTPUT_DIR"
 
@@ -77,7 +83,8 @@ SCHEMA = {
     "output_dir": (str, "runs", "directory receiving all outputs"),
     "emit": (str, "csv,json", "comma-set from {csv, json, fields}"),
     "sweep_kind": (str, "linear", "sweep run type: linear | semilinear"),
-    "sweep_param": (str, "", "config key varied by the sweep"),
+    "sweep_param": (str, "", "config key varied by the sweep: one of "
+                    + ", ".join(SWEEPABLE)),
     "sweep_values": (str, "", "comma-separated values for sweep_param"),
 }
 
@@ -95,9 +102,7 @@ class RunConfig:
     rate_tol: float
     output_dir: Path
     emit: frozenset
-    sweep_kind: str
-    sweep_param: str
-    sweep_values: tuple
+    values: dict     # converted key -> value mapping, "auto" unresolved
     effective: dict  # canonical key -> value mapping, echoed in the manifest
 
 
@@ -213,9 +218,10 @@ def parse_config(path: str | Path | None = None,
     if bad:
         raise ValidationError(f"unknown emit targets: {sorted(bad)}")
 
-    sweep_values = tuple(part.strip()
-                         for part in str(values["sweep_values"]).split(",")
-                         if part.strip())
+    rate_tol = values["rate_tol"]
+    if not (math.isfinite(rate_tol) and rate_tol >= 0):
+        raise ValidationError(
+            f"key 'rate_tol': must be finite and >= 0; got {rate_tol}")
     if values["sweep_kind"] not in ("linear", "semilinear"):
         raise ValidationError(
             f"key 'sweep_kind': expected linear or semilinear, "
@@ -229,10 +235,8 @@ def parse_config(path: str | Path | None = None,
 
     return RunConfig(subcommand=values["subcommand"], solver=solver,
                      n_samples=values["n_samples"], window=window,
-                     rate_tol=values["rate_tol"], output_dir=output_dir,
-                     emit=emit, sweep_kind=values["sweep_kind"],
-                     sweep_param=values["sweep_param"],
-                     sweep_values=sweep_values, effective=effective)
+                     rate_tol=rate_tol, output_dir=output_dir, emit=emit,
+                     values=values, effective=effective)
 
 
 def _verdict_payload(series, config: RunConfig) -> dict:
@@ -278,11 +282,48 @@ def _emit_fields(series, config: RunConfig, outputs: list[Path]) -> None:
         outputs.append(path)
 
 
+def _run(config: RunConfig):
+    """The run of a ``linear`` or ``semilinear`` config."""
+    if config.subcommand == "linear":
+        return run_linear(config.solver, n_samples=config.n_samples)
+    return integrate(config.solver)
+
+
+def _sweep_rows(config: RunConfig) -> tuple[str, list[dict]]:
+    """Resolve, run and judge each sweep point exactly like a single run.
+
+    A point's failure (an invalid value, a horizon error) becomes its
+    row's ``error``; the other rows go on.
+    """
+    key = config.values["sweep_param"]
+    texts = [part.strip() for part in config.values["sweep_values"].split(",")
+             if part.strip()]
+    if not key or not texts:
+        raise ValidationError("sweep needs sweep_param and sweep_values")
+    if key not in SWEEPABLE:
+        raise ValidationError(
+            f"cannot sweep over key '{key}'; "
+            f"supported: {', '.join(SWEEPABLE)}")
+    base = {k: v for k, v in config.values.items() if k != "subcommand"}
+    rows = []
+    for value in sorted(_convert(key, text) for text in texts):
+        row = {"value": value, "fits": {}, "verdicts": {}, "label": "",
+               "error": ""}
+        try:
+            point = parse_config(None, {**base, key: value},
+                                 subcommand=config.values["sweep_kind"])
+            row["params"] = point.solver.params
+            row["admissibility"] = admissibility(point.solver.params)
+            row.update(_verdict_payload(_run(point), point))
+        except Exception as exc:  # keep the sweep going, record the failure
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return key, rows
+
+
 def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
     if config.subcommand in ("linear", "semilinear"):
-        series = (run_linear(config.solver, n_samples=config.n_samples)
-                  if config.subcommand == "linear"
-                  else integrate(config.solver))
+        series = _run(config)
         _emit_series(series, config, outputs)
         if "fields" in config.emit:
             _emit_fields(series, config, outputs)
@@ -295,25 +336,9 @@ def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
         return 0
 
     if config.subcommand == "sweep":
-        if not config.sweep_param or not config.sweep_values:
-            raise ValidationError(
-                "sweep needs sweep_param and sweep_values")
-        key = config.sweep_param
-        sweepable = {"sigma", "alpha", "p", "m", "epsilon", "dt", "t_end",
-                     "profile", "seed", "mean_zero"}
-        if key not in sweepable:
-            raise ValidationError(
-                f"cannot sweep over key '{key}'; "
-                f"supported: {', '.join(sorted(sweepable))}")
-        points = []
-        for text in config.sweep_values:
-            value = _convert(key, text)
-            name = {"epsilon": "data_amplitude", "profile": "data_profile"}
-            points.append({name.get(key, key): value})
-        rows = sweep(points, config.solver, kind=config.sweep_kind,
-                     window=config.window, tol=config.rate_tol)
+        key, rows = _sweep_rows(config)
         path = config.output_dir / "sweep.csv"
-        write_sweep_csv(path, rows)
+        write_sweep_csv(path, key, rows)
         outputs.append(path)
         return 0
 

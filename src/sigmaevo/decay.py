@@ -1,15 +1,18 @@
-"""Experiment harness: run simulations, fit decay slopes, check rates.
+"""Decay measurements: the exact linear flow, slope fits, rate verdicts.
 
-Norm time series from linear or semilinear runs are fitted by ordinary
-least squares of ``log(norm)`` against ``log(1 + t)``.  Verdicts are
+``run_linear`` samples the linear flow at log-spaced times.  Norm time
+series from linear or semilinear runs are fitted by ordinary least
+squares of ``log(norm)`` against ``log(1 + t)``.  Verdicts are
 one-sided: the theoretical exponents are upper bounds on the norms, so a
 measured slope at least as negative passes; a separate sharpness flag
-records agreement within tolerance.
+records agreement within tolerance.  The auto rules for the box length
+and the fit window live here too.  Parameter sweeps are CLI runs: each
+point is resolved, run and judged exactly like a single run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import linregress
@@ -18,17 +21,14 @@ from .grid import _forward_half, build_grid
 from .params import ModelParams
 from .propagator import decay_exponent, kernel_arrays
 from .solver import (SolverConfig, Trajectory, _check_horizon, _record_norms,
-                     integrate, make_data)
-from .theory import AdmissibilityReport, admissibility
+                     make_data)
 
 __all__ = [
     "DecayFit",
     "RateVerdict",
-    "SweepRow",
     "run_linear",
     "fit_decay",
     "check_rate",
-    "sweep",
     "default_window",
     "suggest_box_length",
 ]
@@ -133,56 +133,3 @@ def check_rate(fit: DecayFit, params: ModelParams, quantity: str,
     sharp = abs(fit.slope - expected) <= tol
     return RateVerdict(quantity=quantity, slope=fit.slope, expected=expected,
                        tol=tol, passed=passed, sharp=sharp)
-
-
-@dataclass
-class SweepRow:
-    overrides: dict
-    params: ModelParams | None = None
-    fits: dict | None = None
-    verdicts: dict | None = None
-    admissibility: AdmissibilityReport | None = None
-    label: str = ""
-    error: str | None = None
-
-
-def _apply_overrides(base: SolverConfig, overrides: dict) -> SolverConfig:
-    params_fields = {"n", "sigma", "alpha", "p", "m"}
-    p_over = {k: v for k, v in overrides.items() if k in params_fields}
-    c_over = {k: v for k, v in overrides.items() if k not in params_fields}
-    cfg = base
-    if p_over:
-        cfg = replace(cfg, params=replace(base.params, **p_over))
-    if c_over:
-        cfg = replace(cfg, **c_over)
-    return cfg
-
-
-def sweep(points: list[dict], base_config: SolverConfig, kind: str = "linear",
-          window: tuple[float, float] | None = None, tol: float = 0.05,
-          quantities: tuple[str, ...] = ("u_L2", "dtu_L2", "Hsigma_semi"),
-          ) -> list[SweepRow]:
-    """Run each parameter point independently; failures stay per-row."""
-    if kind not in ("linear", "semilinear"):
-        raise ValueError(f"unknown sweep kind '{kind}'")
-    rows = []
-    for overrides in points:
-        row = SweepRow(overrides=dict(overrides))
-        try:
-            cfg = _apply_overrides(base_config, overrides)
-            row.params = cfg.params
-            row.admissibility = admissibility(cfg.params)
-            series = run_linear(cfg) if kind == "linear" else integrate(cfg)
-            row.label = series.label
-            win = window or default_window(cfg.t_end)
-            row.fits = {}
-            row.verdicts = {}
-            if not series.blew_up:
-                for q in quantities:
-                    fit = fit_decay(series, q, win)
-                    row.fits[q] = fit
-                    row.verdicts[q] = check_rate(fit, cfg.params, q, tol)
-        except Exception as exc:  # keep the sweep going, record the failure
-            row.error = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows

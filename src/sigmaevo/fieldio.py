@@ -74,41 +74,43 @@ def write_norms_csv(path: str | Path, series: Trajectory) -> None:
                              fmt17(series.lm[i]), fmt17(weighted[i])])
 
 
-def write_sweep_csv(path: str | Path, rows) -> None:
-    """One row per sweep point: overrides, slopes, verdicts, admissibility."""
-    quantities = sorted({q for row in rows if row.fits for q in row.fits})
-    keys = sorted({k for row in rows for k in row.overrides})
-    header = [f"override_{k}" for k in keys]
-    header += ["n", "sigma", "alpha", "p", "m"]
+def write_sweep_csv(path: str | Path, key: str, rows: list[dict]) -> None:
+    """One row per sweep point: value, slopes, verdicts, admissibility.
+
+    A row holds the swept ``value``, the point's ``params`` and
+    ``admissibility`` report (absent for an invalid point), the ``fits``,
+    ``verdicts`` and ``label`` of its verdict payload, and ``error``.  A
+    failed fit blanks its own quantity's cells and adds
+    ``<quantity>: <message>`` to ``error``.
+    """
+    quantities = sorted({q for row in rows for q in row["fits"]})
+    header = [f"override_{key}", "n", "sigma", "alpha", "p", "m"]
     for q in quantities:
         header += [f"{q}_slope", f"{q}_stderr", f"{q}_pass", f"{q}_sharp"]
     header += ["admissible", "warnings", "label", "error"]
 
-    # Order-independent aggregation: sort rows by their override values.
-    ordered = sorted(rows, key=lambda r: tuple(str(r.overrides.get(k, ""))
-                                               for k in keys))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in ordered:
-            rec = [_cell(row.overrides.get(k, "")) for k in keys]
-            if row.params is not None:
-                p = row.params
-                rec += [str(p.n), fmt17(p.sigma), fmt17(p.alpha),
-                        fmt17(p.p), fmt17(p.m)]
-            else:
-                rec += [""] * 5
+        for row in rows:
+            rec = [_cell(row["value"])]
+            p = row.get("params")
+            rec += ([str(p.n), fmt17(p.sigma), fmt17(p.alpha), fmt17(p.p),
+                     fmt17(p.m)] if p else [""] * 5)
             for q in quantities:
-                fit = (row.fits or {}).get(q)
-                verdict = (row.verdicts or {}).get(q)
-                rec += [fmt17(fit.slope) if fit else "",
-                        fmt17(fit.stderr) if fit else "",
-                        _cell(verdict.passed) if verdict else "",
-                        _cell(verdict.sharp) if verdict else ""]
-            rep = row.admissibility
+                if q in row["verdicts"]:
+                    fit, verdict = row["fits"][q], row["verdicts"][q]
+                    rec += [fmt17(fit["slope"]), fmt17(fit["stderr"]),
+                            _cell(verdict["passed"]), _cell(verdict["sharp"])]
+                else:
+                    rec += [""] * 4
+            rep = row.get("admissibility")
+            errors = [row["error"]] if row["error"] else []
+            errors += [f"{q}: {fit['error']}"
+                       for q, fit in row["fits"].items() if "error" in fit]
             rec += [_cell(rep.overall) if rep else "",
                     str(len(rep.warnings)) if rep else "",
-                    row.label, row.error or ""]
+                    row["label"], "; ".join(errors)]
             writer.writerow(rec)
 
 

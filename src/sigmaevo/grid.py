@@ -184,17 +184,34 @@ def _inverse_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 def _half_l2(grid: Grid, half: np.ndarray) -> float:
     """L2 norm of a real field from its half-spectrum coefficients.
 
-    A sum below ``1e-250`` has squares in or near the subnormal range, so
-    it is redone on the field scaled by its coefficient peak; other
-    fields take the unscaled sum unchanged.
+    A sum below ``1e-250`` (squares in or near the subnormal range) or
+    not finite (squares past the float range) is redone on the field
+    scaled by its coefficient peak; other fields take the unscaled sum
+    unchanged.
     """
-    sq = half.real ** 2 + half.imag ** 2
-    total = 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
-    if total < 1e-250:
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = half.real ** 2 + half.imag ** 2
+        total = 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+    if not 1e-250 <= total < np.inf:
         peak = np.max(np.abs(half))
-        if peak > 0:
+        if 0 < peak < np.inf:
             return float(peak * _half_l2(grid, half / peak))
     return float(np.sqrt(total / grid.box_length ** grid.dim))
+
+
+def _lm_norm(grid: Grid, values: np.ndarray, m: float) -> float:
+    """Discrete ``L^m`` norm ``(sum |f|^m (L/N)^n)^(1/m)`` of samples.
+
+    Rescaled by the peak ``|f|`` under the same rule as ``_half_l2``.
+    """
+    a = np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(a ** m)
+    if not 1e-250 <= total < np.inf:
+        peak = np.max(a)
+        if 0 < peak < np.inf:
+            return float(peak * _lm_norm(grid, a / peak, m))
+    return float((total * grid.cell_volume) ** (1.0 / m))
 
 
 def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:

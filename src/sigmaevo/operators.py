@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .grid import (RealField, SpectralField, _forward_half, _half_l2,
-                   _inverse_half)
+                   _inverse_half, _lm_norm)
 
 __all__ = [
     "apply_symbol",
@@ -138,8 +138,7 @@ def lebesgue_norm(f: RealField, r: float) -> float:
     """Discrete ``L^r`` norm ``(sum |f|^r (L/N)^n)^(1/r)``, ``r >= 1``."""
     if r < 1:
         raise ValueError(f"r must be >= 1; got {r}")
-    a = np.abs(f.values)
-    return float((np.sum(a ** r) * f.grid.cell_volume) ** (1.0 / r))
+    return _lm_norm(f.grid, f.values, r)
 
 
 def sobolev_seminorm(f: RealField, s: float) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ModelParams"]
@@ -25,15 +26,15 @@ class ModelParams:
     m: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not (math.isfinite(self.n) and int(self.n) == self.n >= 1):
             raise ValueError(f"n must be a positive integer; got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if self.sigma < 1:
-            raise ValueError(f"sigma must be >= 1; got {self.sigma}")
+        if not (self.sigma >= 1 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be finite and >= 1; got {self.sigma}")
         if not 0.0 < self.alpha < self.n:
             raise ValueError(
                 f"alpha must lie in (0, n) = (0, {self.n}); got {self.alpha}")
-        if self.p <= 1:
-            raise ValueError(f"p must be > 1; got {self.p}")
+        if not (self.p > 1 and math.isfinite(self.p)):
+            raise ValueError(f"p must be finite and > 1; got {self.p}")
         if not 1.0 <= self.m <= 2.0:
             raise ValueError(f"m must lie in [1, 2]; got {self.m}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _forward_half, _half_l2, _inverse_half)
+                   _forward_half, _half_l2, _inverse_half, _lm_norm)
 from .params import ModelParams
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
 from .operators import riesz_multiplier
@@ -290,8 +290,7 @@ class Trajectory:
 
 def _record_norms(grid: Grid, xi_sigma: np.ndarray, u_hat, ut_hat, m: float):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum state."""
-    u_phys = _inverse_half(grid, u_hat)
-    lm = float((np.sum(np.abs(u_phys) ** m) * grid.cell_volume) ** (1.0 / m))
+    lm = _lm_norm(grid, _inverse_half(grid, u_hat), m)
     return (_half_l2(grid, u_hat), _half_l2(grid, ut_hat),
             _half_l2(grid, xi_sigma * u_hat), lm)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaevo.cli import (SCHEMA, ValidationError, dispatch, main,
+from sigmaevo.cli import (SCHEMA, SWEEPABLE, ValidationError, dispatch, main,
                           parse_config)
 from sigmaevo.data import PROFILES
 from sigmaevo.fieldio import config_hash, fmt17
@@ -244,6 +245,97 @@ def test_sweep_requires_param(tmp_path):
     cfg = parse_config(None, {"output_dir": str(tmp_path / "out")},
                        subcommand="sweep")
     assert dispatch(cfg) == 2
+    cfg = parse_config(None, {"output_dir": str(tmp_path / "out"),
+                              "sweep_param": "alpha", "sweep_values": " , "},
+                       subcommand="sweep")
+    assert dispatch(cfg) == 2
+
+
+def _sweep(tmp_path, key, values, **keys):
+    """Run ``sigmaevo sweep`` over ``key``; return its exit status and rows."""
+    out = tmp_path / "sweep"
+    args = ["sweep", "--sweep_param", key, "--sweep_values", values,
+            "--output_dir", str(out)]
+    for name, value in keys.items():
+        args += [f"--{name}", str(value)]
+    status = main(args)
+    with open(out / "sweep.csv", newline="") as fh:
+        return status, list(csv.DictReader(fh))
+
+
+def test_sweep_isolates_row_failures(tmp_path):
+    status, rows = _sweep(tmp_path, "alpha", "2.0,0.25", N=256, L=150,
+                          t_end=50, epsilon=1.0, window_lo=5, window_hi=50)
+    assert status == 0
+    assert [row["override_alpha"] for row in rows] == ["0.25", "2"]
+    assert rows[0]["error"] == ""
+    assert float(rows[0]["u_L2_slope"]) < 0
+    # an invalid point fails as a single run would: same class, same message
+    assert rows[1]["error"].startswith("ValidationError: alpha")
+    assert rows[1]["n"] == rows[1]["u_L2_slope"] == rows[1]["admissible"] == ""
+
+
+def test_sweep_carries_blowup_label(tmp_path):
+    status, rows = _sweep(tmp_path, "epsilon", "1e-3,10",
+                          sweep_kind="semilinear", p=2, N=256, L=100, dt=0.1,
+                          t_end=20, window_lo=2, window_hi=20)
+    assert status == 0
+    assert rows[1]["label"] == "growth-detected"
+    assert rows[0]["error"] == ""
+
+
+def test_sweep_integrability_exponents(tmp_path):
+    # Data saturating each integrability class reproduces the predicted
+    # m-dependent linear rates.
+    status, rows = _sweep(tmp_path, "m", "1,1.5,2", N=262144, L=60000,
+                          dt=0.1, t_end=1000, epsilon=1.0,
+                          profile="spectral_tail", window_lo=100,
+                          window_hi=1000)
+    assert status == 0
+    expected = {1.0: -0.25, 1.5: -1.0 / 12.0, 2.0: 0.0}
+    assert [float(row["m"]) for row in rows] == sorted(expected)
+    for row in rows:
+        assert row["error"] == ""
+        assert abs(float(row["u_L2_slope"]) - expected[float(row["m"])]) <= 0.05
+
+
+def test_sweep_rows_follow_converted_values(tmp_path):
+    # String order would put 100 and 400 before 50.
+    status, rows = _sweep(tmp_path, "t_end", "400,50,100", N=256)
+    assert status == 0
+    assert [row["override_t_end"] for row in rows] == ["50", "100", "400"]
+    assert [row["error"] for row in rows] == ["", "", ""]
+
+
+# One value per sweepable key, away from the base config below; with L and
+# the fit window on auto, t_end and sigma move both.  A key added to
+# SWEEPABLE without a value here fails its case with a KeyError.
+SWEEP_POINT = {"alpha": "0.25", "dt": "0.05", "epsilon": "2.5", "m": "1.5",
+               "mean_zero": "true", "p": "3", "profile": "gaussian",
+               "seed": "7", "sigma": "1.5", "t_end": "100"}
+
+
+@pytest.mark.parametrize("key", SWEEPABLE)
+def test_sweep_row_is_the_single_run(tmp_path, key):
+    kind = "semilinear" if key in ("dt", "p") else "linear"
+    base = {"N": 256, "t_end": 40, "profile": "noise_bandlimited"}
+    status, (row,) = _sweep(tmp_path, key, SWEEP_POINT[key],
+                            sweep_kind=kind, **base)
+    assert status == 0
+    args = [kind, "--output_dir", str(tmp_path / "single")]
+    for name, value in {**base, key: SWEEP_POINT[key]}.items():
+        args += [f"--{name}", str(value)]
+    assert main(args) in (0, 3)
+    single = json.loads((tmp_path / "single" / "verdicts.json").read_text())
+    assert row["label"] == single["label"]
+    assert row["error"] == ""
+    assert single["fits"]
+    for quantity, fit in single["fits"].items():
+        verdict = single["verdicts"][quantity]
+        assert row[f"{quantity}_slope"] == fmt17(fit["slope"])
+        assert row[f"{quantity}_stderr"] == fmt17(fit["stderr"])
+        assert row[f"{quantity}_pass"] == str(verdict["passed"]).lower()
+        assert row[f"{quantity}_sharp"] == str(verdict["sharp"]).lower()
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
@@ -279,6 +371,12 @@ def test_main_validation_exit(tmp_path):
     # a linear run needs at least one sample
     assert main(["linear", "--N", "64", "--t_end", "1.0", "--n_samples", "0",
                  "--output_dir", str(tmp_path)]) == 2
+    # non-finite model values and tolerances are bad input, not results
+    assert main(["semilinear", "--p", "nan", "--N", "64", "--t_end", "1.0",
+                 "--output_dir", str(tmp_path)]) == 2
+    for tol in ("nan", "-1"):
+        assert main(["linear", "--rate_tol", tol, "--N", "64",
+                     "--t_end", "1.0", "--output_dir", str(tmp_path)]) == 2
 
 
 def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):

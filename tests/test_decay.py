@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigmaevo.decay import (check_rate, default_window, fit_decay,
-                            run_linear, suggest_box_length, sweep, DecayFit)
+                            run_linear, suggest_box_length, DecayFit)
 from sigmaevo.grid import GridSpec, build_grid, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import propagate_linear
@@ -172,44 +172,3 @@ def test_run_semilinear_exploratory_below_threshold():
     series = integrate(cfg)
     assert series.label in ("decayed", "growth-detected")
     assert not admissibility(params).overall
-
-
-def test_sweep_empty_grid():
-    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
-                       t_end=50.0, data_amplitude=1.0)
-    assert sweep([], cfg) == []
-
-
-def test_sweep_isolates_row_failures():
-    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
-                       t_end=50.0, data_amplitude=1.0)
-    rows = sweep([{"alpha": 2.0}, {"alpha": 0.25}], cfg,
-                 window=(5.0, 50.0), quantities=("u_L2",))
-    assert rows[0].error is not None and "alpha" in rows[0].error
-    assert rows[1].error is None
-    assert rows[1].fits["u_L2"].slope < 0
-
-
-def test_sweep_carries_blowup_label():
-    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=2.0, m=1.0)
-    cfg = SolverConfig(params=params, grid=GridSpec(1, 256, 100.0), dt=0.1,
-                       t_end=20.0, data_amplitude=1.0)
-    rows = sweep([{"data_amplitude": 1e-3}, {"data_amplitude": 10.0}], cfg,
-                 kind="semilinear", window=(2.0, 20.0), quantities=("u_L2",))
-    labels = [row.label for row in rows]
-    assert labels[1] == "growth-detected"
-    assert rows[0].error is None
-
-
-def test_sweep_integrability_exponents():
-    # Data saturating each integrability class reproduces the predicted
-    # m-dependent linear rates.
-    gs = GridSpec(1, 262144, 60000.0)
-    base = SolverConfig(params=PARAMS, grid=gs, dt=0.1, t_end=1000.0,
-                        data_amplitude=1.0, data_profile="spectral_tail")
-    rows = sweep([{"m": 1.0}, {"m": 1.5}, {"m": 2.0}], base, kind="linear",
-                 window=(100.0, 1000.0), quantities=("u_L2",))
-    expected = {1.0: -0.25, 1.5: -1.0 / 12.0, 2.0: 0.0}
-    for row in rows:
-        assert row.error is None
-        assert abs(row.fits["u_L2"].slope - expected[row.params.m]) <= 0.05

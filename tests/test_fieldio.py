@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from sigmaevo.decay import run_linear
-from sigmaevo.cli import parse_config
+from sigmaevo.cli import dispatch, parse_config
 from sigmaevo.fieldio import (config_hash, fmt17, load_field, save_field,
                               write_norms_csv, write_region_sweep_csv,
                               write_sweep_csv)
 from sigmaevo.grid import GridSpec, RealField, build_grid
 from sigmaevo.params import ModelParams
 from sigmaevo.solver import SolverConfig
+from sigmaevo.theory import admissibility
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -79,16 +80,33 @@ def test_trajectory_exports_to_norms_csv(tmp_path):
 
 
 def test_sweep_csv_rows_sorted(tmp_path):
-    from sigmaevo.decay import sweep
-    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
-                       t_end=50.0, data_amplitude=1.0)
-    rows = sweep([{"alpha": 0.75}, {"alpha": 0.25}], cfg,
-                 window=(5.0, 50.0), quantities=("u_L2",))
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, rows)
-    lines = path.read_text().splitlines()
+    over = {"N": "256", "L": "150", "t_end": "50", "epsilon": "1.0",
+            "window_lo": "5", "window_hi": "50", "sweep_param": "alpha",
+            "sweep_values": "0.75,0.25", "output_dir": str(tmp_path)}
+    assert dispatch(parse_config(None, over, subcommand="sweep")) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("override_alpha")
     assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.75"]
+
+
+def test_sweep_csv_blanks_only_a_failed_fit(tmp_path):
+    fit = {"slope": -0.25, "stderr": 1e-3}
+    verdict = {"passed": True, "sharp": False}
+    row = {"value": True, "params": PARAMS,
+           "admissibility": admissibility(PARAMS), "label": "decayed",
+           "fits": {"u_L2": fit, "dtu_L2": {"error": "too few samples"}},
+           "verdicts": {"u_L2": verdict}, "error": ""}
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, "mean_zero", [row])
+    with open(path, newline="") as fh:
+        (rec,) = csv.DictReader(fh)
+    assert rec["override_mean_zero"] == "true"
+    assert (rec["u_L2_slope"], rec["u_L2_stderr"]) == ("-0.25", "0.001")
+    assert (rec["u_L2_pass"], rec["u_L2_sharp"]) == ("true", "false")
+    assert all(rec[f"dtu_L2_{col}"] == ""
+               for col in ("slope", "stderr", "pass", "sharp"))
+    assert rec["error"] == "dtu_L2: too few samples"
+    assert rec["label"] == "decayed" and rec["admissible"] == "true"
 
 
 def test_config_hash_sensitivity():

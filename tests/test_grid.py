@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
                            field_from_function, full_from_half,
                            transform_forward, transform_inverse, _forward_half,
-                           _half_l2, _inverse_half)
+                           _half_l2, _inverse_half, _lm_norm)
 
 from full_layout import full_forward, full_phase, full_xi_mag
 
@@ -155,14 +155,19 @@ def test_half_spectrum_parseval_matches_full_layout(case, s):
     assert abs(_half_l2(grid, half) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("amplitude", [1e-160, 1e-300])
+@pytest.mark.parametrize("amplitude", [1e-160, 1e-300, 1e200, 1e300])
 def test_half_l2_of_tiny_fields_is_linear(amplitude):
-    # Squares of such coefficients underflow; the norm must not.
+    # Squares and powers of such values underflow or overflow; the L2 and
+    # L^m norms must not.
     grid = build_grid(GridSpec(3, 8, 5.0))
     values = np.random.default_rng(3).standard_normal(grid.spec.shape)
     unit = _half_l2(grid, _forward_half(grid, values))
     tiny = _half_l2(grid, _forward_half(grid, amplitude * values))
     assert abs(tiny - amplitude * unit) <= 1e-13 * amplitude * unit
+    for m in (1.0, 1.5, 2.0):
+        unit = _lm_norm(grid, values, m)
+        scaled = _lm_norm(grid, amplitude * values, m)
+        assert abs(scaled - amplitude * unit) <= 1e-13 * amplitude * unit
 
 
 @settings(deadline=None, max_examples=60)

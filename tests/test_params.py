@@ -16,6 +16,15 @@ def test_valid_point():
     (dict(p=1.0), "p"),
     (dict(m=0.9), "m"),
     (dict(m=2.1), "m"),
+    (dict(n=float("nan")), "n"),
+    (dict(n=float("inf")), "n"),
+    (dict(sigma=float("nan")), "sigma"),
+    (dict(sigma=float("inf")), "sigma"),
+    (dict(alpha=float("nan")), "alpha"),
+    (dict(p=float("nan")), "p"),
+    (dict(p=float("inf")), "p"),
+    (dict(m=float("nan")), "m"),
+    (dict(m=float("inf")), "m"),
 ])
 def test_range_violations(kw, msg):
     base = dict(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
