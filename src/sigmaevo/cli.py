@@ -7,8 +7,8 @@ comment); command-line flags override file values, and every key has a
 documented default.  Each run writes its outputs plus a ``manifest.json``
 (config echo, config hash, library versions, wall time, output list,
 exit status, and the error of a failed run) into the output directory.
-Exit status: 0 success, 2 validation error, 3 labeled blow-up
-termination, 1 internal error.
+Exit status: 0 success, 2 input refused before the run starts (a
+``ValidationError``), 3 labeled blow-up termination, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .checks import kernel_oracle_suite, riesz_oracle_suite
 from .fieldio import (config_hash, fmt17, report_to_json, save_field,
                       write_norms_csv, write_sweep_csv)
 from .grid import GridSpec, RealField, _inverse_half
-from .params import ModelParams
+from .params import ModelParams, ValidationError
 from .solver import SolverConfig, integrate, make_data
 from .theory import admissibility
 
@@ -48,28 +48,44 @@ SWEEPABLE = ("alpha", "dt", "epsilon", "m", "mean_zero", "p", "profile",
 ENV_OUTPUT_DIR = "SIGMAEVO_OUTPUT_DIR"
 
 
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite; got {text!r}")
+    return value
+
+
 def float_or_auto(text: str) -> float | str:
-    return "auto" if text == "auto" else float(text)
+    return "auto" if text == "auto" else finite(text)
+
+
+def boolean(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 # key -> (parser, default, help).  "auto" defaults are resolved after parsing.
 SCHEMA = {
     "subcommand": (str, None, "one of " + ", ".join(SUBCOMMANDS)),
     "n": (int, 1, "space dimension (1-3)"),
-    "sigma": (float, 1.0, "order of the fractional Laplacian (>= 1)"),
-    "alpha": (float, 0.5, "smoothing order of the nonlinearity, in (0, n)"),
-    "p": (float, 4.0, "nonlinearity power (> 1)"),
-    "m": (float, 1.0, "data integrability exponent, in [1, 2]"),
+    "sigma": (finite, 1.0, "order of the fractional Laplacian (>= 1)"),
+    "alpha": (finite, 0.5, "smoothing order of the nonlinearity, in (0, n)"),
+    "p": (finite, 4.0, "nonlinearity power (> 1)"),
+    "m": (finite, 1.0, "data integrability exponent, in [1, 2]"),
     "N": (int, 8192, "grid points per axis (power of two >= 8)"),
     "L": (float_or_auto, "auto",
           "box side length, or 'auto' for the horizon rule"),
-    "dt": (float, 0.1, "time step (<= 0.5; must divide t_end)"),
-    "t_end": (float, 200.0, "final time"),
-    "dealias": (bool, True, "apply the 2/3 mask inside the nonlinearity"),
-    "epsilon": (float, 0.01, "data amplitude"),
+    "dt": (finite, 0.1, "time step (<= 0.5; must divide t_end)"),
+    "t_end": (finite, 200.0, "final time"),
+    "dealias": (boolean, True, "apply the 2/3 mask inside the nonlinearity"),
+    "epsilon": (finite, 0.01, "data amplitude"),
     "profile": (str, "gaussian",
                 "data profile: gaussian | bump | noise_bandlimited | spectral_tail"),
-    "mean_zero": (bool, False, "use the mean-zero (dipole) data variant"),
+    "mean_zero": (boolean, False, "use the mean-zero (dipole) data variant"),
     "seed": (int, 0, "RNG seed for noise data"),
     "n_samples": (int, 200, "sample count for linear runs"),
     "window_lo": (float_or_auto, "auto",
@@ -79,7 +95,7 @@ SCHEMA = {
     "snapshot_interval": (float_or_auto, "auto",
                           "norm recording interval (a whole number of "
                           "steps dt), or 'auto'"),
-    "rate_tol": (float, 0.05, "tolerance for rate verdicts"),
+    "rate_tol": (finite, 0.05, "tolerance for rate verdicts"),
     "output_dir": (str, "runs", "directory receiving all outputs"),
     "emit": (str, "csv,json", "comma-set from {csv, json, fields}"),
     "sweep_kind": (str, "linear", "sweep run type: linear | semilinear"),
@@ -87,10 +103,6 @@ SCHEMA = {
                     + ", ".join(SWEEPABLE)),
     "sweep_values": (str, "", "comma-separated values for sweep_param"),
 }
-
-
-class ValidationError(ValueError):
-    """Bad configuration; maps to exit status 2."""
 
 
 @dataclass
@@ -104,15 +116,6 @@ class RunConfig:
     emit: frozenset
     values: dict     # converted key -> value mapping, "auto" unresolved
     effective: dict  # canonical key -> value mapping, echoed in the manifest
-
-
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _read_flat_file(path: str | Path) -> dict[str, str]:
@@ -136,19 +139,12 @@ def _read_flat_file(path: str | Path) -> dict[str, str]:
 
 def _convert(key: str, value) -> object:
     parser = SCHEMA[key][0]
-    if parser is bool and not isinstance(value, bool):
-        try:
-            return _parse_bool(value)
-        except ValueError as exc:
-            raise ValidationError(f"key '{key}': {exc}") from None
-    if isinstance(value, str) and parser is not str:
-        try:
-            return parser(value)
-        except ValueError:
-            raise ValidationError(
-                f"key '{key}': cannot parse {value!r} as {parser.__name__}"
-            ) from None
-    return value
+    if not isinstance(value, str) or parser is str:
+        return value
+    try:
+        return parser(value)
+    except ValueError as exc:
+        raise ValidationError(f"key '{key}': {exc}") from None
 
 
 def parse_config(path: str | Path | None = None,
@@ -195,21 +191,18 @@ def parse_config(path: str | Path | None = None,
     snap = values["snapshot_interval"]
     snapshot_interval = None if snap == "auto" else snap
 
-    try:
-        model = ModelParams(n=values["n"], sigma=values["sigma"],
-                            alpha=values["alpha"], p=values["p"], m=values["m"])
-        grid = GridSpec(dim=values["n"], points_per_axis=values["N"],
-                        box_length=length)
-        solver = SolverConfig(params=model, grid=grid, dt=values["dt"],
-                              t_end=values["t_end"],
-                              data_amplitude=values["epsilon"],
-                              data_profile=values["profile"],
-                              dealias=values["dealias"],
-                              mean_zero=values["mean_zero"],
-                              seed=values["seed"],
-                              snapshot_interval=snapshot_interval)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    model = ModelParams(n=values["n"], sigma=values["sigma"],
+                        alpha=values["alpha"], p=values["p"], m=values["m"])
+    grid = GridSpec(dim=values["n"], points_per_axis=values["N"],
+                    box_length=length)
+    solver = SolverConfig(params=model, grid=grid, dt=values["dt"],
+                          t_end=values["t_end"],
+                          data_amplitude=values["epsilon"],
+                          data_profile=values["profile"],
+                          dealias=values["dealias"],
+                          mean_zero=values["mean_zero"],
+                          seed=values["seed"],
+                          snapshot_interval=snapshot_interval)
 
     output_dir = Path(os.environ.get(ENV_OUTPUT_DIR, values["output_dir"]))
     emit = frozenset(part.strip() for part in str(values["emit"]).split(",")
@@ -219,17 +212,17 @@ def parse_config(path: str | Path | None = None,
         raise ValidationError(f"unknown emit targets: {sorted(bad)}")
 
     rate_tol = values["rate_tol"]
-    if not (math.isfinite(rate_tol) and rate_tol >= 0):
-        raise ValidationError(
-            f"key 'rate_tol': must be finite and >= 0; got {rate_tol}")
+    if rate_tol < 0:
+        raise ValidationError(f"key 'rate_tol': must be >= 0; got {rate_tol}")
     if values["sweep_kind"] not in ("linear", "semilinear"):
         raise ValidationError(
             f"key 'sweep_kind': expected linear or semilinear, "
             f"got {values['sweep_kind']!r}")
 
     effective = dict(values)
-    effective["L"] = length
-    effective["window_lo"], effective["window_hi"] = window
+    if values["subcommand"] != "sweep":  # a sweep point resolves its own
+        effective["L"] = length
+        effective["window_lo"], effective["window_hi"] = window
     effective["output_dir"] = str(output_dir)
     effective["emit"] = ",".join(sorted(emit))
 
@@ -367,10 +360,10 @@ def dispatch(config: RunConfig) -> int:
     error = None
     try:
         status = _run_subcommand(config, outputs)
-    except ValueError as exc:  # ValidationError included
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status, error = 2, exc
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         status, error = 1, exc
 

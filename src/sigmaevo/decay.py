@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import linregress
 
 from .grid import _forward_half, build_grid
-from .params import ModelParams
+from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, kernel_arrays
 from .solver import (SolverConfig, Trajectory, _check_horizon, _record_norms,
                      make_data)
@@ -80,7 +80,7 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     ``final_state`` is the state at the last sample, ``t_end``.
     """
     if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1; got {n_samples}")
+        raise ValidationError(f"n_samples must be >= 1; got {n_samples}")
     _check_horizon(config)
     grid = build_grid(config.grid)
     params = config.params

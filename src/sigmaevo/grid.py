@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import ValidationError
+
 __all__ = [
     "GridSpec",
     "Grid",
@@ -53,13 +55,13 @@ class GridSpec:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3; got {self.dim}")
+            raise ValidationError(f"dim must be 1, 2 or 3; got {self.dim}")
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(
+            raise ValidationError(
                 f"points_per_axis must be a power of two >= 8; got {n}")
         if not (np.isfinite(self.box_length) and self.box_length > 0):
-            raise ValueError(f"box_length must be positive; got {self.box_length}")
+            raise ValidationError(f"box_length must be positive; got {self.box_length}")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import RealField, _forward_half, _inverse_half
+from .params import ValidationError
 from .solver import (SolverConfig, StepTables, Trajectory, _nonlinearity_hat,
                      _record_norms)
 
@@ -59,28 +60,28 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     by the same one-step matrix ``M(dt)``.
     """
     if config.t_end > MAX_HORIZON:
-        raise ValueError(
+        raise ValidationError(
             f"t_end = {config.t_end} exceeds the fixed-point horizon {MAX_HORIZON}")
     if config.dt > MAX_DT:
-        raise ValueError(
+        raise ValidationError(
             f"snapshot spacing dt = {config.dt} too coarse; need <= {MAX_DT}")
     if traj_in.states is None:
-        raise ValueError("input trajectory must store states")
+        raise ValidationError("input trajectory must store states")
     dts = np.diff(traj_in.times)
     if not np.allclose(dts, config.dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("input trajectory must be stored densely (every step)")
+        raise ValidationError("input trajectory must be stored densely (every step)")
     # The horizon cap is on config.t_end; the map runs over traj_in.times.
     t_last = float(traj_in.times[-1])
     if abs(t_last - config.t_end) > 1e-9 * config.t_end:
-        raise ValueError(
+        raise ValidationError(
             f"input trajectory ends at t = {t_last:g}, not at the "
             f"configured horizon t_end = {config.t_end:g}")
     if traj_in.grid.spec != config.grid:
-        raise ValueError(
+        raise ValidationError(
             f"input trajectory grid {traj_in.grid.spec} differs from the "
             f"configured grid {config.grid}")
     if u1.grid.spec != config.grid:
-        raise ValueError(
+        raise ValidationError(
             f"data grid {u1.grid.spec} differs from the configured grid "
             f"{config.grid}")
 

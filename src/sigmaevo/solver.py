@@ -23,7 +23,7 @@ import numpy as np
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
                    _forward_half, _half_l2, _inverse_half, _lm_norm)
-from .params import ModelParams
+from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
 from .operators import riesz_multiplier
 
@@ -80,16 +80,16 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0 < self.dt <= 0.5:
-            raise ValueError(f"dt must lie in (0, 0.5]; got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be >= dt; got {self.t_end}")
-        if self.data_amplitude < 0:
-            raise ValueError(
+            raise ValidationError(f"dt must lie in (0, 0.5]; got {self.dt}")
+        if not self.t_end >= self.dt:
+            raise ValidationError(f"t_end must be >= dt; got {self.t_end}")
+        if not self.data_amplitude >= 0:
+            raise ValidationError(
                 f"data_amplitude must be nonnegative; got {self.data_amplitude}")
         if self.data_profile not in PROFILES:
-            raise ValueError(f"unknown data profile '{self.data_profile}'")
+            raise ValidationError(f"unknown data profile '{self.data_profile}'")
         if self.params.n != self.grid.dim:
-            raise ValueError(
+            raise ValidationError(
                 f"params.n = {self.params.n} does not match grid dim = {self.grid.dim}")
 
 
@@ -108,7 +108,7 @@ def _check_horizon(config: SolverConfig) -> None:
     """Preflight shared by every run: refuse t_end past the horizon."""
     limit = horizon_limit(config)
     if config.t_end > limit * (1.0 + 1e-9):
-        raise ValueError(
+        raise ValidationError(
             f"t_end = {config.t_end} exceeds the box-validity horizon "
             f"{limit:.6g}; enlarge the box")
 
@@ -116,7 +116,7 @@ def _check_horizon(config: SolverConfig) -> None:
 def _whole_steps(span: float, dt: float, name: str) -> int:
     steps = int(round(span / dt))
     if steps < 1 or abs(steps * dt - span) > 1e-9 * span:
-        raise ValueError(
+        raise ValidationError(
             f"{name} = {span} is not a whole number of steps of dt = {dt}")
     return steps
 
@@ -325,33 +325,30 @@ def integrate(config: SolverConfig) -> Trajectory:
     states = [(u_hat.copy(), ut_hat.copy())] if config.store_states else None
     ref = max(max(records[0]), ABS_FLOOR)
 
-    blew_up = False
     blowup_time = None
-    for step in range(1, n_steps + 1):
-        t = step * config.dt
-        try:
+    try:
+        for step in range(1, n_steps + 1):
+            t = step * config.dt
             u_hat, ut_hat = _etd_step_arrays(
                 u_hat, ut_hat, tables, t, step,
                 nonlinear=config.nonlinearity_enabled)
-        except BlowUpSignal as sig:
-            blew_up = True
-            blowup_time = sig.time
-            break
-        if step % every == 0 or step == n_steps:
-            rec = _record_norms(grid, tables.xi_sigma, u_hat, ut_hat, params.m)
-            times.append(t)
-            records.append(rec)
-            if config.store_states:
-                states.append((u_hat.copy(), ut_hat.copy()))
-            if not all(np.isfinite(rec)) or max(rec) > BLOWUP_FACTOR * ref:
-                blew_up = True
-                blowup_time = t
-                break
+            if step % every == 0 or step == n_steps:
+                rec = _record_norms(grid, tables.xi_sigma, u_hat, ut_hat,
+                                    params.m)
+                times.append(t)
+                records.append(rec)
+                if config.store_states:
+                    states.append((u_hat.copy(), ut_hat.copy()))
+                if not all(np.isfinite(rec)) or max(rec) > BLOWUP_FACTOR * ref:
+                    raise BlowUpSignal(t, step, "runaway or non-finite norms")
+    except BlowUpSignal as sig:
+        blowup_time = sig.time
 
     return Trajectory.from_records(times, records, params, grid,
                                    states=states,
                                    final_state=(u_hat.copy(), ut_hat.copy()),
-                                   blew_up=blew_up, blowup_time=blowup_time)
+                                   blew_up=blowup_time is not None,
+                                   blowup_time=blowup_time)
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:

@@ -158,7 +158,7 @@ def test_manifest_written_on_failure(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 2
     assert manifest["outputs"] == []
-    assert manifest["error"]["class"] == "ValueError"
+    assert manifest["error"]["class"] == "ValidationError"
     assert "horizon" in manifest["error"]["message"]
     assert len(manifest["config_hash"]) == 64
     # a successful run records no error
@@ -166,6 +166,23 @@ def test_manifest_written_on_failure(tmp_path):
                        subcommand="linear")
     assert dispatch(cfg) == 0
     assert "error" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_runtime_failure_exits_1(tmp_path, monkeypatch):
+    # a ValueError raised once the run has started is a failure, not bad input
+    def broken_run(*args, **kwargs):
+        raise ValueError("failed mid-run")
+
+    monkeypatch.setattr("sigmaevo.cli.run_linear", broken_run)
+    out = tmp_path / "out"
+    args = ["linear", "--output_dir", str(out)]
+    for key, value in FAST_LINEAR.items():
+        args += [f"--{key}", value]
+    assert main(args) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+    assert manifest["error"] == {"class": "ValueError",
+                                 "message": "failed mid-run"}
 
 
 def test_fields_emitted_in_binary_format(tmp_path):
@@ -305,6 +322,11 @@ def test_sweep_rows_follow_converted_values(tmp_path):
     assert status == 0
     assert [row["override_t_end"] for row in rows] == ["50", "100", "400"]
     assert [row["error"] for row in rows] == ["", "", ""]
+    # each row resolved its own L and fit window, so the manifest does not
+    # echo those of the base t_end
+    config = json.loads((tmp_path / "sweep" / "manifest.json").read_text())[
+        "config"]
+    assert config["L"] == config["window_lo"] == config["window_hi"] == "auto"
 
 
 # One value per sweepable key, away from the base config below; with L and
@@ -355,7 +377,7 @@ def test_main_entrypoint(tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
-def test_main_validation_exit(tmp_path):
+def test_main_validation_exit(tmp_path, capsys):
     assert main(["linear", "--alpha", "2", "--n", "1",
                  "--output_dir", str(tmp_path)]) == 2
     # t_end = 1.0 is not a whole number of steps dt = 0.3
@@ -377,6 +399,14 @@ def test_main_validation_exit(tmp_path):
     for tol in ("nan", "-1"):
         assert main(["linear", "--rate_tol", tol, "--N", "64",
                      "--t_end", "1.0", "--output_dir", str(tmp_path)]) == 2
+    capsys.readouterr()
+    for key in ("t_end", "window_lo", "window_hi", "snapshot_interval",
+                "epsilon"):
+        for text in ("nan", "inf", "-inf"):
+            assert main(["semilinear", "--N", "64", "--L", "100",
+                         "--t_end", "1.0", f"--{key}={text}",
+                         "--output_dir", str(tmp_path)]) == 2
+            assert f"key '{key}'" in capsys.readouterr().err
 
 
 def test_nothing_written_outside_output_dir(tmp_path, monkeypatch):

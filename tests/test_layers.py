@@ -1,5 +1,6 @@
 """Module layers run one way: no module imports one ranked above it.
-Every exported name exists.  There is one transform path."""
+Every exported name exists.  There is one transform path and one
+validation error."""
 
 import ast
 import importlib
@@ -86,3 +87,14 @@ def test_no_complex_transform(name):
             if called in COMPLEX_FFTS:
                 found.append(f"{called} (line {node.lineno})")
     assert not found, f"{name} uses complex transforms: {found}"
+
+
+def test_one_validation_error():
+    defined = [f"{path.stem}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and node.name == "ValidationError"]
+    assert len(defined) == 1, defined
+    from sigmaevo import cli, params
+    assert cli.ValidationError is params.ValidationError
