@@ -10,14 +10,13 @@ from .operators import (apply_symbol, riesz_multiplier, fractional_laplacian,
                         lebesgue_norm, sobolev_seminorm, sobolev_norm_inhom)
 from .params import ModelParams
 from .propagator import (PropagatorKernels, kernels, propagate_linear,
-                         decay_exponent, ode_oracle)
+                         decay_exponent)
 from .solver import (SolverConfig, Trajectory, XTNorm, BlowUpSignal,
                      make_data, nonlinearity, etd_step, integrate,
                      horizon_limit, xt_norm, xt_distance, zero_trajectory)
 from .picard import picard_apply
 from .theory import (AdmissibilityReport, critical_exponent, admissibility,
-                     gn_theta, duhamel_decay, nonlinearity_decay_exponent,
-                     integral_inequality_check)
+                     gn_theta, duhamel_decay, nonlinearity_decay_exponent)
 from .decay import (DecayFit, RateVerdict, run_linear, fit_decay,
                     check_rate, default_window, suggest_box_length)
 from .fieldio import save_field, load_field, write_norms_csv, write_sweep_csv
@@ -30,13 +29,11 @@ __all__ = [
     "lebesgue_norm", "sobolev_seminorm", "sobolev_norm_inhom",
     "ModelParams",
     "PropagatorKernels", "kernels", "propagate_linear", "decay_exponent",
-    "ode_oracle",
     "SolverConfig", "Trajectory", "XTNorm", "BlowUpSignal", "make_data",
     "nonlinearity", "etd_step", "integrate", "horizon_limit", "xt_norm",
     "xt_distance", "zero_trajectory", "picard_apply",
     "AdmissibilityReport", "critical_exponent", "admissibility", "gn_theta",
     "duhamel_decay", "nonlinearity_decay_exponent",
-    "integral_inequality_check",
     "DecayFit", "RateVerdict", "run_linear", "fit_decay", "check_rate",
     "default_window", "suggest_box_length",
     "save_field", "load_field", "write_norms_csv", "write_sweep_csv",

@@ -1,16 +1,27 @@
-"""Self-contained verification suites shared by the CLI and the test suite."""
+"""Independent oracles and the verification suites built on them.
+
+The oracles recompute by adaptive integration what the rest of the
+package evaluates in closed form: ``ode_oracle`` integrates the mode ODE
+behind the propagator kernels, and ``integral_inequality_check``
+quadratures the time convolution behind ``theory.duhamel_decay``.  This
+is the one module that imports ``scipy.integrate``; the CLI imports it
+only for ``oracle-test``, so no run pays for that import.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad, solve_ivp
 
 from .grid import GridSpec, RealField, build_grid
 from .operators import riesz_oracle, riesz_potential
-from .propagator import _ode_kernels, kernels
+from .propagator import PropagatorKernels, kernels
 
 __all__ = [
     "KERNEL_K_GRID",
     "KERNEL_T_GRID",
+    "ode_oracle",
+    "integral_inequality_check",
     "kernel_oracle_suite",
     "riesz_cross_check",
     "riesz_oracle_suite",
@@ -22,6 +33,91 @@ KERNEL_T_GRID = (0.1, 1.0, 10.0)
 
 KERNEL_TOL = 1e-8
 RIESZ_TOL = 0.02
+
+
+def _ode_kernels(k: float, times, rtol: float = 1e-12,
+                 atol: float = 1e-20) -> list[PropagatorKernels]:
+    """Kernel values at each of the sorted ``times`` from one adaptive
+    integration of the mode ODE.
+
+    The ODE is autonomous, so each segment restarts from the end state
+    of the one before.  A stiff method takes over for large k, where the
+    fast component decays on the ``1/k`` scale.
+    """
+    def rhs(_t, y):
+        a, da, k1, dk1 = y
+        return [da, -(1.0 + k) * da - k * a,
+                dk1, -(1.0 + k) * dk1 - k * k1]
+
+    def jac(_t, _y):
+        block = np.array([[0.0, 1.0], [-k, -(1.0 + k)]])
+        out = np.zeros((4, 4))
+        out[:2, :2] = block
+        out[2:, 2:] = block
+        return out
+
+    options = {"method": "DOP853"}
+    if k > 50.0:
+        options = {"method": "BDF", "jac": jac}
+    y = [1.0, 0.0, 0.0, 1.0]  # columns (A, dA) and (K1, dK1) at t = 0
+    start = 0.0
+    found = []
+    for t in times:
+        if t < start:
+            raise ValueError(f"times must be sorted; got {tuple(times)}")
+        if t > start:
+            sol = solve_ivp(rhs, (start, t), y, rtol=rtol, atol=atol,
+                            dense_output=False, **options)
+            if not sol.success:
+                raise RuntimeError(
+                    f"kernel ODE integration failed: {sol.message}")
+            y, start = sol.y[:, -1], t
+        a, da, k1, dk1 = y
+        found.append(PropagatorKernels(k=float(k), t=float(t), A=float(a),
+                                       K1=float(k1), dA=float(da),
+                                       dK1=float(dk1)))
+    return found
+
+
+def ode_oracle(k: float, t: float, rtol: float = 1e-12,
+               atol: float = 1e-20) -> PropagatorKernels:
+    """Independent kernel values from adaptive integration of the mode ODE.
+
+    Integrates both initial-condition columns of ``v'' + (1+k)v' + kv = 0``
+    up to ``t <= 100`` with local tolerance ``1e-12``.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative; got {k}")
+    if not 0 <= t <= 100:
+        raise ValueError(f"t must lie in [0, 100]; got {t}")
+    return _ode_kernels(k, (t,), rtol, atol)[0]
+
+
+def integral_inequality_check(a: float, b: float, t_grid) -> float:
+    """Max over ``t_grid`` of the convolution integral over its predicted bound.
+
+    Quadratures ``int_0^t (1+t-tau)^-a (1+tau)^-b dtau`` adaptively
+    (tolerance 1e-10) and divides by ``(1+t)^-min(a,b)``.  Requires
+    ``max(a, b) > 1`` and ``t_grid`` inside [1, 1e4].
+    """
+    if max(a, b) <= 1.0:
+        raise ValueError(f"need max(a, b) > 1; got a={a}, b={b}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0 or np.any(t_grid < 1.0) or np.any(t_grid > 1e4):
+        raise ValueError("t_grid must be nonempty and lie inside [1, 1e4]")
+
+    def integrand(tau, t):
+        return (1.0 + t - tau) ** (-a) * (1.0 + tau) ** (-b)
+
+    worst = 0.0
+    for t in t_grid:
+        lo, _ = quad(integrand, 0.0, t / 2.0, args=(t,),
+                     epsabs=1e-10, epsrel=1e-10, limit=200)
+        hi, _ = quad(integrand, t / 2.0, t, args=(t,),
+                     epsabs=1e-10, epsrel=1e-10, limit=200)
+        ratio = (lo + hi) / (1.0 + t) ** (-min(a, b))
+        worst = max(worst, ratio)
+    return worst
 
 
 def kernel_oracle_suite() -> dict:

@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
-from .grid import _forward_half, build_grid
+from .grid import build_grid
 from .params import ModelParams, ValidationError
-from .propagator import decay_exponent, kernel_arrays
-from .solver import (SolverConfig, Trajectory, _check_horizon, _record_norms,
-                     make_data)
+from .propagator import decay_exponent, velocity_kernels
+from .solver import (SolverConfig, Trajectory, _check_horizon, _data_hat,
+                     _record_norms)
 
 __all__ = [
     "DecayFit",
@@ -84,14 +83,13 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     _check_horizon(config)
     grid = build_grid(config.grid)
     params = config.params
-    u1_hat = _forward_half(grid, make_data(config, grid).values)
+    u1_hat = _data_hat(config, grid)
     k = grid.xi_mag ** (2.0 * params.sigma)
     xi_sigma = grid.xi_mag ** params.sigma
 
     times = _sample_times(config.t_end, n_samples)
     records = []
-    for t in times:
-        _, K1, _, dK1 = kernel_arrays(k, float(t))
+    for K1, dK1 in velocity_kernels(k, times):
         state = (K1 * u1_hat, dK1 * u1_hat)
         records.append(_record_norms(grid, xi_sigma, *state, params.m))
     return Trajectory.from_records(times, records, params, grid,
@@ -113,11 +111,18 @@ def fit_decay(series: Trajectory, quantity: str,
     y = norm[sel]
     if np.any(y <= 0):
         raise ValueError("norms must be positive inside the fit window")
-    res = linregress(np.log1p(series.times[sel]), np.log(y))
-    return DecayFit(slope=float(res.slope), intercept=float(res.intercept),
-                    stderr=float(res.stderr), window=(float(t_lo), float(t_hi)),
-                    r_squared=float(res.rvalue ** 2),
-                    n_samples=int(np.count_nonzero(sel)))
+    x, y = np.log1p(series.times[sel]), np.log(y)
+    # The arithmetic of scipy.stats.linregress.
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    with np.errstate(invalid="ignore"):  # r = 0/0 for a constant series
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    return DecayFit(slope=float(slope),
+                    intercept=float(np.mean(y) - slope * np.mean(x)),
+                    stderr=float(np.sqrt((1 - r ** 2) * ssym / ssxm
+                                         / (x.size - 2))),
+                    window=(float(t_lo), float(t_hi)),
+                    r_squared=float(r ** 2), n_samples=x.size)
 
 
 def check_rate(fit: DecayFit, params: ModelParams, quantity: str,

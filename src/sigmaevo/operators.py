@@ -16,8 +16,9 @@ cross-validation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .grid import (RealField, SpectralField, _forward_half, _half_l2,
                    _inverse_half, _lm_norm)
@@ -77,8 +78,8 @@ def riesz_potential(f: RealField, alpha: float) -> RealField:
 
 def riesz_constant(n: int, alpha: float) -> float:
     """Normalization making the convolution kernel's symbol ``|xi|^(-alpha)``."""
-    return float(gamma_fn((n - alpha) / 2.0)
-                 / (np.pi ** (n / 2.0) * 2.0 ** alpha * gamma_fn(alpha / 2.0)))
+    return (math.gamma((n - alpha) / 2.0)
+            / (math.pi ** (n / 2.0) * 2.0 ** alpha * math.gamma(alpha / 2.0)))
 
 
 def _self_cell_integral(dim: int, alpha: float, h: float) -> float:

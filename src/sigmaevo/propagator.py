@@ -20,17 +20,16 @@ series-expanded below ``|z| < 1e-3``.  Each table is evaluated in
 closed form over all entries in one pass, and only the band entries
 (and, in the forcing weight, ``k = 0``) are overwritten.
 
-An adaptive ODE integration (``ode_oracle``) provides an independent
-check of these closed forms.
+``sigmaevo.checks.ode_oracle`` integrates the mode ODE adaptively as an
+independent check of these closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import gammainc
 
 from .grid import SpectralField
 from .params import ModelParams
@@ -39,10 +38,10 @@ __all__ = [
     "PropagatorKernels",
     "kernels",
     "kernel_arrays",
+    "velocity_kernels",
     "duhamel_weight",
     "propagate_linear",
     "decay_exponent",
-    "ode_oracle",
 ]
 
 # Half-width of the band around the double root k = 1 that uses the
@@ -120,6 +119,27 @@ def kernel_arrays(k: np.ndarray, t: float):
     return A, K1, dA, dK1
 
 
+def velocity_kernels(k: np.ndarray, times):
+    """Yield ``(K1, dK1)`` at each of ``times``, the flow from rest.
+
+    Bitwise the tables of ``kernel_arrays`` without ``A`` and ``dA``;
+    ``1 - k`` and the double-root band are found once for all times.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    denom = 1.0 - k
+    near = np.abs(denom) <= DOUBLE_ROOT_BAND
+    k_near = k[near]
+    for t in times:
+        t = float(t)
+        e_kt = np.exp(-k * t)
+        e_t = np.exp(-t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K1 = (e_kt - e_t) / denom
+            dK1 = (-k * e_kt + e_t) / denom
+        _, K1[near], dK1[near] = _kernels_near(k_near, t)
+        yield K1, dK1
+
+
 def kernels(k: float, t: float) -> PropagatorKernels:
     """Closed-form kernel values at a single ``(k, t)``."""
     A, K1, dA, dK1 = kernel_arrays(np.array([k], dtype=np.float64), float(t))
@@ -128,13 +148,27 @@ def kernels(k: float, t: float) -> PropagatorKernels:
                              dA=float(dA[0]), dK1=float(dK1[0]))
 
 
+def _band_moments(dt: float) -> list[float]:
+    """``M_j = int_0^dt tau^j exp(-tau) dtau`` for ``j = 1, 2, 3``.
+
+    ``M_j = j! exp(-dt) sum_{i>j} dt^i / i!``, a series of positive
+    terms, so nothing cancels at small ``dt``; the tails are summed
+    smallest term first.
+    """
+    terms = [1.0]  # dt^i / i!
+    while len(terms) < 6 or terms[-1] > 1e-17 * terms[4]:
+        terms.append(terms[-1] * dt / len(terms))
+    tails = np.cumsum(terms[:0:-1])[::-1]  # tails[j] = sum_{i>j} dt^i / i!
+    return [math.factorial(j) * math.exp(-dt) * tails[j] for j in (1, 2, 3)]
+
+
 def duhamel_weight(k: np.ndarray, dt: float) -> np.ndarray:
     """Closed form of ``int_0^dt K1(tau, k) dtau`` (forcing response weight).
 
     Away from the double root this is ``(psi(k) - psi(1)) / (1 - k)``
     with ``psi(a) = (1 - exp(-a dt))/a``; inside the band around k = 1
-    it is evaluated as a short series in ``1 - k`` with incomplete-gamma
-    moments ``M_j = int_0^dt tau^j exp(-tau) dtau``.
+    it is evaluated as a short series in ``1 - k`` with the moments of
+    ``_band_moments``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive; got {dt}")
@@ -148,9 +182,7 @@ def duhamel_weight(k: np.ndarray, dt: float) -> np.ndarray:
 
     near = np.abs(1.0 - k) <= DOUBLE_ROOT_BAND
     w = 1.0 - k[near]
-    m1 = gammainc(2.0, dt) * 1.0
-    m2 = gammainc(3.0, dt) * 2.0
-    m3 = gammainc(4.0, dt) * 6.0
+    m1, m2, m3 = _band_moments(dt)
     out[near] = m1 + (w / 2.0) * m2 + (w * w / 6.0) * m3
     return out
 
@@ -182,61 +214,3 @@ def decay_exponent(params: ModelParams, a: float, j: int) -> float:
         raise ValueError(f"j must be 0 or 1; got {j}")
     gain = (params.n / (2.0 * params.sigma)) * (1.0 / params.m - 0.5)
     return -gain - a / (2.0 * params.sigma) - j
-
-
-def _ode_kernels(k: float, times, rtol: float = 1e-12,
-                 atol: float = 1e-20) -> list[PropagatorKernels]:
-    """Kernel values at each of the sorted ``times`` from one adaptive
-    integration of the mode ODE.
-
-    The ODE is autonomous, so each segment restarts from the end state
-    of the one before.  A stiff method takes over for large k, where the
-    fast component decays on the ``1/k`` scale.
-    """
-    def rhs(_t, y):
-        a, da, k1, dk1 = y
-        return [da, -(1.0 + k) * da - k * a,
-                dk1, -(1.0 + k) * dk1 - k * k1]
-
-    def jac(_t, _y):
-        block = np.array([[0.0, 1.0], [-k, -(1.0 + k)]])
-        out = np.zeros((4, 4))
-        out[:2, :2] = block
-        out[2:, 2:] = block
-        return out
-
-    options = {"method": "DOP853"}
-    if k > 50.0:
-        options = {"method": "BDF", "jac": jac}
-    y = [1.0, 0.0, 0.0, 1.0]  # columns (A, dA) and (K1, dK1) at t = 0
-    start = 0.0
-    found = []
-    for t in times:
-        if t < start:
-            raise ValueError(f"times must be sorted; got {tuple(times)}")
-        if t > start:
-            sol = solve_ivp(rhs, (start, t), y, rtol=rtol, atol=atol,
-                            dense_output=False, **options)
-            if not sol.success:
-                raise RuntimeError(
-                    f"kernel ODE integration failed: {sol.message}")
-            y, start = sol.y[:, -1], t
-        a, da, k1, dk1 = y
-        found.append(PropagatorKernels(k=float(k), t=float(t), A=float(a),
-                                       K1=float(k1), dA=float(da),
-                                       dK1=float(dk1)))
-    return found
-
-
-def ode_oracle(k: float, t: float, rtol: float = 1e-12,
-               atol: float = 1e-20) -> PropagatorKernels:
-    """Independent kernel values from adaptive integration of the mode ODE.
-
-    Integrates both initial-condition columns of ``v'' + (1+k)v' + kv = 0``
-    up to ``t <= 100`` with local tolerance ``1e-12``.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative; got {k}")
-    if not 0 <= t <= 100:
-        raise ValueError(f"t must lie in [0, 100]; got {t}")
-    return _ode_kernels(k, (t,), rtol, atol)[0]

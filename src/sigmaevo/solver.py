@@ -114,7 +114,7 @@ def _check_horizon(config: SolverConfig) -> None:
 
 
 def _whole_steps(span: float, dt: float, name: str) -> int:
-    steps = int(round(span / dt))
+    steps = int(round(span / dt)) if np.isfinite(span) else 0
     if steps < 1 or abs(steps * dt - span) > 1e-9 * span:
         raise ValidationError(
             f"{name} = {span} is not a whole number of steps of dt = {dt}")
@@ -128,6 +128,20 @@ def make_data(config: SolverConfig, grid: Grid | None = None) -> RealField:
     return make_profile(grid, config.data_profile, config.data_amplitude,
                         seed=config.seed, mean_zero=config.mean_zero,
                         n=config.params.n, m=config.params.m)
+
+
+def _data_hat(config: SolverConfig, grid: Grid) -> np.ndarray:
+    """Half-spectrum coefficients of the initial velocity.
+
+    An amplitude whose data transform overflows is refused as input.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1_hat = _forward_half(grid, make_data(config, grid).values)
+    if not np.all(np.isfinite(u1_hat)):
+        raise ValidationError(
+            f"epsilon = {config.data_amplitude} overflows the transform "
+            "of the initial data")
+    return u1_hat
 
 
 def _dealias_mask(grid: Grid) -> np.ndarray:
@@ -222,7 +236,7 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
              nonlinear: bool = True) -> tuple[SpectralField, SpectralField]:
     """Advance one step; exact whenever the forcing vanishes."""
     if not 0 < dt <= 0.5:
-        raise ValueError(f"dt must lie in (0, 0.5]; got {dt}")
+        raise ValidationError(f"dt must lie in (0, 0.5]; got {dt}")
     grid = state[0].grid
     new = _etd_step_arrays(state[0].coeffs, state[1].coeffs,
                            StepTables(grid, params, dt, dealias), 0.0, 0,
@@ -316,8 +330,7 @@ def integrate(config: SolverConfig) -> Trajectory:
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
 
-    u1 = make_data(config, grid)
-    ut_hat = _forward_half(grid, u1.values)
+    ut_hat = _data_hat(config, grid)
     u_hat = np.zeros_like(ut_hat)
 
     times = [0.0]

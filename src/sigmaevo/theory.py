@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import ModelParams
 
@@ -24,7 +23,6 @@ __all__ = [
     "gn_theta",
     "duhamel_decay",
     "nonlinearity_decay_exponent",
-    "integral_inequality_check",
 ]
 
 TOL = 1e-12
@@ -194,30 +192,3 @@ def admissibility(params: ModelParams) -> AdmissibilityReport:
         riesz_q_s2=q_s2, riesz_q_s2_ok=q_s2_ok,
         riesz_q_sm=q_sm, riesz_q_sm_ok=q_sm_ok,
         overall=overall, warnings=warnings)
-
-
-def integral_inequality_check(a: float, b: float, t_grid) -> float:
-    """Max over ``t_grid`` of the convolution integral over its predicted bound.
-
-    Quadratures ``int_0^t (1+t-tau)^-a (1+tau)^-b dtau`` adaptively
-    (tolerance 1e-10) and divides by ``(1+t)^-min(a,b)``.  Requires
-    ``max(a, b) > 1`` and ``t_grid`` inside [1, 1e4].
-    """
-    if max(a, b) <= 1.0:
-        raise ValueError(f"need max(a, b) > 1; got a={a}, b={b}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid < 1.0) or np.any(t_grid > 1e4):
-        raise ValueError("t_grid must be nonempty and lie inside [1, 1e4]")
-
-    def integrand(tau, t):
-        return (1.0 + t - tau) ** (-a) * (1.0 + tau) ** (-b)
-
-    worst = 0.0
-    for t in t_grid:
-        lo, _ = quad(integrand, 0.0, t / 2.0, args=(t,),
-                     epsabs=1e-10, epsrel=1e-10, limit=200)
-        hi, _ = quad(integrand, t / 2.0, t, args=(t,),
-                     epsabs=1e-10, epsrel=1e-10, limit=200)
-        ratio = (lo + hi) / (1.0 + t) ** (-min(a, b))
-        worst = max(worst, ratio)
-    return worst

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from sigmaevo.checks import kernel_oracle_suite, riesz_cross_check
+from sigmaevo.checks import (integral_inequality_check, kernel_oracle_suite,
+                             riesz_cross_check)
 from sigmaevo.decay import check_rate, fit_decay, run_linear
 from sigmaevo.grid import GridSpec, RealField, build_grid, full_from_half
 from sigmaevo.operators import lebesgue_norm, sobolev_seminorm
@@ -16,8 +17,7 @@ from sigmaevo.params import ModelParams
 from sigmaevo.picard import picard_apply
 from sigmaevo.solver import (SolverConfig, integrate, make_data, xt_distance,
                              xt_norm, zero_trajectory)
-from sigmaevo.theory import (admissibility, critical_exponent, gn_theta,
-                             integral_inequality_check)
+from sigmaevo.theory import admissibility, critical_exponent, gn_theta
 
 from full_layout import full_inverse
 

@@ -185,6 +185,19 @@ def test_runtime_failure_exits_1(tmp_path, monkeypatch):
                                  "message": "failed mid-run"}
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "spectral_tail"])
+def test_overflowing_amplitude_is_refused(tmp_path, capsys, profile):
+    # the data transform of 1e308 overflows: bad input, refused before the
+    # run; 1e306 still runs
+    args = ["linear", "--profile", profile, "--N", "64", "--L", "100",
+            "--t_end", "10", "--output_dir", str(tmp_path)]
+    assert main(args + ["--epsilon", "1e308"]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["error"]["class"] == "ValidationError"
+    assert main(args + ["--epsilon", "1e306"]) == 0
+
+
 def test_fields_emitted_in_binary_format(tmp_path):
     from sigmaevo.fieldio import load_field
     over = dict(FAST_LINEAR)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import linregress
 
 from sigmaevo.decay import (check_rate, default_window, fit_decay,
                             run_linear, suggest_box_length, DecayFit)
@@ -31,6 +33,25 @@ def test_fit_recovers_prefactor():
     fit = fit_decay(series, "u_L2", (10.0, 2000.0))
     assert abs(fit.slope + 1.25) < 1e-12
     assert abs(fit.intercept - np.log(3.0)) < 1e-10
+
+
+@settings(deadline=None)
+@given(st.floats(-3.0, 0.5), st.floats(1e-3, 1e3), st.integers(0, 2 ** 32 - 1),
+       st.floats(1.0, 1000.0), st.floats(1.1, 2.0))
+def test_fit_is_ordinary_least_squares(slope, scale, seed, t_lo, span):
+    # fit_decay does linregress's arithmetic in numpy; noisy power laws
+    # over random windows must come out the same to 1e-14 relative.
+    noise = np.random.default_rng(seed).uniform(0.5, 2.0, 300)
+    series = synthetic_series(lambda t: scale * (1.0 + t) ** slope * noise)
+    window = (t_lo, min(t_lo * span + 200.0, 2000.0))
+    fit = fit_decay(series, "Hsigma_semi", window)
+    sel = (series.times >= window[0]) & (series.times <= window[1])
+    ref = linregress(np.log1p(series.times[sel]), np.log(series.hsigma[sel]))
+    for got, want in ((fit.slope, ref.slope), (fit.intercept, ref.intercept),
+                      (fit.stderr, ref.stderr),
+                      (fit.r_squared, ref.rvalue ** 2)):
+        assert abs(got - want) <= 1e-14 * abs(want)
+    assert fit.n_samples == np.count_nonzero(sel)
 
 
 def test_fit_window_validation():

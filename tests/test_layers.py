@@ -1,9 +1,12 @@
 """Module layers run one way: no module imports one ranked above it.
 Every exported name exists.  There is one transform path and one
-validation error."""
+validation error.  The CLI starts without the slow scipy submodules."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,42 @@ def test_no_complex_transform(name):
             if called in COMPLEX_FFTS:
                 found.append(f"{called} (line {node.lineno})")
     assert not found, f"{name} uses complex transforms: {found}"
+
+
+# scipy submodules that cost most of a second to import; no run needs them.
+SLOW_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.special",
+              "scipy.optimize")
+
+
+def test_cli_starts_without_slow_scipy_modules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys, sigmaevo.cli; "
+            f"print([m for m in {SLOW_SCIPY!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def _imports_scipy_integrate(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.startswith("scipy.integrate") for name in names):
+            return True
+    return False
+
+
+def test_only_checks_imports_scipy_integrate():
+    found = sorted(path.stem for path in PACKAGE.glob("*.py")
+                   if _imports_scipy_integrate(ast.parse(path.read_text())))
+    assert found == ["checks"]
 
 
 def test_one_validation_error():

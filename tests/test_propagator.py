@@ -1,13 +1,19 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc
 
+from sigmaevo.checks import ode_oracle
 from sigmaevo.grid import GridSpec, build_grid, field_from_function, transform_forward
 from sigmaevo.params import ModelParams
-from sigmaevo.propagator import (DOUBLE_ROOT_BAND, _kernels_far, _kernels_near,
-                                 _phi1, decay_exponent, duhamel_weight,
-                                 kernel_arrays, kernels, ode_oracle,
-                                 propagate_linear)
+from sigmaevo.propagator import (DOUBLE_ROOT_BAND, _band_moments,
+                                 _kernels_far, _kernels_near, _phi1,
+                                 decay_exponent, duhamel_weight,
+                                 kernel_arrays, kernels, propagate_linear,
+                                 velocity_kernels)
 
 K_SAMPLES = [0.0, 1e-3, 0.2, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01, 2.0,
              10.0, 1e4, 1e6]
@@ -118,6 +124,43 @@ def test_kernel_tables_patch_singularities_entrywise():
             assert np.all(np.isfinite(whole))
             assert np.all(np.abs(whole - alone) <= 1e-14 * np.abs(alone))
     assert _phi1(0.0) == 1.0
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+def test_velocity_kernels_are_the_kernel_tables(times):
+    # run_linear's per-run kernels must not change a single bit of K1, dK1
+    ks = np.concatenate([PATCH_TABLE, np.logspace(-6, 6, 50)])
+    for t, (K1, dK1) in zip(times, velocity_kernels(ks, times)):
+        _, K1_ref, _, dK1_ref = kernel_arrays(ks, t)
+        assert np.array_equal(K1, K1_ref) and np.array_equal(dK1, dK1_ref)
+
+
+def _exact_moment(j: int, dt: float) -> float:
+    # int_0^dt tau^j exp(-tau) dtau = sum_i (-1)^i dt^(i+j+1) / (i! (i+j+1))
+    # in exact rationals; 25 terms leave < 1e-24 relative at dt <= 0.5.
+    x = Fraction(dt)
+    return float(sum(Fraction((-1) ** i, math.factorial(i) * (i + j + 1))
+                     * x ** (i + j + 1) for i in range(25)))
+
+
+@settings(deadline=None)
+@given(st.floats(1e-3, 0.5))
+def test_band_moments_match_incomplete_gamma(dt):
+    # M_j = j! P(j + 1, dt).  Below dt = 1e-3 gammainc itself drifts
+    # (1e-14 relative near 1e-8, and it is wrong outright below about
+    # 1e-12), so the exact rational series covers the rest of (0, 0.5].
+    for j, got in zip((1, 2, 3), _band_moments(dt)):
+        want = gammainc(j + 1, dt) * math.factorial(j)
+        assert abs(got - want) <= 1e-14 * want
+
+
+@settings(deadline=None)
+@given(st.floats(1e-60, 0.5))
+def test_band_moments_match_exact_series(dt):
+    for j, got in zip((1, 2, 3), _band_moments(dt)):
+        want = _exact_moment(j, dt)
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_velocity_kernel_bounded():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gamma
 
 from sigmaevo.checks import riesz_cross_check
 from sigmaevo.grid import GridSpec, RealField, build_grid
@@ -16,6 +18,15 @@ def test_normalization_constant():
     # Gamma((n - alpha)/2) cancels Gamma(alpha/2) at n=1, alpha=1/2,
     # leaving 1 / sqrt(2 pi).
     assert abs(riesz_constant(1, 0.5) - 1.0 / np.sqrt(2.0 * np.pi)) < 1e-14
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.floats(1e-3, 1.0 - 1e-3))
+def test_normalization_constant_matches_scipy_gamma(n, share):
+    alpha = share * n
+    want = (gamma((n - alpha) / 2.0)
+            / (np.pi ** (n / 2.0) * 2.0 ** alpha * gamma(alpha / 2.0)))
+    assert abs(riesz_constant(n, alpha) - want) <= 1e-14 * want
 
 
 def test_oracle_linearity():

@@ -4,7 +4,7 @@ import pytest
 from sigmaevo.grid import (GridSpec, build_grid, field_from_function,
                            full_from_half, transform_forward)
 from sigmaevo.operators import lebesgue_norm
-from sigmaevo.params import ModelParams
+from sigmaevo.params import ModelParams, ValidationError
 from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import (BlowUpSignal, SolverConfig, Trajectory,
                              _dealias_mask, etd_step, horizon_limit, integrate,
@@ -188,6 +188,20 @@ def test_snapshot_interval_must_be_whole_number_of_steps():
         integrate(small_config(t_end=1.0, snapshot_interval=0.15))
     traj = integrate(small_config(t_end=1.0, snapshot_interval=0.2))
     assert np.allclose(traj.times, np.arange(6) * 0.2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("interval", [np.nan, np.inf, -np.inf])
+def test_non_finite_snapshot_interval_is_refused(interval):
+    # refused as input naming the key, not as a failed int() conversion
+    with pytest.raises(ValidationError, match="snapshot_interval"):
+        integrate(small_config(t_end=1.0, snapshot_interval=interval))
+
+
+def test_step_size_is_refused_as_input():
+    grid = build_grid(GridSpec(1, 64, 20.0))
+    zero = transform_forward(field_from_function(grid, lambda x: 0.0 * x))
+    with pytest.raises(ValidationError, match="dt"):
+        etd_step((zero, zero), 0.7, PARAMS)
 
 
 def test_blowup_is_labeled_and_deterministic():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from sigmaevo.checks import integral_inequality_check
 from sigmaevo.grid import GridSpec, RealField, build_grid
 from sigmaevo.operators import lebesgue_norm, sobolev_seminorm
 from sigmaevo.params import ModelParams
 from sigmaevo.theory import (admissibility, critical_exponent, duhamel_decay,
-                             gn_theta, integral_inequality_check,
-                             nonlinearity_decay_exponent)
+                             gn_theta, nonlinearity_decay_exponent)
 
 from full_layout import full_inverse
 
