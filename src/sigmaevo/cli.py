@@ -85,7 +85,7 @@ SCHEMA = {
     "profile": (str, "gaussian",
                 "data profile: gaussian | bump | noise_bandlimited | spectral_tail"),
     "mean_zero": (boolean, False, "use the mean-zero (dipole) data variant"),
-    "seed": (int, 0, "RNG seed for noise data"),
+    "seed": (int, 0, "RNG seed for noise data (>= 0)"),
     "n_samples": (int, 200, "sample count for linear runs"),
     "window_lo": (float_or_auto, "auto",
                   "fit window start, or 'auto' (= 0.1 t_end)"),

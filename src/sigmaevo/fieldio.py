@@ -1,5 +1,5 @@
-"""On-disk formats: binary fields, norm, sweep and admissibility-region
-CSVs, the admissibility report as JSON, and the one config hash.
+"""On-disk formats: binary fields, the norm and sweep CSVs, the
+admissibility report as JSON, and the one config hash.
 
 The binary field layout is a 24-byte header of little-endian 64-bit
 values (dim and N as signed integers, L as a float) followed by the
@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridSpec, RealField, build_grid
-from .params import ModelParams
 from .solver import Trajectory, xt_weighted_sums
-from .theory import AdmissibilityReport, admissibility
+from .theory import AdmissibilityReport
 
 __all__ = [
     "fmt17",
@@ -29,7 +28,6 @@ __all__ = [
     "load_field",
     "write_norms_csv",
     "write_sweep_csv",
-    "write_region_sweep_csv",
     "report_to_json",
     "config_hash",
 ]
@@ -52,7 +50,11 @@ def save_field(path: str | Path, f: RealField) -> None:
 
 def load_field(path: str | Path) -> RealField:
     with open(path, "rb") as fh:
-        dim, n, length = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"field file header is truncated: {len(header)} "
+                             f"of {_HEADER.size} bytes")
+        dim, n, length = _HEADER.unpack(header)
         data = np.frombuffer(fh.read(), dtype="<f8")
     spec = GridSpec(dim=dim, points_per_axis=n, box_length=length)
     if data.size != n ** dim:
@@ -120,35 +122,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return fmt17(value)
     return str(value)
-
-
-def write_region_sweep_csv(path: str | Path, p_values, n_values,
-                           sigma: float, alpha: float, m: float) -> None:
-    """Admissibility flags over a (p, n) grid at fixed (sigma, alpha, m)."""
-    rows = []
-    for n in n_values:
-        for p in p_values:
-            try:
-                rep = admissibility(ModelParams(n=n, sigma=sigma, alpha=alpha,
-                                                p=p, m=m))
-            except ValueError as exc:
-                rows.append({"n": n, "p": p, "error": str(exc)})
-                continue
-            flags = asdict(rep)
-            for key in ("params", "in_low_dim_branch", "warnings"):
-                del flags[key]
-            rows.append({"n": n, "p": p, **flags, "error": ""})
-    # an error row holds only n, p and error; take the header from a full row
-    fields = max((list(row) for row in rows), key=len,
-                 default=["n", "p", "error"])
-    for row in rows:
-        for key in fields:
-            row.setdefault(key, "")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(v) for k, v in row.items()})
 
 
 def report_to_json(report: AdmissibilityReport, path: str | Path | None = None

@@ -40,7 +40,6 @@ __all__ = [
     "build_grid",
     "transform_forward",
     "transform_inverse",
-    "field_from_function",
     "full_from_half",
 ]
 
@@ -236,7 +235,3 @@ def transform_inverse(F: SpectralField) -> RealField:
     """Inverse transform back to real samples."""
     return RealField(F.grid, _inverse_half(F.grid, F.coeffs))
 
-
-def field_from_function(grid: Grid, fn) -> RealField:
-    """Sample ``fn(x_1, ..., x_dim)`` on the lattice."""
-    return RealField(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))

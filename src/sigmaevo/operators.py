@@ -1,7 +1,8 @@
 """Fourier-multiplier operators, discrete norms, and a quadrature oracle.
 
-The fractional Laplacian acts in Fourier space as multiplication by
-``|xi|^(2*sigma)``.  Its smoothing counterpart, the normalized Riesz
+The model's fractional Laplacian has the symbol ``|xi|^(2*sigma)``,
+which the propagator turns into per-mode kernels.  Its smoothing
+counterpart, the normalized Riesz
 potential of order ``alpha``, carries the symbol ``|xi|^(-alpha)``; in
 physical space it is convolution against ``c(n, alpha) |x - y|^(alpha - n)``
 with the Gamma-function normalization constant that makes the symbol
@@ -20,19 +21,15 @@ import math
 
 import numpy as np
 
-from .grid import (RealField, SpectralField, _forward_half, _half_l2,
-                   _inverse_half, _lm_norm)
+from .grid import RealField, _forward_half, _half_l2, _inverse_half, _lm_norm
 
 __all__ = [
-    "apply_symbol",
     "riesz_multiplier",
-    "fractional_laplacian",
     "riesz_potential",
     "riesz_constant",
     "riesz_oracle",
     "lebesgue_norm",
     "sobolev_seminorm",
-    "sobolev_norm_inhom",
 ]
 
 # Brute-force guard for the direct-quadrature oracle.
@@ -46,24 +43,6 @@ def riesz_multiplier(xi_mag: np.ndarray, alpha: float) -> np.ndarray:
         vals = xi_mag ** (-alpha)
     vals[(0,) * vals.ndim] = 0.0
     return vals
-
-
-def apply_symbol(F: SpectralField, values: np.ndarray) -> SpectralField:
-    """Multiply coefficients pointwise by a real table on ``F.grid.xi_mag``."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("symbol table is non-finite")
-    return SpectralField(F.grid, F.coeffs * values)
-
-
-def fractional_laplacian(f: RealField, sigma: float) -> RealField:
-    """Apply the operator with symbol ``|xi|^(2*sigma)``, ``sigma >= 1``."""
-    if sigma < 1:
-        raise ValueError(f"sigma must be >= 1; got {sigma}")
-    grid = f.grid
-    coeffs = _forward_half(grid, f.values)
-    coeffs *= grid.xi_mag ** (2.0 * sigma)
-    return RealField(grid, _inverse_half(grid, coeffs))
 
 
 def riesz_potential(f: RealField, alpha: float) -> RealField:
@@ -152,12 +131,3 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
         coeffs *= grid.xi_mag ** s
     return _half_l2(grid, coeffs)
 
-
-def sobolev_norm_inhom(f: RealField, s: float) -> float:
-    """Inhomogeneous variant with weight ``(1 + |xi|^2)^(s/2)``."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0; got {s}")
-    grid = f.grid
-    coeffs = _forward_half(grid, f.values)
-    coeffs *= (1.0 + grid.xi_mag ** 2) ** (s / 2.0)
-    return _half_l2(grid, coeffs)

@@ -27,7 +27,6 @@ independent check of these closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .grid import SpectralField
 from .params import ModelParams
 
 __all__ = [
-    "PropagatorKernels",
-    "kernels",
     "kernel_arrays",
     "velocity_kernels",
     "duhamel_weight",
@@ -49,18 +46,6 @@ __all__ = [
 DOUBLE_ROOT_BAND = 1e-4
 # Below this |z| the phi1 helper switches from expm1 to its Taylor series.
 PHI1_SERIES_CUTOFF = 1e-3
-
-
-@dataclass(frozen=True)
-class PropagatorKernels:
-    """Per-mode kernel values at damping coefficient ``k`` and time ``t``."""
-
-    k: float
-    t: float
-    A: float
-    K1: float
-    dA: float
-    dK1: float
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -138,14 +123,6 @@ def velocity_kernels(k: np.ndarray, times):
             dK1 = (-k * e_kt + e_t) / denom
         _, K1[near], dK1[near] = _kernels_near(k_near, t)
         yield K1, dK1
-
-
-def kernels(k: float, t: float) -> PropagatorKernels:
-    """Closed-form kernel values at a single ``(k, t)``."""
-    A, K1, dA, dK1 = kernel_arrays(np.array([k], dtype=np.float64), float(t))
-    return PropagatorKernels(k=float(k), t=float(t),
-                             A=float(A[0]), K1=float(K1[0]),
-                             dA=float(dA[0]), dK1=float(dK1[0]))
 
 
 def _band_moments(dt: float) -> list[float]:

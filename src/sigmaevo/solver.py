@@ -88,6 +88,8 @@ class SolverConfig:
                 f"data_amplitude must be nonnegative; got {self.data_amplitude}")
         if self.data_profile not in PROFILES:
             raise ValidationError(f"unknown data profile '{self.data_profile}'")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0; got {self.seed}")
         if self.params.n != self.grid.dim:
             raise ValidationError(
                 f"params.n = {self.params.n} does not match grid dim = {self.grid.dim}")
@@ -413,9 +415,12 @@ def xt_norm(traj: Trajectory, t_max: float | None = None) -> XTNorm:
 
 
 def xt_distance(a: Trajectory, b: Trajectory) -> float:
-    """Decay-weighted supremum distance between two state-storing trajectories."""
+    """Decay-weighted supremum distance between two state-storing
+    trajectories of one grid and one parameter tuple."""
     if a.states is None or b.states is None:
         raise ValueError("both trajectories must store states")
+    if a.grid.spec != b.grid.spec or a.params != b.params:
+        raise ValueError("trajectories must share grid and parameters")
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise ValueError("trajectories must share snapshot times")
     grid = a.grid

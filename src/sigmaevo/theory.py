@@ -2,10 +2,9 @@
 
 Everything here is arithmetic on the parameter tuple (n, sigma, alpha,
 p, m): the critical exponent, the admissible range of p (with its
-dimension branch), interpolation exponents, the boundedness exponents of
-the smoothing operator, and the decay exponent of the nonlinearity along
-a decaying solution.  Comparisons against bounds are made at tolerance
-1e-12, honoring strict vs non-strict inequalities.
+dimension branch), interpolation exponents and the boundedness
+exponents of the smoothing operator.  Comparisons against bounds are
+made at tolerance 1e-12, honoring strict vs non-strict inequalities.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "critical_exponent",
     "admissibility",
     "gn_theta",
-    "duhamel_decay",
-    "nonlinearity_decay_exponent",
 ]
 
 TOL = 1e-12
@@ -64,24 +61,6 @@ def gn_theta(q: float, n: int, sigma: float) -> float:
     if not 1.0 < q < np.inf:
         raise ValueError(f"q must lie in (1, inf); got {q}")
     return (n / sigma) * (0.5 - 1.0 / q)
-
-
-def duhamel_decay(a: float, b: float) -> float | None:
-    """Decay exponent ``min(a, b)`` of the time convolution of
-    ``(1+t)^-a`` and ``(1+t)^-b``; None when ``max(a, b) <= 1``."""
-    if max(a, b) <= 1.0:
-        return None
-    return min(a, b)
-
-
-def nonlinearity_decay_exponent(params: ModelParams, s: float) -> float:
-    """Decay exponent of the nonlinearity's ``L^s`` norm along a solution
-    obeying the weighted norm bounds: ``-np/(2 m sigma) + (n/(2 sigma))(1/s + alpha/n)``."""
-    if not (s == 2 or s == params.m):
-        raise ValueError(f"s must be 2 or m = {params.m}; got {s}")
-    n, sig, m, p, alpha = (params.n, params.sigma, params.m,
-                           params.p, params.alpha)
-    return -n * p / (2.0 * m * sig) + (n / (2.0 * sig)) * (1.0 / s + alpha / n)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reference full complex FFT layout for the tests.
+"""Reference full complex FFT layout for the tests, and lattice sampling.
 
 Coefficients of all ``N^dim`` wavevectors, computed by ``numpy.fft.fftn``
 with the quadrature weight and the lattice phase ``(-1)^(j_1+...+j_dim)``
@@ -8,6 +8,8 @@ integrals.  The package itself keeps only the half spectrum;
 """
 
 import numpy as np
+
+from sigmaevo.grid import RealField
 
 
 def full_phase(grid):
@@ -29,3 +31,8 @@ def full_forward(grid, values):
 def full_inverse(grid, coeffs):
     """Real samples of a full-layout spectrum (imaginary residue dropped)."""
     return np.fft.ifftn(coeffs * full_phase(grid)).real / grid.cell_volume
+
+
+def field_from_function(grid, fn):
+    """Sample ``fn(x_1, ..., x_dim)`` on the lattice."""
+    return RealField(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))

@@ -198,6 +198,26 @@ def test_overflowing_amplitude_is_refused(tmp_path, capsys, profile):
     assert main(args + ["--epsilon", "1e306"]) == 0
 
 
+def test_negative_seed_is_refused(tmp_path, capsys):
+    args = ["linear", "--profile", "noise_bandlimited", "--seed", "-1",
+            "--N", "256", "--L", "100", "--t_end", "10", "--n_samples", "30",
+            "--output_dir", str(tmp_path)]
+    assert main(args) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_oracle_test_subcommand(tmp_path):
+    assert main(["oracle-test", "--output_dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "oracle_test.json").read_text())
+    # JSON true and JSON numbers, not the repr of numpy scalars
+    assert report["passed"] is True
+    for suite in ("kernel", "riesz"):
+        assert report[suite]["passed"] is True
+        assert isinstance(report[suite]["max_rel_error"], float)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "oracle_test.json" in manifest["outputs"]
+
+
 def test_fields_emitted_in_binary_format(tmp_path):
     from sigmaevo.fieldio import load_field
     over = dict(FAST_LINEAR)
@@ -303,6 +323,15 @@ def test_sweep_isolates_row_failures(tmp_path):
     # an invalid point fails as a single run would: same class, same message
     assert rows[1]["error"].startswith("ValidationError: alpha")
     assert rows[1]["n"] == rows[1]["u_L2_slope"] == rows[1]["admissible"] == ""
+
+
+def test_sweep_records_negative_seed_in_its_row(tmp_path):
+    status, rows = _sweep(tmp_path, "seed", "3,-1", N=256, t_end=40,
+                          profile="noise_bandlimited")
+    assert status == 0
+    assert [row["override_seed"] for row in rows] == ["-1", "3"]
+    assert rows[0]["error"].startswith("ValidationError: seed")
+    assert rows[1]["error"] == ""
 
 
 def test_sweep_carries_blowup_label(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 from sigmaevo.decay import run_linear
 from sigmaevo.cli import dispatch, parse_config
 from sigmaevo.fieldio import (config_hash, fmt17, load_field, save_field,
-                              write_norms_csv, write_region_sweep_csv,
-                              write_sweep_csv)
+                              write_norms_csv, write_sweep_csv)
 from sigmaevo.grid import GridSpec, RealField, build_grid
 from sigmaevo.params import ModelParams
 from sigmaevo.solver import SolverConfig
@@ -38,6 +37,13 @@ def test_truncated_field_rejected(tmp_path):
     save_field(path, RealField(grid, np.zeros(8)))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="samples"):
+        load_field(path)
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "field.bin"
+    path.write_bytes(b"\x01\x00\x00")
+    with pytest.raises(ValueError, match="header is truncated"):
         load_field(path)
 
 
@@ -120,14 +126,3 @@ def test_config_hash_sensitivity():
     assert effective_hash(dt="0.2") != base
     assert effective_hash(p="4.5") != base
 
-
-def test_region_sweep_header_survives_error_first_row(tmp_path):
-    # ModelParams rejects p = 1, so the first grid point is an error row
-    # holding only n, p, error
-    path = tmp_path / "region.csv"
-    write_region_sweep_csv(path, p_values=(1.0, 4.0), n_values=(1,),
-                           sigma=1.0, alpha=0.5, m=1.0)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["error"].startswith("p must") and rows[0]["overall"] == ""
-    assert rows[1]["overall"] == "true" and rows[1]["error"] == ""

@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
-                           field_from_function, full_from_half,
-                           transform_forward, transform_inverse, _forward_half,
-                           _half_l2, _inverse_half, _lm_norm)
+                           full_from_half, transform_forward,
+                           transform_inverse, _forward_half, _half_l2,
+                           _inverse_half, _lm_norm)
 
-from full_layout import full_forward, full_phase, full_xi_mag
+from full_layout import (field_from_function, full_forward, full_phase,
+                         full_xi_mag)
 
 
 def test_wavenumbers_unit_box():

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from sigmaevo.checks import ode_oracle
-from sigmaevo.grid import GridSpec, build_grid, field_from_function, transform_forward
+from sigmaevo.grid import GridSpec, build_grid, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import (DOUBLE_ROOT_BAND, _band_moments,
                                  _kernels_far, _kernels_near, _phi1,
                                  decay_exponent, duhamel_weight,
-                                 kernel_arrays, kernels, propagate_linear,
+                                 kernel_arrays, propagate_linear,
                                  velocity_kernels)
+
+from full_layout import field_from_function
 
 K_SAMPLES = [0.0, 1e-3, 0.2, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01, 2.0,
              10.0, 1e4, 1e6]
@@ -22,33 +24,33 @@ T_SAMPLES = [0.0, 0.1, 1.0, 10.0, 50.0]
 
 def test_initial_time_identities_exact():
     for k in K_SAMPLES:
-        ker = kernels(k, 0.0)
-        assert (ker.A, ker.K1, ker.dA, ker.dK1) == (1.0, 0.0, 0.0, 1.0)
+        A, K1, dA, dK1 = kernel_arrays(np.array([k]), 0.0)
+        assert (A[0], K1[0], dA[0], dK1[0]) == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_mean_mode_reduction():
     for t in (0.5, 1.0, 7.0):
-        ker = kernels(0.0, t)
-        assert abs(ker.K1 - (1.0 - np.exp(-t))) < 1e-15
-        assert ker.A == 1.0
+        A, K1, _, _ = kernel_arrays(np.array([0.0]), t)
+        assert abs(K1[0] - (1.0 - np.exp(-t))) < 1e-15
+        assert A[0] == 1.0
 
 
 def test_double_root_values():
-    ker = kernels(1.0, 2.0)
-    assert abs(ker.K1 - 2.0 * np.exp(-2.0)) < 1e-15
-    assert abs(ker.A - 3.0 * np.exp(-2.0)) < 1e-15
+    A, K1, _, _ = kernel_arrays(np.array([1.0]), 2.0)
+    assert abs(K1[0] - 2.0 * np.exp(-2.0)) < 1e-15
+    assert abs(A[0] - 3.0 * np.exp(-2.0)) < 1e-15
 
 
 def test_generic_mode_value():
-    ker = kernels(2.0, 1.0)
-    assert abs(ker.K1 - (np.exp(-1.0) - np.exp(-2.0))) < 1e-15
+    _, K1, _, _ = kernel_arrays(np.array([2.0]), 1.0)
+    assert abs(K1[0] - (np.exp(-1.0) - np.exp(-2.0))) < 1e-15
 
 
 def test_derivative_identity():
     for k in K_SAMPLES:
         for t in T_SAMPLES:
-            ker = kernels(k, t)
-            assert abs(ker.dA + k * ker.K1) <= 1e-12
+            _, K1, dA, _ = kernel_arrays(np.array([k]), t)
+            assert abs(dA[0] + k * K1[0]) <= 1e-12
 
 
 # k across the spectrum, with a share of draws forced into the band
@@ -172,18 +174,19 @@ def test_velocity_kernel_bounded():
 
 def test_kernel_input_validation():
     with pytest.raises(ValueError):
-        kernels(-1.0, 1.0)
+        kernel_arrays(np.array([-1.0]), 1.0)
     with pytest.raises(ValueError):
-        kernels(1.0, -0.5)
+        kernel_arrays(np.array([1.0]), -0.5)
 
 
 def test_oracle_spot_values():
-    assert abs(ode_oracle(0.0, 1.0).K1 - (1.0 - np.exp(-1.0))) < 1e-10
+    # kernels in the order (A, K1, dA, dK1)
+    assert abs(ode_oracle(0.0, 1.0)[1] - (1.0 - np.exp(-1.0))) < 1e-10
     for k in (2.0, 1.0 - 1e-6, 1.0 + 1e-6):
-        closed = kernels(k, 10.0)
+        closed = kernel_arrays(np.array([k]), 10.0)
         ref = ode_oracle(k, 10.0)
-        for name in ("A", "K1", "dK1"):
-            a, b = getattr(closed, name), getattr(ref, name)
+        for i in (0, 1, 3):  # A, K1, dK1
+            a, b = closed[i][0], ref[i]
             assert abs(a - b) <= 1e-8 * max(abs(b), 1e-12)
 
 

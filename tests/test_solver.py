@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from sigmaevo.grid import (GridSpec, build_grid, field_from_function,
-                           full_from_half, transform_forward)
+from sigmaevo.grid import (GridSpec, build_grid, full_from_half,
+                           transform_forward)
 from sigmaevo.operators import lebesgue_norm
 from sigmaevo.params import ModelParams, ValidationError
 from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import (BlowUpSignal, SolverConfig, Trajectory,
                              _dealias_mask, etd_step, horizon_limit, integrate,
-                             make_data, nonlinearity, xt_norm)
+                             make_data, nonlinearity, xt_distance, xt_norm)
+
+from full_layout import field_from_function
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -276,3 +278,20 @@ def test_xt_norm_regression_bound_for_linear_flow():
     u1 = make_data(cfg, grid)
     bound = 0.7 * (lebesgue_norm(u1, 1.0) + lebesgue_norm(u1, 2.0))
     assert xt_norm(traj).value <= bound
+
+
+def test_xt_distance_refuses_trajectories_of_different_runs():
+    # the weights come from a's grid and params; b's would give another value
+    def stored(**kw):
+        return integrate(small_config(t_end=1.0, snapshot_interval=0.1,
+                                      store_states=True, **kw))
+
+    base = stored()
+    assert xt_distance(base, stored()) == 0.0
+    others = (stored(grid=GridSpec(1, 256, 80.0)),
+              stored(params=ModelParams(n=1, sigma=2.0, alpha=0.5, p=4.0,
+                                        m=1.0)))
+    for other in others:
+        for a, b in ((base, other), (other, base)):
+            with pytest.raises(ValueError, match="grid and parameters"):
+                xt_distance(a, b)

@@ -5,8 +5,7 @@ from sigmaevo.checks import integral_inequality_check
 from sigmaevo.grid import GridSpec, RealField, build_grid
 from sigmaevo.operators import lebesgue_norm, sobolev_seminorm
 from sigmaevo.params import ModelParams
-from sigmaevo.theory import (admissibility, critical_exponent, duhamel_decay,
-                             gn_theta, nonlinearity_decay_exponent)
+from sigmaevo.theory import admissibility, critical_exponent, gn_theta
 
 from full_layout import full_inverse
 
@@ -34,36 +33,6 @@ def test_gn_theta_monotone_in_q():
     qs = np.linspace(1.1, 30.0, 50)
     vals = [gn_theta(q, 2, 1.5) for q in qs]
     assert np.all(np.diff(vals) > 0)
-
-
-def test_duhamel_decay():
-    assert duhamel_decay(2.0, 0.5) == 0.5
-    assert duhamel_decay(1.5, 1.2) == 1.2
-    assert duhamel_decay(0.3, 0.9) is None
-    assert duhamel_decay(0.5, 2.0) == duhamel_decay(2.0, 0.5)
-
-
-def test_nonlinearity_decay_exponent_values():
-    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
-    assert nonlinearity_decay_exponent(params, 2.0) == pytest.approx(-1.5)
-    assert nonlinearity_decay_exponent(params, 1.0) == pytest.approx(-1.25)
-    with pytest.raises(ValueError):
-        nonlinearity_decay_exponent(params, 1.5)
-
-
-def test_nonlinearity_decay_threshold_identity():
-    # The m-norm decay exponent hits -1 exactly at the integrability bound.
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        sigma = float(rng.uniform(1.0, 3.0))
-        alpha = float(rng.uniform(0.05, 0.95)) * n
-        m = float(rng.uniform(1.0, 2.0))
-        p_star = 1.0 + (2.0 * sigma + alpha) * m / n
-        params = ModelParams(n=n, sigma=sigma, alpha=alpha, p=p_star, m=m)
-        assert nonlinearity_decay_exponent(params, m) == pytest.approx(-1.0)
-        above = ModelParams(n=n, sigma=sigma, alpha=alpha, p=p_star + 0.3, m=m)
-        assert nonlinearity_decay_exponent(above, m) < -1.0
 
 
 def test_admissibility_reference_point():
@@ -140,27 +109,6 @@ def test_integral_inequality_validation():
         integral_inequality_check(2.0, 0.5, [0.5])
     with pytest.raises(ValueError, match="t_grid"):
         integral_inequality_check(2.0, 0.5, [2e4])
-
-
-def test_region_sweep_csv(tmp_path):
-    from sigmaevo.fieldio import write_region_sweep_csv
-    path = tmp_path / "region.csv"
-    write_region_sweep_csv(path, p_values=(2.0, 4.0, 9.0), n_values=(1, 3),
-                           sigma=1.0, alpha=0.5, m=1.0)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("n,p,p_crit")
-    assert len(lines) == 7
-    # flags in the table match a fresh evaluation
-    import csv as csvmod
-    with open(path) as fh:
-        rows = list(csvmod.DictReader(fh))
-    for row in rows:
-        params = ModelParams(n=int(row["n"]), sigma=1.0, alpha=0.5,
-                             p=float(row["p"]), m=1.0)
-        rep = admissibility(params)
-        assert row["overall"] == str(rep.overall).lower()
-        assert row["gn_theta_s2_ok"] == str(rep.gn_theta_s2_ok).lower()
-    assert any(row["gn_theta_s2_ok"] == "false" for row in rows)
 
 
 def band_limited_field(grid, rng):
