@@ -406,8 +406,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """Join ``--key -1,3`` into ``--key=-1,3``.
+
+    argparse takes a word that starts with ``-`` for an option unless it
+    reads as a plain negative number, so a value such as ``-1,3`` (a
+    sweep list) or ``-1e3`` reaches it only glued to its flag.
+    """
+    takes_value = {"--config"} | {f"--{key}" for key in SCHEMA}
+    flags = takes_value | {"-h", "--help"}
+    words: list[str] = []
+    for word in argv:
+        if (words and words[-1] in takes_value and word.startswith("-")
+                and word not in flags):
+            words[-1] = f"{words[-1]}={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_glue_dash_values(argv))
     overrides = {key: value for key, value in vars(args).items()
                  if key not in ("subcommand", "config") and value is not None}
     try:

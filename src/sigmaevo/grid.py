@@ -16,7 +16,10 @@ Conventions used throughout the package:
   not the lattice phase ``(-1)^(j_1+...+j_dim)``, which would cancel
   between forward and inverse around real multipliers.  Parseval weighs
   the ``j = 0`` and ``j = N/2`` last-axis planes once and interior
-  columns twice (``_half_l2``).
+  columns twice (``_parseval_sum``).  ``_half_l2`` takes the norm of a
+  field; ``_half_energy`` tabulates its mode energies once, so that the
+  norm of ``K * field`` for a real multiplier ``K`` costs one weighted
+  sum (``_multiplier_l2``).
 * ``full_from_half`` gives the full ``N^dim`` layout times the phase,
   whose coefficients approximate the continuum integral
   ``F(xi) = int f(x) exp(-i xi.x) dx`` over the box.  Coefficients built
@@ -176,10 +179,24 @@ def _forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    out = np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)))
+def _inverse_half(grid: Grid, half: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of ``half``, written into ``out`` when it is given."""
+    out = np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)),
+                        out=out)
     out /= grid.cell_volume
     return out
+
+
+def _parseval_sum(sq: np.ndarray) -> np.float64:
+    """Sum of ``|F|^2`` over the full spectrum from half-spectrum squares.
+
+    The ``j = 0`` and ``j = N/2`` last-axis planes count once, every
+    other column twice: it stands for itself and its conjugate mirror
+    ``j > N/2``.  Each term is a pairwise ``np.sum``, whose order does not
+    depend on threads or the BLAS build, so norms are reproducible.
+    """
+    return 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
 
 
 def _half_l2(grid: Grid, half: np.ndarray) -> float:
@@ -191,8 +208,7 @@ def _half_l2(grid: Grid, half: np.ndarray) -> float:
     unchanged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = half.real ** 2 + half.imag ** 2
-        total = 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+        total = _parseval_sum(half.real ** 2 + half.imag ** 2)
     if not 1e-250 <= total < np.inf:
         peak = np.max(np.abs(half))
         if 0 < peak < np.inf:
@@ -200,12 +216,48 @@ def _half_l2(grid: Grid, half: np.ndarray) -> float:
     return float(np.sqrt(total / grid.box_length ** grid.dim))
 
 
-def _lm_norm(grid: Grid, values: np.ndarray, m: float) -> float:
+def _half_energy(grid: Grid, half: np.ndarray) -> tuple[float, np.ndarray]:
+    """Coefficient peak and mode energies ``|half / peak|^2 / L^dim``.
+
+    ``_multiplier_l2(peak, K, E, ...)`` is then the L2 norm of the field
+    ``K * half`` for any real multiplier table ``K``.  Dividing by the
+    peak keeps the squares in range at any amplitude.
+    """
+    peak = float(np.max(np.abs(half)))
+    scaled = half / peak if peak > 0 else np.zeros_like(half)
+    energy = scaled.real ** 2 + scaled.imag ** 2
+    energy /= grid.box_length ** grid.dim
+    return peak, energy
+
+
+def _multiplier_l2(peak: float, kernel: np.ndarray, energy: np.ndarray,
+                   scratch: np.ndarray) -> float:
+    """``peak * sqrt(_parseval_sum(kernel^2 E))``, formed in ``scratch``.
+
+    ``scratch`` is a float array of the half-spectrum shape.
+    """
+    sq = np.multiply(kernel, kernel, out=scratch)
+    sq *= energy
+    return float(peak * np.sqrt(_parseval_sum(sq)))
+
+
+def _lm_norm(grid: Grid, values: np.ndarray, m: float,
+             out: np.ndarray | None = None) -> float:
     """Discrete ``L^m`` norm ``(sum |f|^m (L/N)^n)^(1/m)`` of samples.
 
     Rescaled by the peak ``|f|`` under the same rule as ``_half_l2``.
+    ``|f|`` and ``|f|^m`` are formed in ``out`` when it is given (a float
+    array of the samples' shape, ``values`` itself allowed), so a field
+    whose sum needs no rescale allocates nothing.
     """
-    a = np.abs(values)
+    a = np.abs(values, out=out)
+    with np.errstate(over="ignore", under="ignore"):
+        top = np.max(a) ** m
+    # The sum is at least its largest term and at most size times it, so
+    # inside these bounds the rule [1e-250, inf) below keeps it unscaled.
+    if 2e-250 <= top <= 1e300 / a.size:
+        a **= m  # the same ufunc loop as ``a ** m``
+        return float((np.sum(a) * grid.cell_volume) ** (1.0 / m))
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(a ** m)
     if not 1e-250 <= total < np.inf:

@@ -20,6 +20,14 @@ series-expanded below ``|z| < 1e-3``.  Each table is evaluated in
 closed form over all entries in one pass, and only the band entries
 (and, in the forcing weight, ``k = 0``) are overwritten.
 
+From rest the flow is ``u_hat(t) = K1(t, k) u1_hat`` mode by mode, so
+its norms are weighted sums of kernel squares against the data's mode
+energies: ``||u||_2^2 = sum w K1^2 E``, ``||u_t||_2^2 = sum w dK1^2 E``
+and ``|u|_{H^sigma}^2 = sum w K1^2 k E`` with ``E = |u1_hat|^2``
+(``grid._half_energy``) and ``w`` the half-spectrum Parseval weight
+(``grid._parseval_sum``).  ``velocity_kernels`` serves
+these sums one time after another from buffers allocated once.
+
 ``sigmaevo.checks.ode_oracle`` integrates the mode ODE adaptively as an
 independent check of these closed forms.
 """
@@ -107,20 +115,28 @@ def kernel_arrays(k: np.ndarray, t: float):
 def velocity_kernels(k: np.ndarray, times):
     """Yield ``(K1, dK1)`` at each of ``times``, the flow from rest.
 
-    Bitwise the tables of ``kernel_arrays`` without ``A`` and ``dA``;
-    ``1 - k`` and the double-root band are found once for all times.
+    Bitwise the tables of ``kernel_arrays`` without ``A`` and ``dA``:
+    the same operations in the same order, written into three arrays
+    (``exp(-k t)``, ``K1`` and ``dK1``) allocated once for all times,
+    like ``1 - k`` and the double-root band.  The yielded arrays are
+    overwritten at the next step; copy them to keep them.
     """
     k = np.asarray(k, dtype=np.float64)
     denom = 1.0 - k
     near = np.abs(denom) <= DOUBLE_ROOT_BAND
     k_near = k[near]
+    e_kt, K1, dK1 = (np.empty_like(k) for _ in range(3))
     for t in times:
         t = float(t)
-        e_kt = np.exp(-k * t)
+        # k * (-t) and e_t - k e_kt round exactly like -k * t and
+        # -k * e_kt + e_t: IEEE rounding is symmetric in sign.
+        np.exp(np.multiply(k, -t, out=e_kt), out=e_kt)
         e_t = np.exp(-t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            K1 = (e_kt - e_t) / denom
-            dK1 = (-k * e_kt + e_t) / denom
+            np.subtract(e_kt, e_t, out=K1)
+            K1 /= denom
+            np.subtract(e_t, np.multiply(k, e_kt, out=dK1), out=dK1)
+            dK1 /= denom
         _, K1[near], dK1[near] = _kernels_near(k_near, t)
         yield K1, dK1
 

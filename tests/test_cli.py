@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaevo.cli import (SCHEMA, SWEEPABLE, ValidationError, dispatch, main,
-                          parse_config)
+from sigmaevo.cli import (SCHEMA, SWEEPABLE, ValidationError,
+                          _glue_dash_values, dispatch, main, parse_config)
 from sigmaevo.data import PROFILES
 from sigmaevo.fieldio import config_hash, fmt17
 
@@ -114,6 +117,25 @@ def test_linear_runs_are_byte_identical(tmp_path):
         cfg = parse_config(None, over, subcommand="linear")
         assert dispatch(cfg) == 0
         outs.append((tmp_path / name / "norms.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_linear_norms_do_not_depend_on_blas_threads(tmp_path):
+    # A BLAS dot product splits a vector of 16385 entries (the half
+    # spectrum of 2^15 points) across threads and so reorders its sum;
+    # norms.csv must not depend on the thread count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "sigmaevo.cli", "linear",
+                        "--N", "32768", "--L", "16000", "--t_end", "500",
+                        "--n_samples", "20", "--output_dir", str(out)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        outs.append((out / "norms.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -332,6 +354,26 @@ def test_sweep_records_negative_seed_in_its_row(tmp_path):
     assert [row["override_seed"] for row in rows] == ["-1", "3"]
     assert rows[0]["error"].startswith("ValidationError: seed")
     assert rows[1]["error"] == ""
+
+
+def test_sweep_values_may_start_with_a_minus(tmp_path):
+    # "--sweep_values -1,3" used to stop in argparse ("expected one
+    # argument"); both spellings must now give the same rows.
+    tables = []
+    for spelling in (["--sweep_values", "-1,3"], ["--sweep_values=-1,3"]):
+        out = tmp_path / f"sweep{len(tables)}"
+        status = main(["sweep", "--sweep_param", "seed", *spelling,
+                       "--output_dir", str(out), "--N", "256", "--t_end", "40",
+                       "--profile", "noise_bandlimited"])
+        assert status == 0
+        tables.append((out / "sweep.csv").read_text().splitlines())
+    assert tables[0] == tables[1]
+    assert [line.split(",")[0] for line in tables[0][1:]] == ["-1", "3"]
+    assert _glue_dash_values(["linear", "--window_lo", "-1e3"]) \
+        == ["linear", "--window_lo=-1e3"]
+    # a flag is never taken for the value of the flag before it
+    words = ["sweep", "--N", "--t_end", "-h"]
+    assert _glue_dash_values(words) == words
 
 
 def test_sweep_carries_blowup_label(tmp_path):

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
+from sigmaevo.data import PROFILES
 from sigmaevo.decay import (check_rate, default_window, fit_decay,
                             run_linear, suggest_box_length, DecayFit)
-from sigmaevo.grid import GridSpec, build_grid, transform_forward
+from sigmaevo.grid import GridSpec, _half_l2, build_grid, transform_forward
 from sigmaevo.params import ModelParams
-from sigmaevo.propagator import propagate_linear
+from sigmaevo.propagator import kernel_arrays, propagate_linear
 from sigmaevo.solver import SolverConfig, Trajectory, integrate, make_data
 from sigmaevo.theory import admissibility
 
@@ -140,6 +143,72 @@ def test_run_linear_final_state_is_linear_flow_at_t_end():
     for got, want in zip(series.final_state, expected):
         assert np.max(np.abs(got - want.coeffs)) <= 1e-12 * np.max(
             np.abs(want.coeffs))
+
+
+FAST = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,
+                   t_end=50.0, data_amplitude=1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e200, 1e300])
+def test_run_linear_norms_are_linear_in_the_amplitude(eps):
+    # The norms scale the data by its peak, so no square underflows or
+    # overflows at any amplitude; unscaled sums fail this outright.
+    unit = run_linear(FAST, n_samples=40)
+    scaled = run_linear(replace(FAST, data_amplitude=eps), n_samples=40)
+    for name in ("u_L2", "dtu_L2", "Hsigma_semi", "Lm"):
+        want = unit.quantity(name)
+        got = scaled.quantity(name) / eps
+        assert np.all(np.abs(got - want) <= 1e-12 * want), name
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([(1, 64), (2, 16), (3, 8)]), st.sampled_from(PROFILES),
+       st.booleans(), st.integers(0, 2 ** 16), st.floats(1.0, 2.0),
+       st.floats(1.0, 50.0), st.floats(-200.0, 200.0))
+def test_run_linear_norms_are_the_formed_state_norms(shape, profile, mean_zero,
+                                                     seed, sigma, t_end,
+                                                     log_eps):
+    # The kernel-energy sums must give the L2 norms of the states they
+    # stand for.  3-D matters: a dot of N-d arrays is no scalar product.
+    dim, points = shape
+    params = ModelParams(n=dim, sigma=sigma, alpha=0.5, p=4.0, m=1.0)
+    cfg = SolverConfig(params=params,
+                       grid=GridSpec(dim, points,
+                                     suggest_box_length(t_end, sigma)),
+                       dt=0.1, t_end=t_end, data_amplitude=10.0 ** log_eps,
+                       data_profile=profile, mean_zero=mean_zero, seed=seed)
+    series = run_linear(cfg, n_samples=6)
+    grid = series.grid
+    u1_hat = transform_forward(make_data(cfg, grid)).coeffs
+    k = grid.xi_mag ** (2.0 * sigma)
+    for i, t in enumerate(series.times):
+        _, K1, _, dK1 = kernel_arrays(k, t)
+        u_hat = K1 * u1_hat
+        want = (_half_l2(grid, u_hat), _half_l2(grid, dK1 * u1_hat),
+                _half_l2(grid, grid.xi_mag ** sigma * u_hat))
+        got = (series.l2[i], series.dt_l2[i], series.hsigma[i])
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+
+
+def test_run_linear_final_state_is_the_kernel_tables_at_t_end():
+    series = run_linear(FAST, n_samples=40)
+    grid = series.grid
+    u1_hat = transform_forward(make_data(FAST, grid)).coeffs
+    _, K1, _, dK1 = kernel_arrays(grid.xi_mag ** (2.0 * PARAMS.sigma),
+                                  series.times[-1])
+    u, ut = series.final_state
+    assert np.array_equal(u, K1 * u1_hat)
+    assert np.array_equal(ut, dK1 * u1_hat)
+
+
+def test_run_linear_final_state_outlives_the_run_buffers():
+    first = run_linear(FAST, n_samples=40)
+    kept = [a.copy() for a in first.final_state]
+    assert not np.shares_memory(*first.final_state)
+    run_linear(replace(FAST, data_amplitude=2.0), n_samples=40)
+    for got, want in zip(first.final_state, kept):
+        assert np.array_equal(got, want)
 
 
 def test_linear_label_sees_ramp_before_turnover():

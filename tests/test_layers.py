@@ -93,8 +93,9 @@ def test_no_complex_transform(name):
 
 
 # scipy submodules that cost most of a second to import; no run needs them.
+# scipy.fft alone adds about 0.3 s after numpy and scipy.
 SLOW_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.special",
-              "scipy.optimize")
+              "scipy.optimize", "scipy.fft")
 
 
 def test_cli_starts_without_slow_scipy_modules():
