@@ -9,7 +9,7 @@ from .operators import (riesz_multiplier, riesz_potential, riesz_oracle,
                         riesz_constant, lebesgue_norm, sobolev_seminorm)
 from .params import ModelParams
 from .propagator import propagate_linear, decay_exponent
-from .solver import (SolverConfig, Trajectory, XTNorm, BlowUpSignal,
+from .solver import (SolverConfig, Trajectory, BlowUpSignal,
                      make_data, nonlinearity, etd_step, integrate,
                      horizon_limit, xt_norm, xt_distance, zero_trajectory)
 from .picard import picard_apply
@@ -26,7 +26,7 @@ __all__ = [
     "lebesgue_norm", "sobolev_seminorm",
     "ModelParams",
     "propagate_linear", "decay_exponent",
-    "SolverConfig", "Trajectory", "XTNorm", "BlowUpSignal", "make_data",
+    "SolverConfig", "Trajectory", "BlowUpSignal", "make_data",
     "nonlinearity", "etd_step", "integrate", "horizon_limit", "xt_norm",
     "xt_distance", "zero_trajectory", "picard_apply",
     "AdmissibilityReport", "critical_exponent", "admissibility", "gn_theta",

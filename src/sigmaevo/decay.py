@@ -76,8 +76,11 @@ def default_window(t_end: float) -> tuple[float, float]:
 
 
 def _sample_times(t_end: float, n_samples: int) -> np.ndarray:
-    # Log-spaced in (1 + t), starting at 0.
-    return np.expm1(np.linspace(0.0, np.log1p(t_end), n_samples))
+    # Log-spaced in (1 + t) from 0 to exactly t_end, which
+    # expm1(log1p(t_end)) misses by an ulp for many t_end.
+    times = np.expm1(np.linspace(0.0, np.log1p(t_end), n_samples))
+    times[-1] = t_end
+    return times
 
 
 def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
@@ -88,8 +91,8 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     one inverse transform per sample into a buffer of the run.
     ``final_state`` is the state at the last sample, ``t_end``.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1; got {n_samples}")
+    if n_samples < 2:  # the series runs from 0 to t_end
+        raise ValidationError(f"n_samples must be >= 2; got {n_samples}")
     _check_horizon(config)
     grid = build_grid(config.grid)
     params = config.params

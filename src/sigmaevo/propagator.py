@@ -7,18 +7,19 @@ each Fourier mode of the linear equation obeys the scalar ODE
 
 whose characteristic polynomial factors as ``(lambda + 1)(lambda + k)``.
 The fundamental solutions are therefore combinations of ``exp(-t)`` and
-``exp(-k t)``:
+``exp(-k t)``; the response to ``v'(0) = 1`` and its time derivative are
 
-    K1(t, k) = (exp(-k t) - exp(-t)) / (1 - k)        response to v'(0)=1
-    A(t, k)  = (exp(-k t) - k exp(-t)) / (1 - k)      response to v(0)=1
+    K1(t, k)  = (exp(-k t) - exp(-t)) / (1 - k)
+    dK1(t, k) = (exp(-t) - k exp(-k t)) / (1 - k),
 
-with time derivatives ``dK1 = (-k exp(-k t) + exp(-t)) / (1 - k)`` and
-``dA = -k K1``.  The double root at ``k = 1`` is removable; inside a
-band ``|1 - k| <= 1e-4`` the kernels are evaluated through
-``phi1(z) = (exp(z) - 1)/z`` with ``z = (1 - k) t``, which is itself
-series-expanded below ``|z| < 1e-3``.  Each table is evaluated in
-closed form over all entries in one pass, and only the band entries
-(and, in the forcing weight, ``k = 0``) are overwritten.
+and the factorization gives the response to ``v(0) = 1`` from them:
+``A = K1 + exp(-t)`` and ``dA = -k K1`` (both sides solve the ODE with
+the same initial values).  ``A`` adds two non-negative terms, so
+nothing cancels.  ``K1`` and ``dK1`` have one closed form, in
+``velocity_kernels``, evaluated over the whole table in one pass.  The
+double root at ``k = 1`` is removable; inside a band
+``|1 - k| <= 1e-4`` the entries are overwritten through
+``phi1(z) = (exp(z) - 1)/z`` with ``z = (1 - k) t``.
 
 From rest the flow is ``u_hat(t) = K1(t, k) u1_hat`` mode by mode, so
 its norms are weighted sums of kernel squares against the data's mode
@@ -49,50 +50,27 @@ __all__ = [
     "decay_exponent",
 ]
 
-# Half-width of the band around the double root k = 1 that uses the
-# series-stabilized evaluation.
+# Half-width of the band around the double root k = 1 whose kernels are
+# evaluated through phi1.
 DOUBLE_ROOT_BAND = 1e-4
-# Below this |z| the phi1 helper switches from expm1 to its Taylor series.
-PHI1_SERIES_CUTOFF = 1e-3
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1)/z, stable near z = 0 (phi1(0) = 1)."""
+    """(exp(z) - 1)/z, with phi1(0) = 1."""
     z = np.asarray(z, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(np.expm1(z) / z)  # writable for a scalar z too
-    small = np.abs(z) < PHI1_SERIES_CUTOFF
-    zs = z[small]
-    term = np.ones_like(zs)
-    acc = np.ones_like(zs)
-    for j in range(2, 9):  # 1 + z/2! + ... + z^7/8!
-        term = term * zs / j
-        acc = acc + term
-    out[small] = acc
+    out[z == 0] = 1.0
     return out
 
 
-def _kernels_far(k: np.ndarray, t: float):
-    # Direct closed forms, valid away from the double root.
-    e_kt = np.exp(-k * t)
-    e_t = np.exp(-t)
-    denom = 1.0 - k
-    K1 = (e_kt - e_t) / denom
-    A = (e_kt - k * e_t) / denom
-    dK1 = (-k * e_kt + e_t) / denom
-    return A, K1, dK1
-
-
 def _kernels_near(k: np.ndarray, t: float):
-    # Series-stabilized forms around k = 1, z = (1-k) t.
+    # (K1, dK1) through phi1 around k = 1, z = (1-k) t.
     z = (1.0 - k) * t
     phi = _phi1(z)
     e_t = np.exp(-t)
-    K1 = t * e_t * phi
-    A = e_t * (1.0 + t * phi)
     # exp(z) = 1 + z*phi1(z) keeps the branch internally consistent.
-    dK1 = e_t * ((1.0 + z * phi) - t * phi)
-    return A, K1, dK1
+    return t * e_t * phi, e_t * ((1.0 + z * phi) - t * phi)
 
 
 def kernel_arrays(k: np.ndarray, t: float):
@@ -102,24 +80,19 @@ def kernel_arrays(k: np.ndarray, t: float):
         raise ValueError("k must be nonnegative")
     if t < 0:
         raise ValueError(f"t must be nonnegative; got {t}")
-    # The closed form's only 0/0 is at k = 1, inside the patched band;
-    # asarray keeps the tables writable for a scalar k.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A, K1, dK1 = (np.asarray(v) for v in _kernels_far(k, t))
-    near = np.abs(1.0 - k) <= DOUBLE_ROOT_BAND
-    A[near], K1[near], dK1[near] = _kernels_near(k[near], t)
-    dA = -k * K1
-    return A, K1, dA, dK1
+    K1, dK1 = next(velocity_kernels(k, (t,)))
+    return K1 + np.exp(-t), K1, -k * K1, dK1
 
 
 def velocity_kernels(k: np.ndarray, times):
     """Yield ``(K1, dK1)`` at each of ``times``, the flow from rest.
 
-    Bitwise the tables of ``kernel_arrays`` without ``A`` and ``dA``:
-    the same operations in the same order, written into three arrays
-    (``exp(-k t)``, ``K1`` and ``dK1``) allocated once for all times,
-    like ``1 - k`` and the double-root band.  The yielded arrays are
-    overwritten at the next step; copy them to keep them.
+    The one closed form of both kernels: ``(exp(-k t) - exp(-t))/(1 - k)``
+    and ``(exp(-t) - k exp(-k t))/(1 - k)`` over the whole table, with
+    the double-root band overwritten by ``_kernels_near``.  The values
+    go into three arrays (``exp(-k t)``, ``K1`` and ``dK1``) allocated
+    once for all times, like ``1 - k`` and the band.  The yielded
+    arrays are overwritten at the next step; copy them to keep them.
     """
     k = np.asarray(k, dtype=np.float64)
     denom = 1.0 - k
@@ -128,16 +101,15 @@ def velocity_kernels(k: np.ndarray, times):
     e_kt, K1, dK1 = (np.empty_like(k) for _ in range(3))
     for t in times:
         t = float(t)
-        # k * (-t) and e_t - k e_kt round exactly like -k * t and
-        # -k * e_kt + e_t: IEEE rounding is symmetric in sign.
         np.exp(np.multiply(k, -t, out=e_kt), out=e_kt)
         e_t = np.exp(-t)
+        # the only 0/0 is at k = 1, inside the band overwritten below
         with np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(e_kt, e_t, out=K1)
             K1 /= denom
             np.subtract(e_t, np.multiply(k, e_kt, out=dK1), out=dK1)
             dK1 /= denom
-        _, K1[near], dK1[near] = _kernels_near(k_near, t)
+        K1[near], dK1[near] = _kernels_near(k_near, t)
         yield K1, dK1
 
 

@@ -30,7 +30,6 @@ from .operators import riesz_multiplier
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "XTNorm",
     "BlowUpSignal",
     "StepTables",
     "make_data",
@@ -376,30 +375,20 @@ def zero_trajectory(config: SolverConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Decay-weighted supremum norm over a trajectory.
 
-@dataclass(frozen=True)
-class XTNorm:
-    """Supremum over snapshots of the decay-weighted norm sum."""
-
-    value: float
-    l2_supremum: float
-    hsigma_supremum: float
-    dt_supremum: float
-
-
-def _xt_terms(times, l2, hsigma, dt_l2, params: ModelParams):
-    # Weights (1+t)^g, (1+t)^(g+1/2), (1+t)^(g+1), g the linear L2 decay rate.
-    base = -decay_exponent(params, 0.0, 0)
-    w = 1.0 + np.asarray(times)
-    return w ** base * l2, w ** (base + 0.5) * hsigma, w ** (base + 1.0) * dt_l2
-
-
 def xt_weighted_sums(times: np.ndarray, l2: np.ndarray, hsigma: np.ndarray,
                      dt_l2: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Weighted term sum per snapshot; its sup over time is the norm."""
-    return sum(_xt_terms(times, l2, hsigma, dt_l2, params))
+    """Weighted term sum per snapshot; its sup over time is the norm.
+
+    Weights ``(1+t)^g``, ``(1+t)^(g+1/2)`` and ``(1+t)^(g+1)`` on the L2,
+    ``H^sigma`` and ``u_t`` norms, ``g`` the linear L2 decay rate.
+    """
+    base = -decay_exponent(params, 0.0, 0)
+    w = 1.0 + np.asarray(times)
+    return (w ** base * l2 + w ** (base + 0.5) * hsigma
+            + w ** (base + 1.0) * dt_l2)
 
 
-def xt_norm(traj: Trajectory, t_max: float | None = None) -> XTNorm:
+def xt_norm(traj: Trajectory, t_max: float | None = None) -> float:
     """Decay-weighted supremum norm of a trajectory.
 
     ``t_max`` restricts the supremum to snapshots with ``t <= t_max``.
@@ -408,10 +397,8 @@ def xt_norm(traj: Trajectory, t_max: float | None = None) -> XTNorm:
     times = traj.times[sel]
     if times.size == 0:
         raise ValueError("no snapshots in the requested time range")
-    terms = _xt_terms(times, traj.l2[sel], traj.hsigma[sel], traj.dt_l2[sel],
-                      traj.params)
-    return XTNorm(float(np.max(sum(terms))),
-                  *(float(np.max(term)) for term in terms))
+    return float(np.max(xt_weighted_sums(times, traj.l2[sel], traj.hsigma[sel],
+                                         traj.dt_l2[sel], traj.params)))
 
 
 def xt_distance(a: Trajectory, b: Trajectory) -> float:

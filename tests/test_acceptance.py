@@ -111,7 +111,7 @@ def test_criterion_5_semilinear_rates(semilinear_reference_trajectory):
         verdict = check_rate(fit, REFERENCE, quantity, 0.10)
         slopes[quantity] = fit.slope
         ok = ok and verdict.passed
-    ratio = xt_norm(traj).value / xt_norm(traj, t_max=1.0).value
+    ratio = xt_norm(traj) / xt_norm(traj, t_max=1.0)
     ok = ok and ratio <= 2.0
     report(5, ok,
            "semilinear slopes "

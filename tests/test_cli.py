@@ -474,9 +474,10 @@ def test_main_validation_exit(tmp_path, capsys):
     for key in ("snapshot_interval", "window_lo", "window_hi"):
         assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
                      f"--{key}", "abc", "--output_dir", str(tmp_path)]) == 2
-    # a linear run needs at least one sample
-    assert main(["linear", "--N", "64", "--t_end", "1.0", "--n_samples", "0",
-                 "--output_dir", str(tmp_path)]) == 2
+    # a linear run needs two samples, t = 0 and t_end
+    for count in ("0", "1"):
+        assert main(["linear", "--N", "64", "--t_end", "1.0",
+                     "--n_samples", count, "--output_dir", str(tmp_path)]) == 2
     # non-finite model values and tolerances are bad input, not results
     assert main(["semilinear", "--p", "nan", "--N", "64", "--t_end", "1.0",
                  "--output_dir", str(tmp_path)]) == 2

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
 from sigmaevo.data import PROFILES
-from sigmaevo.decay import (check_rate, default_window, fit_decay,
-                            run_linear, suggest_box_length, DecayFit)
+from sigmaevo.decay import (_sample_times, check_rate, default_window,
+                            fit_decay, run_linear, suggest_box_length,
+                            DecayFit)
 from sigmaevo.grid import GridSpec, _half_l2, build_grid, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import kernel_arrays, propagate_linear
@@ -143,6 +144,26 @@ def test_run_linear_final_state_is_linear_flow_at_t_end():
     for got, want in zip(series.final_state, expected):
         assert np.max(np.abs(got - want.coeffs)) <= 1e-12 * np.max(
             np.abs(want.coeffs))
+
+
+@pytest.mark.parametrize("t_end", [2.0, 100.0, 400.0, 1000.0])
+def test_sample_times_end_at_t_end(t_end):
+    # expm1(log1p(t_end)) is an ulp off t_end for each of these
+    times = _sample_times(t_end, 200)
+    assert times[0] == 0.0 and times[-1] == t_end
+    assert np.all(np.diff(times) > 0)
+
+
+def test_fit_window_counts_the_last_sample():
+    # at t_end = 100 a last sample of 100.00000000000003 fell outside the
+    # default window [10, 100]
+    cfg = SolverConfig(params=PARAMS,
+                       grid=GridSpec(1, 512, suggest_box_length(100.0, 1.0)),
+                       dt=0.1, t_end=100.0, data_amplitude=1.0)
+    series = run_linear(cfg, n_samples=60)
+    fit = fit_decay(series, "u_L2", default_window(cfg.t_end))
+    assert series.times[-1] == 100.0
+    assert fit.n_samples == np.count_nonzero(series.times >= 10.0)
 
 
 FAST = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 150.0), dt=0.1,

@@ -53,7 +53,7 @@ def test_fixed_point_self_consistency():
     grid = traj.grid
     out = picard_apply(traj, make_data(cfg, grid), cfg)
     dist = xt_distance(out, traj)
-    assert dist <= 0.05 * xt_norm(traj).value
+    assert dist <= 0.05 * xt_norm(traj)
 
 
 def test_iterates_contract_from_zero():

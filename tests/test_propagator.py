@@ -10,7 +10,7 @@ from sigmaevo.checks import ode_oracle
 from sigmaevo.grid import GridSpec, build_grid, transform_forward
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import (DOUBLE_ROOT_BAND, _band_moments,
-                                 _kernels_far, _kernels_near, _phi1,
+                                 _kernels_near, _phi1,
                                  decay_exponent, duhamel_weight,
                                  kernel_arrays, propagate_linear,
                                  velocity_kernels)
@@ -87,17 +87,49 @@ def test_derivative_identity_and_wronskian(k, t):
 
 
 def test_branch_continuity_at_band_edge():
+    # The near branch against the textbook far closed forms of (A, K1, dK1).
     # Per-value relative error, floored at 1% of the local kernel scale:
     # dK1 crosses zero near (k, t) = (1, 1), and right at the band edge the
-    # far branch's own cancellation caps its accuracy at about 1e-12 of the
-    # kernel scale, which the floored gauge represents honestly.
+    # far closed form's own cancellation caps its accuracy at about 1e-12
+    # of the kernel scale, which the floored gauge represents honestly.
     for k in (1.0 - DOUBLE_ROOT_BAND, 1.0 + DOUBLE_ROOT_BAND):
         for t in (0.1, 1.0, 10.0):
-            far = [arr[0] for arr in _kernels_far(np.array([k]), t)]
-            near = [arr[0] for arr in _kernels_near(np.array([k]), t)]
+            e_kt, e_t = math.exp(-k * t), math.exp(-t)
+            far = [(e_kt - k * e_t) / (1.0 - k), (e_kt - e_t) / (1.0 - k),
+                   (e_t - k * e_kt) / (1.0 - k)]
+            K1, dK1 = (arr[0] for arr in _kernels_near(np.array([k]), t))
+            near = [K1 + e_t, K1, dK1]
             scale = max(abs(v) for v in near)
             for a, b in zip(far, near):
                 assert abs(a - b) <= 1e-10 * max(abs(b), 1e-2 * scale)
+
+
+@settings(deadline=None)
+@given(K_DRAWS, T_DRAWS)
+def test_velocity_kernels_sum_to_slow_exponential(k, t):
+    # dK1 + K1 = exp(-k t): the two come from separate formulas (and
+    # separate branches in the band), so this checks one against the
+    # other.  In the sum the far form keeps the rounding of k exp(-k t)
+    # divided by 1 - k: up to 2^-53 / 1e-4 = 1.1e-12 of the larger term
+    # just outside the band (1.1e-12 is also the largest seen in a dense
+    # scan of the band edges).
+    _, K1, _, dK1 = (v[0] for v in kernel_arrays(np.array([k]), t))
+    slow = math.exp(-k * t)
+    assert abs(dK1 + K1 - slow) <= 5e-12 * max(abs(K1), slow)
+
+
+def _exact_phi1(z: float) -> float:
+    # sum_j z^j / (j + 1)! in exact rationals; 12 terms leave < 1e-40
+    # relative at |z| <= 1e-3.
+    x = Fraction(z)
+    return float(sum(x ** j / math.factorial(j + 1) for j in range(12)))
+
+
+@settings(deadline=None)
+@given(st.floats(-1e-3, 1e-3))
+def test_phi1_matches_exact_series(z):
+    # expm1(z)/z rounds twice, so it is within about two ulps of 1.
+    assert abs(_phi1(z) - _exact_phi1(z)) <= 4.5e-16
 
 
 # Both sides of each band edge, the removable singularities k = 0 and
@@ -131,7 +163,8 @@ def test_kernel_tables_patch_singularities_entrywise():
 @settings(deadline=None)
 @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
 def test_velocity_kernels_are_the_kernel_tables(times):
-    # run_linear's per-run kernels must not change a single bit of K1, dK1
+    # tables served one after another from reused buffers are bitwise
+    # the tables of a fresh evaluation at each time
     ks = np.concatenate([PATCH_TABLE, np.logspace(-6, 6, 50)])
     for t, (K1, dK1) in zip(times, velocity_kernels(ks, times)):
         _, K1_ref, _, dK1_ref = kernel_arrays(ks, t)

@@ -255,7 +255,7 @@ def test_self_convergence_order():
 
 def test_xt_norm_zero_trajectory():
     traj = integrate(small_config(data_amplitude=0.0))
-    assert xt_norm(traj).value == 0.0
+    assert xt_norm(traj) == 0.0
 
 
 def test_xt_norm_single_snapshot_weights_are_one():
@@ -263,7 +263,7 @@ def test_xt_norm_single_snapshot_weights_are_one():
     traj = Trajectory(times=np.array([0.0]), l2=np.array([2.0]),
                       dt_l2=np.array([3.0]), hsigma=np.array([4.0]),
                       lm=np.array([1.0]), params=PARAMS, grid=grid)
-    assert xt_norm(traj).value == pytest.approx(9.0)
+    assert xt_norm(traj) == pytest.approx(9.0)
 
 
 def test_xt_norm_regression_bound_for_linear_flow():
@@ -277,7 +277,7 @@ def test_xt_norm_regression_bound_for_linear_flow():
     grid = traj.grid
     u1 = make_data(cfg, grid)
     bound = 0.7 * (lebesgue_norm(u1, 1.0) + lebesgue_norm(u1, 2.0))
-    assert xt_norm(traj).value <= bound
+    assert xt_norm(traj) <= bound
 
 
 def test_xt_distance_refuses_trajectories_of_different_runs():
