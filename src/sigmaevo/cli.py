@@ -232,8 +232,12 @@ def parse_config(path: str | Path | None = None,
 
 
 def _verdict_payload(series, config: RunConfig) -> dict:
-    payload = {"label": series.label, "truncated": series.blew_up,
-               "window": list(config.window), "fits": {}, "verdicts": {}}
+    payload = {"label": series.label, "truncated": series.blew_up}
+    if series.blew_up:
+        payload.update(blowup_time=series.blowup_time,
+                       blowup_step=series.blowup_step,
+                       blowup_reason=series.blowup_reason)
+    payload.update(window=list(config.window), fits={}, verdicts={})
     if series.blew_up:
         return payload
     for quantity in ("u_L2", "dtu_L2", "Hsigma_semi"):

@@ -173,8 +173,12 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
 
-def _forward_half(grid: Grid, values: np.ndarray) -> np.ndarray:
-    out = np.fft.rfftn(values, s=grid.shape, axes=tuple(range(grid.dim)))
+def _forward_half(grid: Grid, values: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum coefficients of ``values``, written into ``out`` when
+    it is given."""
+    out = np.fft.rfftn(values, s=grid.shape, axes=tuple(range(grid.dim)),
+                       out=out)
     out *= grid.cell_volume
     return out
 
@@ -199,20 +203,25 @@ def _parseval_sum(sq: np.ndarray) -> np.float64:
     return 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
 
 
-def _half_l2(grid: Grid, half: np.ndarray) -> float:
+def _half_l2(grid: Grid, half: np.ndarray,
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """L2 norm of a real field from its half-spectrum coefficients.
 
     A sum below ``1e-250`` (squares in or near the subnormal range) or
     not finite (squares past the float range) is redone on the field
     scaled by its coefficient peak; other fields take the unscaled sum
-    unchanged.
+    unchanged.  The squares are formed in ``out`` when it is given (two
+    float arrays of the half-spectrum shape).
     """
+    re2, im2 = (None, None) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _parseval_sum(half.real ** 2 + half.imag ** 2)
+        sq = np.multiply(half.real, half.real, out=re2)  # the loop of x ** 2
+        sq += np.multiply(half.imag, half.imag, out=im2)
+        total = _parseval_sum(sq)
     if not 1e-250 <= total < np.inf:
         peak = np.max(np.abs(half))
         if 0 < peak < np.inf:
-            return float(peak * _half_l2(grid, half / peak))
+            return float(peak * _half_l2(grid, half / peak, out))
     return float(np.sqrt(total / grid.box_length ** grid.dim))
 
 

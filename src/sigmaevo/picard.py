@@ -99,7 +99,10 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     records = []
     states = []
     for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states)):
-        f_hat = _nonlinearity_hat(_inverse_half(grid, state[0]), tables, t, i)
+        # f_hat and f_prev take tables.f0 and tables.f1 in turn
+        f_hat = _nonlinearity_hat(
+            _inverse_half(grid, state[0], out=tables.field), tables, t, i,
+            out=(tables.f0, tables.f1)[i % 2])
         if i > 0:
             free_u, free_ut = tables.advance(free_u, free_ut)
             v_hat, w_hat = tables.advance(v_hat, w_hat + half_dt * f_prev)
@@ -107,8 +110,7 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
         f_prev = f_hat
         u_hat = free_u + v_hat
         ut_hat = free_ut + w_hat
-        records.append(_record_norms(grid, tables.xi_sigma, u_hat, ut_hat,
-                                     params.m))
+        records.append(_record_norms(tables, u_hat, ut_hat))
         states.append((u_hat, ut_hat))
 
     return Trajectory.from_records(traj_in.times, records, params, grid,

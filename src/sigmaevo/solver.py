@@ -48,6 +48,8 @@ BLOWUP_FACTOR = 1e6
 # Floor applied to |u| before the pointwise power, so that |0|^p underflows
 # back to 0 instead of tripping log(0).
 ABS_FLOOR = 1e-300
+# Integer powers p in [2, INT_POWER_MAX] are formed by multiplication.
+INT_POWER_MAX = 8
 
 
 class BlowUpSignal(Exception):
@@ -158,7 +160,8 @@ def _dealias_mask(grid: Grid) -> np.ndarray:
 
 
 class _ForcingTables:
-    """Smoothing symbol on the half spectrum, times the dealias mask."""
+    """Smoothing symbol on the half spectrum, times the dealias mask, and
+    the two real sample arrays that ``_nonlinearity_hat`` works in."""
 
     def __init__(self, grid: Grid, params: ModelParams, dealias: bool):
         self.grid = grid
@@ -166,10 +169,17 @@ class _ForcingTables:
         self.riesz_mult = riesz_multiplier(grid.xi_mag, params.alpha)
         if dealias:
             self.riesz_mult *= _dealias_mask(grid)
+        self.field = np.empty(grid.shape)
+        self.field_scratch = np.empty(grid.shape)
 
 
 class StepTables(_ForcingTables):
-    """Per-mode half-spectrum tables reused by every step of one run."""
+    """Per-mode half-spectrum tables and the work buffers of one run.
+
+    The buffers: two ``(u, u_t)`` state pairs that the steps of a run
+    write in turn, the forcings ``f0`` and ``f1``, one complex
+    ``scratch`` and two float ``squares`` for the L2 sums.
+    """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float,
                  dealias: bool):
@@ -178,30 +188,70 @@ class StepTables(_ForcingTables):
         self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
         self.IK1 = duhamel_weight(k, dt)
         self.xi_sigma = grid.xi_mag ** params.sigma
+        half = grid.xi_mag.shape
+        self.pairs = tuple((np.empty(half, complex), np.empty(half, complex))
+                           for _ in range(2))
+        self.f0, self.f1, self.scratch = (np.empty(half, complex)
+                                          for _ in range(3))
+        self.squares = (np.empty(half), np.empty(half))
 
-    def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray
+    def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray,
+                out: tuple[np.ndarray, np.ndarray] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Free flow over one step: ``M(dt) (u, u_t)`` per mode."""
-        return (self.A * u_hat + self.K1 * ut_hat,
-                self.dA * u_hat + self.dK1 * ut_hat)
+        """Free flow over one step: ``M(dt) (u, u_t)`` per mode, written
+        into the pair ``out`` (not the input's arrays) when it is given."""
+        if out is None:
+            out = (np.empty_like(u_hat), np.empty_like(ut_hat))
+        new_u, new_ut = out
+        np.multiply(self.A, u_hat, out=new_u)
+        new_u += np.multiply(self.K1, ut_hat, out=self.scratch)
+        np.multiply(self.dA, u_hat, out=new_ut)
+        new_ut += np.multiply(self.dK1, ut_hat, out=self.scratch)
+        return new_u, new_ut
 
 
-def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
+def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
+                   ) -> np.ndarray:
+    """``a <- max(a, ABS_FLOOR) ** p`` in place, for samples ``a >= 0``.
+
+    An integer ``p`` in ``[2, INT_POWER_MAX]`` is raised by left-to-right
+    binary powering, with the base kept in ``scratch`` (a float array of
+    ``a``'s shape): a few multiplications instead of one libm ``pow`` per
+    sample, within ``(p - 1) eps`` relative of it.  Other ``p`` go
+    through ``np.power``.
+    """
+    np.maximum(a, ABS_FLOOR, out=a)
     # Overflow is not an error here; it surfaces as a blow-up signal.
     with np.errstate(over="ignore"):
-        return np.maximum(np.abs(values), ABS_FLOOR) ** p
+        if p == int(p) and 2 <= p <= INT_POWER_MAX:
+            bits = bin(int(p))[3:]  # binary digits after the leading one
+            if "1" in bits:
+                np.copyto(scratch, a)
+            for bit in bits:
+                a *= a
+                if bit == "1":
+                    a *= scratch
+        else:
+            np.power(a, p, out=a)
+    return a
 
 
 def _nonlinearity_hat(u_phys: np.ndarray, tables: _ForcingTables,
-                      t: float, step: int) -> np.ndarray:
+                      t: float, step: int, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Half-spectrum coefficients of the smoothed pointwise power of the
-    physical samples ``u_phys``."""
-    if not np.all(np.isfinite(u_phys)):
+    physical samples ``u_phys``, written into ``out`` when it is given.
+
+    ``u_phys`` is overwritten: it holds ``|u|^p`` on return.
+    """
+    a = np.abs(u_phys, out=u_phys)
+    # np.max propagates NaN, so one reduction checks every sample
+    if not np.isfinite(np.max(a)):
         raise BlowUpSignal(t, step, "non-finite state in nonlinearity")
-    powed = _abs_power(u_phys, tables.params.p)
-    if not np.all(np.isfinite(powed)):
+    _floored_power(a, tables.params.p, tables.field_scratch)
+    if not np.isfinite(np.max(a)):
         raise BlowUpSignal(t, step, "overflow in pointwise power")
-    f_hat = _forward_half(tables.grid, powed)
+    f_hat = _forward_half(tables.grid, a, out=out)
     f_hat *= tables.riesz_mult
     return f_hat
 
@@ -214,22 +264,37 @@ def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
     the pointwise power before smoothing.
     """
     tables = _ForcingTables(u.grid, params, dealias)
-    f_hat = _nonlinearity_hat(u.values, tables, t=0.0, step=0)
+    np.copyto(tables.field, u.values)
+    f_hat = _nonlinearity_hat(tables.field, tables, t=0.0, step=0)
     return RealField(u.grid, _inverse_half(u.grid, f_hat))
 
 
 def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
                      tables: StepTables, t: float, step: int,
-                     nonlinear: bool) -> tuple[np.ndarray, np.ndarray]:
-    hom_u, hom_ut = tables.advance(u_hat, ut_hat)
+                     nonlinear: bool, out: tuple[np.ndarray, np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """One step from ``(u_hat, ut_hat)``, written into the pair ``out``.
+
+    The inputs are only read and every temporary is a buffer of
+    ``tables``, so a blow-up signal in mid-step leaves the inputs as
+    the last completed state.
+    """
+    new_u, new_ut = tables.advance(u_hat, ut_hat, out)
     if not nonlinear:
-        return hom_u, hom_ut
-    grid = tables.grid
-    f0 = _nonlinearity_hat(_inverse_half(grid, u_hat), tables, t, step)
-    u_pred = hom_u + tables.IK1 * f0
-    f1 = _nonlinearity_hat(_inverse_half(grid, u_pred), tables, t, step)
-    favg = 0.5 * (f0 + f1)
-    return hom_u + tables.IK1 * favg, hom_ut + tables.K1 * favg
+        return new_u, new_ut
+    grid, scratch = tables.grid, tables.scratch
+    f0 = _nonlinearity_hat(_inverse_half(grid, u_hat, out=tables.field),
+                           tables, t, step, out=tables.f0)
+    # the prediction is only transformed back, so it lives in f1's buffer
+    u_pred = np.add(new_u, np.multiply(tables.IK1, f0, out=scratch),
+                    out=tables.f1)
+    f1 = _nonlinearity_hat(_inverse_half(grid, u_pred, out=tables.field),
+                           tables, t, step, out=tables.f1)
+    favg = np.add(f0, f1, out=f0)
+    favg *= 0.5
+    new_u += np.multiply(tables.IK1, favg, out=scratch)
+    new_ut += np.multiply(tables.K1, favg, out=scratch)
+    return new_u, new_ut
 
 
 def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
@@ -239,9 +304,9 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
     if not 0 < dt <= 0.5:
         raise ValidationError(f"dt must lie in (0, 0.5]; got {dt}")
     grid = state[0].grid
-    new = _etd_step_arrays(state[0].coeffs, state[1].coeffs,
-                           StepTables(grid, params, dt, dealias), 0.0, 0,
-                           nonlinear)
+    tables = StepTables(grid, params, dt, dealias)
+    new = _etd_step_arrays(state[0].coeffs, state[1].coeffs, tables, 0.0, 0,
+                           nonlinear, out=tables.pairs[0])
     return tuple(SpectralField(grid, c) for c in new)
 
 
@@ -252,7 +317,8 @@ class Trajectory:
     ``l2``, ``dt_l2``, ``hsigma`` and ``lm`` are ``||u||_2``,
     ``||u_t||_2``, ``|u|_{H^sigma}`` and ``||u||_m`` at ``times``.
     ``states`` and ``final_state`` hold the coefficient arrays of
-    ``(u, du/dt)``, laid out like ``SpectralField.coeffs``.
+    ``(u, du/dt)``, laid out like ``SpectralField.coeffs``.  A run cut
+    by a ``BlowUpSignal`` keeps its time, step and reason.
     """
 
     times: np.ndarray
@@ -266,6 +332,8 @@ class Trajectory:
     final_state: tuple[np.ndarray, np.ndarray] | None = None
     blew_up: bool = False
     blowup_time: float | None = None
+    blowup_step: int | None = None
+    blowup_reason: str | None = None
 
     def __post_init__(self):
         if len(self.times) == 0:
@@ -303,11 +371,15 @@ class Trajectory:
             raise ValueError(f"unknown quantity '{name}'") from None
 
 
-def _record_norms(grid: Grid, xi_sigma: np.ndarray, u_hat, ut_hat, m: float):
-    """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum state."""
-    lm = _lm_norm(grid, _inverse_half(grid, u_hat), m)
-    return (_half_l2(grid, u_hat), _half_l2(grid, ut_hat),
-            _half_l2(grid, xi_sigma * u_hat), lm)
+def _record_norms(tables: StepTables, u_hat, ut_hat):
+    """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
+    state, formed in the buffers of ``tables`` (``scratch`` included)."""
+    grid, sq = tables.grid, tables.squares
+    u_phys = _inverse_half(grid, u_hat, out=tables.field)
+    lm = _lm_norm(grid, u_phys, tables.params.m, out=u_phys)
+    hs_hat = np.multiply(tables.xi_sigma, u_hat, out=tables.scratch)
+    return (_half_l2(grid, u_hat, sq), _half_l2(grid, ut_hat, sq),
+            _half_l2(grid, hs_hat, sq), lm)
 
 
 def integrate(config: SolverConfig) -> Trajectory:
@@ -317,7 +389,9 @@ def integrate(config: SolverConfig) -> Trajectory:
     steps ``dt`` (to 1e-9 relative).  Norms are recorded every
     ``snapshot_interval`` time units (default: every step up to 1200
     snapshots, then coarsened).  A blow-up signal truncates the
-    trajectory and labels it, which is a normal outcome.
+    trajectory and labels it, which is a normal outcome.  The steps
+    write the two state pairs of ``StepTables`` in turn, so stored
+    states are copies.
     """
     _check_horizon(config)
     n_steps = _whole_steps(config.t_end, config.dt, "t_end")
@@ -331,24 +405,25 @@ def integrate(config: SolverConfig) -> Trajectory:
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
 
-    ut_hat = _data_hat(config, grid)
-    u_hat = np.zeros_like(ut_hat)
+    u_hat, ut_hat = tables.pairs[0]
+    u_hat.fill(0.0)
+    np.copyto(ut_hat, _data_hat(config, grid))
 
     times = [0.0]
-    records = [_record_norms(grid, tables.xi_sigma, u_hat, ut_hat, params.m)]
+    records = [_record_norms(tables, u_hat, ut_hat)]
     states = [(u_hat.copy(), ut_hat.copy())] if config.store_states else None
     ref = max(max(records[0]), ABS_FLOOR)
 
-    blowup_time = None
+    blowup = None
     try:
         for step in range(1, n_steps + 1):
             t = step * config.dt
             u_hat, ut_hat = _etd_step_arrays(
                 u_hat, ut_hat, tables, t, step,
-                nonlinear=config.nonlinearity_enabled)
+                nonlinear=config.nonlinearity_enabled,
+                out=tables.pairs[step % 2])
             if step % every == 0 or step == n_steps:
-                rec = _record_norms(grid, tables.xi_sigma, u_hat, ut_hat,
-                                    params.m)
+                rec = _record_norms(tables, u_hat, ut_hat)
                 times.append(t)
                 records.append(rec)
                 if config.store_states:
@@ -356,13 +431,15 @@ def integrate(config: SolverConfig) -> Trajectory:
                 if not all(np.isfinite(rec)) or max(rec) > BLOWUP_FACTOR * ref:
                     raise BlowUpSignal(t, step, "runaway or non-finite norms")
     except BlowUpSignal as sig:
-        blowup_time = sig.time
+        blowup = sig
 
+    cut = {} if blowup is None else dict(
+        blew_up=True, blowup_time=blowup.time, blowup_step=blowup.step,
+        blowup_reason=blowup.reason)
     return Trajectory.from_records(times, records, params, grid,
                                    states=states,
                                    final_state=(u_hat.copy(), ut_hat.copy()),
-                                   blew_up=blowup_time is not None,
-                                   blowup_time=blowup_time)
+                                   **cut)
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:

@@ -290,6 +290,9 @@ def test_semilinear_blowup_exit_status(tmp_path):
     assert dispatch(cfg) == 3
     verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
     assert verdicts["truncated"] is True
+    assert verdicts["blowup_step"] == 18
+    assert verdicts["blowup_time"] == pytest.approx(1.8)
+    assert verdicts["blowup_reason"] == "runaway or non-finite norms"
 
 
 def test_semilinear_admissible_point_succeeds(tmp_path):
@@ -300,6 +303,7 @@ def test_semilinear_admissible_point_succeeds(tmp_path):
     assert dispatch(cfg) == 0
     verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
     assert verdicts["verdicts"]["u_L2"]["passed"] is True
+    assert "blowup_reason" not in verdicts
 
 
 def test_sweep_subcommand(tmp_path):

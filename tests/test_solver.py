@@ -1,14 +1,22 @@
+import itertools
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sigmaevo.grid import (GridSpec, build_grid, full_from_half,
-                           transform_forward)
+from sigmaevo.grid import (GridSpec, SpectralField, build_grid,
+                           full_from_half, transform_forward, _half_l2,
+                           _inverse_half, _lm_norm)
 from sigmaevo.operators import lebesgue_norm
 from sigmaevo.params import ModelParams, ValidationError
 from sigmaevo.propagator import propagate_linear
-from sigmaevo.solver import (BlowUpSignal, SolverConfig, Trajectory,
-                             _dealias_mask, etd_step, horizon_limit, integrate,
-                             make_data, nonlinearity, xt_distance, xt_norm)
+from sigmaevo.solver import (INT_POWER_MAX, BlowUpSignal, SolverConfig,
+                             Trajectory, _dealias_mask, _floored_power,
+                             etd_step, horizon_limit, integrate, make_data,
+                             nonlinearity, xt_distance, xt_norm)
 
 from full_layout import field_from_function
 
@@ -132,8 +140,60 @@ def test_nonlinearity_overflow_raises_blowup():
     grid = build_grid(GridSpec(1, 64, 10.0))
     from sigmaevo.grid import RealField
     huge = RealField(grid, np.full(grid.shape, 1e200))
-    with pytest.raises(BlowUpSignal):
+    with pytest.raises(BlowUpSignal, match="overflow in pointwise power"):
         nonlinearity(huge, params)
+
+
+def test_non_finite_state_raises_blowup():
+    grid = build_grid(GridSpec(1, 64, 10.0))
+    u = np.zeros(grid.xi_mag.shape, dtype=complex)
+    u[3] = np.nan
+    state = (SpectralField(grid, u), SpectralField(grid, np.zeros_like(u)))
+    with pytest.raises(BlowUpSignal, match="non-finite state in nonlinearity"):
+        etd_step(state, 0.1, PARAMS)
+
+
+def test_nonlinearity_and_step_leave_their_inputs_alone():
+    grid = build_grid(GridSpec(1, 128, 20.0))
+    u = field_from_function(grid, lambda x: np.exp(-x * x) - 0.3)
+    kept = u.values.copy()
+    nonlinearity(u, PARAMS)
+    assert np.array_equal(u.values, kept)
+    state = (transform_forward(u), transform_forward(u))
+    kept = [f.coeffs.copy() for f in state]
+    etd_step(state, 0.1, PARAMS)
+    assert all(np.array_equal(f.coeffs, c) for f, c in zip(state, kept))
+
+
+# --- integer powers ------------------------------------------------------
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, INT_POWER_MAX),
+       hnp.arrays(np.float64, st.integers(1, 32),
+                  elements=st.floats(1e-300, 1e300)))
+def test_integer_powers_match_np_power(p, x):
+    # p - 1 rounded products stay within (p - 1) eps relative of the exact
+    # power, and np.power within about an ulp of it (measured over 2e6
+    # log-uniform samples: at most p - 1 ulp apart for p <= 5, 5 for p = 8)
+    got = _floored_power(x.copy(), float(p), np.empty_like(x))
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.power(x, float(p))
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    # overflow to inf on either side counts as the largest double
+    got, want = np.minimum(got, big), np.minimum(want, big)
+    normal = want >= tiny
+    assert np.all(np.abs(got - want)[normal]
+                  <= (p - 1) * np.finfo(float).eps * want[normal])
+    assert np.all(np.abs(got - want)[~normal] < tiny)
+
+
+@pytest.mark.parametrize("p", range(2, INT_POWER_MAX + 1))
+def test_integer_power_overflow_is_silent_inf(p):
+    a = np.array([1e300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _floored_power(a, float(p), np.empty_like(a))
+    assert a[0] == np.inf and a[1] == 1.0
 
 
 # --- stepping ------------------------------------------------------------
@@ -214,7 +274,80 @@ def test_blowup_is_labeled_and_deterministic():
     b = integrate(cfg)
     assert a.blew_up and b.blew_up
     assert a.blowup_time == b.blowup_time
+    assert a.blowup_step == b.blowup_step == 18
+    assert a.blowup_reason == "runaway or non-finite norms"
     assert len(a.times) == len(b.times)
+
+
+@pytest.mark.parametrize("p, amplitude, reason", [
+    (2.0, 10.0, "runaway or non-finite norms"),       # cut on a record
+    (4.0, 1e80, "overflow in pointwise power"),       # cut in mid-step
+])
+def test_blown_up_dense_run_ends_on_its_last_snapshot(p, amplitude, reason):
+    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=p, m=1.0)
+    cfg = SolverConfig(params=params, grid=GridSpec(1, 256, 100.0), dt=0.1,
+                       t_end=20.0, data_amplitude=amplitude,
+                       store_states=True, snapshot_interval=0.1)
+    traj = integrate(cfg)
+    assert traj.blowup_reason == reason
+    assert all(np.array_equal(a, b)
+               for a, b in zip(traj.final_state, traj.states[-1]))
+
+
+def test_step_cut_in_mid_step_keeps_the_last_completed_state():
+    # records every 10 steps; the pointwise power overflows in step 2
+    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=2.0, m=1.0)
+    cfg = SolverConfig(params=params, grid=GridSpec(1, 256, 100.0), dt=0.1,
+                       t_end=2.0, data_amplitude=1e154, snapshot_interval=1.0)
+    traj = integrate(cfg)
+    assert (traj.blowup_step, traj.blowup_reason) \
+        == (2, "overflow in pointwise power")
+    # a run of one step ends on the state after that step (its record
+    # trips the runaway check, which cuts nothing)
+    one_step = integrate(replace(cfg, t_end=0.1))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(traj.final_state, one_step.final_state))
+
+
+def test_stored_states_are_separate_and_stay_put():
+    cfg = small_config(t_end=1.0, store_states=True, snapshot_interval=0.1)
+    traj = integrate(cfg)
+    arrays = [a for pair in traj.states + [traj.final_state] for a in pair]
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(arrays, 2))
+    for steps in (1, 2, 3):
+        short = integrate(replace(cfg, t_end=steps * cfg.dt))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(traj.states[steps], short.final_state))
+
+
+@pytest.mark.parametrize("params, spec", [
+    (PARAMS, GridSpec(1, 256, 100.0)),
+    (ModelParams(n=2, sigma=1.0, alpha=0.5, p=3.0, m=1.0),
+     GridSpec(2, 32, 60.0)),
+    (ModelParams(n=1, sigma=1.0, alpha=0.5, p=2.5, m=1.5),  # np.power path
+     GridSpec(1, 256, 100.0)),
+])
+def test_integrate_matches_public_steps_bitwise(params, spec):
+    cfg = SolverConfig(params=params, grid=spec, dt=0.1, t_end=2.0,
+                       data_amplitude=0.1, snapshot_interval=0.1)
+    traj = integrate(cfg)
+    grid = traj.grid
+    xi_sigma = grid.xi_mag ** params.sigma
+
+    def norms(u, ut):
+        return (_half_l2(grid, u), _half_l2(grid, ut),
+                _half_l2(grid, xi_sigma * u),
+                _lm_norm(grid, _inverse_half(grid, u), params.m))
+
+    ut = transform_forward(make_data(cfg, grid))
+    state = (SpectralField(grid, np.zeros_like(ut.coeffs)), ut)
+    want = [norms(state[0].coeffs, state[1].coeffs)]
+    for _ in range(len(traj.times) - 1):
+        state = etd_step(state, cfg.dt, params)
+        want.append(norms(state[0].coeffs, state[1].coeffs))
+    got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
+    assert np.array_equal(got, np.array(want))
 
 
 def test_integrate_two_dimensional():
