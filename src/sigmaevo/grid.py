@@ -17,9 +17,11 @@ Conventions used throughout the package:
   between forward and inverse around real multipliers.  Parseval weighs
   the ``j = 0`` and ``j = N/2`` last-axis planes once and interior
   columns twice (``_parseval_sum``).  ``_half_l2`` takes the norm of a
-  field; ``_half_energy`` tabulates its mode energies once, so that the
-  norm of ``K * field`` for a real multiplier ``K`` costs one weighted
-  sum (``_multiplier_l2``).
+  field, and ``_half_l2_rows`` the norms of a block of fields with the
+  same bits (callers pass chunks of about ``ROW_CHUNK_BYTES``);
+  ``_half_energy`` tabulates its mode energies once, so that the norm of
+  ``K * field`` for a real multiplier ``K`` costs one weighted sum
+  (``_multiplier_l2``).
 * ``full_from_half`` gives the full ``N^dim`` layout times the phase,
   whose coefficients approximate the continuum integral
   ``F(xi) = int f(x) exp(-i xi.x) dx`` over the box.  Coefficients built
@@ -45,6 +47,9 @@ __all__ = [
     "transform_inverse",
     "full_from_half",
 ]
+
+# Bytes of complex coefficients per chunk of rows in the row-wise norms.
+ROW_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -192,15 +197,19 @@ def _inverse_half(grid: Grid, half: np.ndarray,
     return out
 
 
-def _parseval_sum(sq: np.ndarray) -> np.float64:
+def _parseval_sum(sq: np.ndarray, lead: int = 0) -> np.float64 | np.ndarray:
     """Sum of ``|F|^2`` over the full spectrum from half-spectrum squares.
 
     The ``j = 0`` and ``j = N/2`` last-axis planes count once, every
     other column twice: it stands for itself and its conjugate mirror
     ``j > N/2``.  Each term is a pairwise ``np.sum``, whose order does not
-    depend on threads or the BLAS build, so norms are reproducible.
+    depend on threads or the BLAS build, so norms are reproducible.  The
+    first ``lead`` axes of ``sq`` index rows and are kept: a sum over the
+    trailing axes of contiguous rows has the bits of the sum of each row.
     """
-    return 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+    axes = tuple(range(lead, sq.ndim))
+    return (2.0 * np.sum(sq, axis=axes) - np.sum(sq[..., 0], axis=axes[:-1])
+            - np.sum(sq[..., -1], axis=axes[:-1]))
 
 
 def _half_l2(grid: Grid, half: np.ndarray,
@@ -223,6 +232,42 @@ def _half_l2(grid: Grid, half: np.ndarray,
         if 0 < peak < np.inf:
             return float(peak * _half_l2(grid, half / peak, out))
     return float(np.sqrt(total / grid.box_length ** grid.dim))
+
+
+def _chunk_rows(grid: Grid) -> int:
+    """Rows of half-spectrum coefficients in about ``ROW_CHUNK_BYTES``."""
+    return max(1, ROW_CHUNK_BYTES // (16 * grid.xi_mag.size))
+
+
+def _half_l2_rows(grid: Grid, rows: np.ndarray, mult: np.ndarray | None,
+                  out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``_half_l2`` of every row of a ``(k,) + half`` block, or of
+    ``mult * row`` for a real half-spectrum table ``mult``.
+
+    The squares are formed in ``out``, two float arrays of at least ``k``
+    rows.  ``(mult re)^2 + (mult im)^2`` in real arithmetic has the bits
+    of the squares of the complex product ``mult * row``.  Rows whose sum
+    falls outside ``[1e-250, inf)`` go through ``_half_l2`` and its
+    rescale rule.
+    """
+    k = len(rows)
+    re2, im2 = (buf[:k] for buf in out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mult is None:
+            np.multiply(rows.real, rows.real, out=re2)
+            np.multiply(rows.imag, rows.imag, out=im2)
+        else:
+            np.multiply(rows.real, mult, out=re2)
+            re2 *= re2
+            np.multiply(rows.imag, mult, out=im2)
+            im2 *= im2
+        re2 += im2
+        totals = _parseval_sum(re2, lead=1)
+    norms = np.sqrt(totals / grid.box_length ** grid.dim)
+    for i in np.flatnonzero(~((totals >= 1e-250) & (totals < np.inf))):
+        row = rows[i] if mult is None else mult * rows[i]
+        norms[i] = _half_l2(grid, row, (re2[i], im2[i]))
+    return norms
 
 
 def _half_energy(grid: Grid, half: np.ndarray) -> tuple[float, np.ndarray]:

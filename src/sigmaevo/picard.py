@@ -28,6 +28,13 @@ snapshot.  ``F`` and ``S`` are advanced as separate arrays and summed
 only for the output; ``F`` is then bitwise the same in every iterate,
 and the small differences between late iterates keep their resolution.
 
+Each call writes its states into one ``(2, n_snap) + half`` block (the
+``u`` rows, then the ``u_t`` rows); ``F`` and ``S`` alternate between
+two buffer pairs, so no array is allocated per snapshot.  The ``L^m``
+norm of a snapshot is taken from the inverse transform of its row; the
+L2-type norms are taken after the loop, over chunks of block rows
+(``grid._half_l2_rows``), with the bits of one ``_half_l2`` per state.
+
 The caps ``t_end <= MAX_HORIZON`` and ``dt <= MAX_DT`` were sized for the
 former O(n_snap^2 N) sum; they are kept until benchmark numbers at
 longer horizons justify moving them.
@@ -37,10 +44,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import RealField, _forward_half, _inverse_half
+from .grid import (RealField, _chunk_rows, _forward_half, _half_l2_rows,
+                   _inverse_half, _lm_norm)
 from .params import ValidationError
-from .solver import (SolverConfig, StepTables, Trajectory, _nonlinearity_hat,
-                     _record_norms)
+from .solver import SolverConfig, StepTables, Trajectory, _nonlinearity_hat
 
 __all__ = ["picard_apply"]
 
@@ -57,7 +64,8 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     the trajectory, ``u1`` and ``config`` on one grid.  The Duhamel sum
     is advanced by the one-step recurrence of the module docstring, so
     one call costs O(n_snap N); the free part ``K1(t) u1`` is advanced
-    by the same one-step matrix ``M(dt)``.
+    by the same one-step matrix ``M(dt)``.  The returned states are row
+    views of one block that no other call shares.
     """
     if config.t_end > MAX_HORIZON:
         raise ValidationError(
@@ -88,30 +96,44 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     grid = traj_in.grid
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
-    u1_hat = _forward_half(grid, u1.values)
     half_dt = 0.5 * config.dt
+    times = traj_in.times
+    n_snap = len(times)
 
-    # free flow F and Duhamel sum S (module docstring)
-    free_u, free_ut = np.zeros_like(u1_hat), u1_hat
-    v_hat = np.zeros_like(u1_hat)
-    w_hat = np.zeros_like(u1_hat)
-    f_prev = None
-    records = []
-    states = []
-    for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states)):
+    # free flow F (the pairs of ``tables``) and Duhamel sum S, each
+    # advanced from one pair into the other (module docstring)
+    free = tables.pairs
+    free[0][0].fill(0.0)
+    _forward_half(grid, u1.values, out=free[0][1])
+    duhamel = tuple((np.zeros_like(u), np.zeros_like(u)) for u, _ in free)
+    block = np.empty((2, n_snap) + grid.xi_mag.shape, complex)
+    lm = np.empty(n_snap)
+    for i, (t, state) in enumerate(zip(times, traj_in.states, strict=True)):
         # f_hat and f_prev take tables.f0 and tables.f1 in turn
         f_hat = _nonlinearity_hat(
             _inverse_half(grid, state[0], out=tables.field), tables, t, i,
             out=(tables.f0, tables.f1)[i % 2])
+        cur, prev = i % 2, 1 - i % 2
         if i > 0:
-            free_u, free_ut = tables.advance(free_u, free_ut)
-            v_hat, w_hat = tables.advance(v_hat, w_hat + half_dt * f_prev)
-            w_hat = w_hat + half_dt * f_hat
+            tables.advance(*free[prev], out=free[cur])
+            w_prev = duhamel[prev][1]
+            w_prev += np.multiply(half_dt, f_prev, out=tables.scratch)
+            _, w_hat = tables.advance(*duhamel[prev], out=duhamel[cur])
+            w_hat += np.multiply(half_dt, f_hat, out=tables.scratch)
         f_prev = f_hat
-        u_hat = free_u + v_hat
-        ut_hat = free_ut + w_hat
-        records.append(_record_norms(tables, u_hat, ut_hat))
-        states.append((u_hat, ut_hat))
+        for c in (0, 1):
+            np.add(free[cur][c], duhamel[cur][c], out=block[c, i])
+        u_phys = _inverse_half(grid, block[0, i], out=tables.field)
+        lm[i] = _lm_norm(grid, u_phys, params.m, out=u_phys)
 
-    return Trajectory.from_records(traj_in.times, records, params, grid,
-                                   states=states)
+    l2, dt_l2, hsigma = (np.empty(n_snap) for _ in range(3))
+    chunk = _chunk_rows(grid)
+    squares = tuple(np.empty((chunk,) + grid.xi_mag.shape) for _ in range(2))
+    for lo in range(0, n_snap, chunk):
+        rows = slice(lo, lo + chunk)
+        l2[rows] = _half_l2_rows(grid, block[0, rows], None, squares)
+        dt_l2[rows] = _half_l2_rows(grid, block[1, rows], None, squares)
+        hsigma[rows] = _half_l2_rows(grid, block[0, rows], tables.xi_sigma,
+                                     squares)
+    return Trajectory(times.copy(), l2, dt_l2, hsigma, lm, params, grid,
+                      states=list(zip(block[0], block[1])))

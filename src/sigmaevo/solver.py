@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _forward_half, _half_l2, _inverse_half, _lm_norm)
+                   _chunk_rows, _forward_half, _half_l2, _half_l2_rows,
+                   _inverse_half, _lm_norm)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
 from .operators import riesz_multiplier
@@ -317,8 +318,12 @@ class Trajectory:
     ``l2``, ``dt_l2``, ``hsigma`` and ``lm`` are ``||u||_2``,
     ``||u_t||_2``, ``|u|_{H^sigma}`` and ``||u||_m`` at ``times``.
     ``states`` and ``final_state`` hold the coefficient arrays of
-    ``(u, du/dt)``, laid out like ``SpectralField.coeffs``.  A run cut
-    by a ``BlowUpSignal`` keeps its time, step and reason.
+    ``(u, du/dt)``, laid out like ``SpectralField.coeffs``.  Every norm
+    series, and ``states`` when present, holds one entry per time; a
+    mismatch raises ``ValueError``.  ``integrate`` stores copies of its
+    state buffers; ``picard_apply`` stores row views of one
+    ``(2, n_snap) + half`` block per call.  A run cut by a
+    ``BlowUpSignal`` keeps its time, step and reason.
     """
 
     times: np.ndarray
@@ -340,6 +345,13 @@ class Trajectory:
             raise ValueError("trajectory must contain at least one snapshot")
         if np.any(np.diff(self.times) <= 0) or self.times[0] != 0.0:
             raise ValueError("snapshot times must start at 0 and increase")
+        series = {"l2": self.l2, "dt_l2": self.dt_l2, "hsigma": self.hsigma,
+                  "lm": self.lm, "states": self.states}
+        for name, values in series.items():
+            if values is not None and len(values) != len(self.times):
+                raise ValueError(
+                    f"{name} holds {len(values)} entries for "
+                    f"{len(self.times)} snapshot times")
         norms = np.stack([self.l2, self.dt_l2, self.hsigma, self.lm])
         if np.any(norms < 0):
             raise ValueError("norms must be nonnegative")
@@ -480,7 +492,13 @@ def xt_norm(traj: Trajectory, t_max: float | None = None) -> float:
 
 def xt_distance(a: Trajectory, b: Trajectory) -> float:
     """Decay-weighted supremum distance between two state-storing
-    trajectories of one grid and one parameter tuple."""
+    trajectories of one grid and one parameter tuple.
+
+    The snapshots go in chunks of rows (``grid._chunk_rows``): each
+    chunk's states are stacked into two buffers and subtracted in place,
+    and the three norms are row sums with the bits of one ``_half_l2``
+    per difference.
+    """
     if a.states is None or b.states is None:
         raise ValueError("both trajectories must store states")
     if a.grid.spec != b.grid.spec or a.params != b.params:
@@ -489,13 +507,23 @@ def xt_distance(a: Trajectory, b: Trajectory) -> float:
         raise ValueError("trajectories must share snapshot times")
     grid = a.grid
     xs = grid.xi_mag ** a.params.sigma
-    l2 = np.empty(len(a.times))
-    hs = np.empty(len(a.times))
-    dt = np.empty(len(a.times))
-    for i, ((ua, uta), (ub, utb)) in enumerate(zip(a.states, b.states)):
-        du = ua - ub
-        dut = uta - utb
-        l2[i] = _half_l2(grid, du)
-        hs[i] = _half_l2(grid, xs * du)
-        dt[i] = _half_l2(grid, dut)
+    n_snap = len(a.times)
+    l2, hs, dt = (np.empty(n_snap) for _ in range(3))
+    chunk = _chunk_rows(grid)
+    diff, other = (np.empty((chunk,) + xs.shape, complex) for _ in range(2))
+    squares = tuple(np.empty((chunk,) + xs.shape) for _ in range(2))
+
+    def diff_rows(c, rows):
+        """Component ``c`` of ``a - b`` on the snapshots ``rows``."""
+        k = len(a.states[rows])
+        d = np.stack([s[c] for s in a.states[rows]], out=diff[:k])
+        d -= np.stack([s[c] for s in b.states[rows]], out=other[:k])
+        return d
+
+    for lo in range(0, n_snap, chunk):
+        rows = slice(lo, lo + chunk)
+        du = diff_rows(0, rows)
+        l2[rows] = _half_l2_rows(grid, du, None, squares)
+        hs[rows] = _half_l2_rows(grid, du, xs, squares)
+        dt[rows] = _half_l2_rows(grid, diff_rows(1, rows), None, squares)
     return float(np.max(xt_weighted_sums(a.times, l2, hs, dt, a.params)))

@@ -43,7 +43,13 @@ def _p_crit(n: int, m: float, sigma: float) -> float:
 
 def critical_exponent(n: int, m: float, sigma: float) -> float:
     """Threshold power ``1 + 2 m sigma / n`` separating the small-data
-    global-existence range from blow-up for the local power nonlinearity."""
+    global-existence range from blow-up for the local power nonlinearity.
+
+    This is ``p_crit`` of the admissibility report, and it carries no
+    ``alpha``.  The smoothing ``I_alpha`` moves the critical exponent;
+    the alpha-dependent ``p_integrability = 1 + (2 sigma + alpha) m / n``
+    is the bound that ``admissibility``'s ``overall`` requires.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1; got {n}")
     if not 1.0 <= m < 2.0:

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
                            full_from_half, transform_forward,
                            transform_inverse, _forward_half, _half_l2,
-                           _inverse_half, _lm_norm)
+                           _half_l2_rows, _inverse_half, _lm_norm)
 
 from full_layout import (field_from_function, full_forward, full_phase,
                          full_xi_mag)
@@ -177,3 +177,29 @@ def test_real_transform_pair_returns_samples(case):
     grid, values = case
     back = _inverse_half(grid, _forward_half(grid, values))
     assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.data(),
+       st.lists(st.one_of(st.just(0.0), st.integers(-300, 300)),
+                min_size=1, max_size=9),
+       st.sampled_from([None, 0.5, 1.0, 2.5]), st.integers(0, 2 ** 32 - 1))
+def test_half_l2_rows_are_the_row_norms_bitwise(dim, data, exponents, s,
+                                                 seed):
+    # Amplitudes 1e-300 .. 1e300 and zero rows: the extremes take the
+    # rescale path of _half_l2, ordinary rows the batched sum.
+    grid = build_grid(GridSpec(dim, data.draw(st.sampled_from(SIZES[dim])),
+                               data.draw(st.floats(0.5, 100.0))))
+    half = grid.xi_mag.shape
+    rng = np.random.default_rng(seed)
+    scale = np.array([0.0 if e == 0.0 else 10.0 ** e for e in exponents])
+    rows = (rng.standard_normal((len(scale),) + half)
+            + 1j * rng.standard_normal((len(scale),) + half))
+    rows *= scale.reshape((-1,) + (1,) * dim)
+    mult = None if s is None else grid.xi_mag ** s
+    # buffers may hold more rows than the block
+    out = tuple(np.empty((len(scale) + 2,) + half) for _ in range(2))
+    got = _half_l2_rows(grid, rows, mult, out)
+    want = np.array([_half_l2(grid, r if mult is None else mult * r)
+                     for r in rows])
+    assert got.tobytes() == want.tobytes()

@@ -1,15 +1,18 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sigmaevo.grid import (GridSpec, _inverse_half, build_grid, full_from_half,
-                           transform_forward)
+from sigmaevo.grid import (GridSpec, _half_l2, _inverse_half, build_grid,
+                           full_from_half, transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import MAX_HORIZON, picard_apply
 from sigmaevo.propagator import kernel_arrays, propagate_linear
 from sigmaevo.solver import (SolverConfig, StepTables, _nonlinearity_hat,
-                             integrate, make_data, xt_distance, xt_norm,
+                             _record_norms, integrate, make_data,
+                             xt_distance, xt_norm, xt_weighted_sums,
                              zero_trajectory)
 
 from full_layout import full_forward, full_xi_mag
@@ -179,3 +182,114 @@ def test_recurrence_matches_double_sum():
             want = np.array([s[c] for s in ref])
             got = np.array([full_from_half(grid, s[c]) for s in traj.states])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --- states in one block, norms over snapshot rows ------------------------
+
+# Both cases hold more snapshots than one chunk of rows, so the last
+# chunk is partial.
+ROW_CASES = {
+    "1d-p4": dense_config(0.1, t_end=2.0),
+    "2d-p3": SolverConfig(params=ModelParams(n=2, sigma=1.0, alpha=0.5, p=3.0,
+                                             m=1.0),
+                          grid=GridSpec(2, 32, 40.0), dt=0.05, t_end=1.0,
+                          data_amplitude=0.5, store_states=True,
+                          snapshot_interval=0.05),
+}
+
+
+def _iterates(cfg, count=3):
+    traj = zero_trajectory(cfg)
+    u1 = make_data(cfg, traj.grid)
+    iters = [traj]
+    for _ in range(count):
+        iters.append(picard_apply(iters[-1], u1, cfg))
+    return iters
+
+
+def _xt_distance_loop(a, b):
+    """Reference: one ``_half_l2`` per snapshot difference."""
+    grid = a.grid
+    xs = grid.xi_mag ** a.params.sigma
+    l2, hs, dt = [], [], []
+    for (ua, uta), (ub, utb) in zip(a.states, b.states):
+        du = ua - ub
+        l2.append(_half_l2(grid, du))
+        hs.append(_half_l2(grid, xs * du))
+        dt.append(_half_l2(grid, uta - utb))
+    return float(np.max(xt_weighted_sums(a.times, np.array(l2), np.array(hs),
+                                         np.array(dt), a.params)))
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_picard_norms_are_the_record_norms_of_its_states(case):
+    cfg = ROW_CASES[case]
+    iters = _iterates(cfg)
+    tables = StepTables(iters[0].grid, cfg.params, cfg.dt, cfg.dealias)
+    for traj in iters[1:]:
+        want = np.array([_record_norms(tables, u, ut) for u, ut in traj.states])
+        got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_xt_distance_is_the_per_snapshot_loop(case):
+    iters = _iterates(ROW_CASES[case])
+    for a, b in zip(iters, iters[1:]):
+        for x, y in ((b, a), (a, b)):
+            assert xt_distance(x, y) == _xt_distance_loop(x, y)
+
+
+def test_picard_refuses_states_cut_after_construction():
+    # Trajectory checks lengths when built; a states list cut afterwards
+    # must not leave rows of the block unwritten.
+    cfg = dense_config(0.01, n=64, t_end=1.0)
+    traj = zero_trajectory(cfg)
+    traj.states = traj.states[:5]
+    with pytest.raises(ValueError):
+        picard_apply(traj, make_data(cfg, traj.grid), cfg)
+
+
+def test_picard_states_share_no_memory():
+    cfg = dense_config(0.1, n=64, t_end=1.0)
+    traj0 = zero_trajectory(cfg)
+    u1 = make_data(cfg, traj0.grid)
+    first = picard_apply(traj0, u1, cfg)
+    kept = [(u.copy(), ut.copy()) for u, ut in first.states]
+    second = picard_apply(first, u1, cfg)
+
+    def arrays(traj):
+        return [a for state in traj.states for a in state]
+
+    for traj in (first, second):
+        for x, y in itertools.combinations(arrays(traj), 2):
+            assert not np.shares_memory(x, y)
+    for x in arrays(first):
+        for y in arrays(traj0) + arrays(second):
+            assert not np.shares_memory(x, y)
+    for (u, ut), (ku, kut) in zip(first.states, kept):
+        assert u.tobytes() == ku.tobytes() and ut.tobytes() == kut.tobytes()
+
+
+def test_picard_and_xt_distance_memory_peaks():
+    # The picard-1d size: 251 snapshots at N = 2048.  A call keeps its
+    # block of states (7.9 MiB); beyond it, only buffers of one snapshot
+    # or one chunk of rows (0.4 MiB measured) may be live at once.
+    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 2048, 400.0),
+                       dt=0.02, t_end=5.0, data_amplitude=0.1,
+                       store_states=True, snapshot_interval=0.02)
+    traj0 = zero_trajectory(cfg)
+    u1 = make_data(cfg, traj0.grid)
+    first = picard_apply(traj0, u1, cfg)
+    tracemalloc.start()
+    try:
+        second = picard_apply(first, u1, cfg)
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        xt_distance(second, first)
+        xt_peak = tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+    assert retained >= 2 * len(first.times) * 1025 * 16
+    assert peak - retained <= 0.5 * 2 ** 20
+    assert xt_peak <= 0.5 * 2 ** 20

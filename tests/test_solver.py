@@ -16,7 +16,8 @@ from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import (INT_POWER_MAX, BlowUpSignal, SolverConfig,
                              Trajectory, _dealias_mask, _floored_power,
                              etd_step, horizon_limit, integrate, make_data,
-                             nonlinearity, xt_distance, xt_norm)
+                             nonlinearity, xt_distance, xt_norm,
+                             zero_trajectory)
 
 from full_layout import field_from_function
 
@@ -411,6 +412,23 @@ def test_xt_norm_regression_bound_for_linear_flow():
     u1 = make_data(cfg, grid)
     bound = 0.7 * (lebesgue_norm(u1, 1.0) + lebesgue_norm(u1, 2.0))
     assert xt_norm(traj) <= bound
+
+
+def test_trajectory_refuses_series_of_another_length():
+    # Cutting the states of an all-zero trajectory to 5 of its 21
+    # snapshots once let xt_distance read uninitialised rows and report a
+    # nonzero distance between two zero trajectories.
+    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 64, 50.0), dt=0.05,
+                       t_end=1.0, data_amplitude=0.0)
+    a = zero_trajectory(cfg)
+    assert len(a.times) == 21 and xt_distance(a, a) == 0.0
+    with pytest.raises(ValueError, match="states holds 5 entries for 21"):
+        replace(a, states=a.states[:5])
+    for name in ("l2", "dt_l2", "hsigma", "lm"):
+        with pytest.raises(ValueError, match=f"^{name} holds 20 entries"):
+            replace(a, **{name: getattr(a, name)[:-1]})
+    with pytest.raises(ValueError, match="times"):
+        replace(a, times=a.times[:-1])
 
 
 def test_xt_distance_refuses_trajectories_of_different_runs():
