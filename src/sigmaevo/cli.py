@@ -202,6 +202,13 @@ def parse_config(path: str | Path | None = None,
                           mean_zero=values["mean_zero"],
                           seed=values["seed"],
                           snapshot_interval=snapshot_interval)
+    # only linear and semilinear runs fit; a sweep checks each point's window
+    fits = values["subcommand"] in ("linear", "semilinear")
+    if fits and window[0] >= window[1]:
+        raise ValidationError(
+            f"keys 'window_lo' and 'window_hi': the fit window "
+            f"[{window[0]:g}, {window[1]:g}] is empty; window_lo must be "
+            "below window_hi")
 
     output_dir = Path(os.environ.get(ENV_OUTPUT_DIR, values["output_dir"]))
     emit = frozenset(part.strip() for part in str(values["emit"]).split(",")

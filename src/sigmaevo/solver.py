@@ -16,7 +16,7 @@ flags it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,7 +322,9 @@ class Trajectory:
     series, and ``states`` when present, holds one entry per time; a
     mismatch raises ``ValueError``.  ``integrate`` stores copies of its
     state buffers; ``picard_apply`` stores row views of one
-    ``(2, n_snap) + half`` block per call.  A run cut by a
+    ``(2, n_snap) + half`` block per call; ``zero_trajectory`` stores
+    one read-only zero pair, shared by every snapshot and
+    ``final_state``.  A run cut by a
     ``BlowUpSignal`` keeps its time, step and reason.
     """
 
@@ -455,10 +457,27 @@ def integrate(config: SolverConfig) -> Trajectory:
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:
-    """All-zero trajectory on the snapshot times of ``config`` (dense)."""
-    cfg = replace(config, data_amplitude=0.0, store_states=True,
-                  snapshot_interval=config.dt, nonlinearity_enabled=False)
-    return integrate(cfg)
+    """All-zero trajectory on every step time ``0, dt, ..., t_end`` of
+    ``config``, with its states stored.
+
+    Built in closed form, with the bits of ``integrate`` run from zero
+    data with the nonlinearity off: no step is taken and no transform
+    is made.  Every snapshot and ``final_state`` is one shared
+    ``(u, u_t)`` pair of zero half-spectrum arrays, marked read-only.
+    A config that ``integrate`` refuses (past the horizon, or ``t_end``
+    not a whole number of steps) is refused with the same message.
+    """
+    _check_horizon(config)
+    n_steps = _whole_steps(config.t_end, config.dt, "t_end")
+    grid = build_grid(config.grid)
+    zero = np.zeros(grid.xi_mag.shape, complex)
+    zero.flags.writeable = False
+    pair = (zero, zero)
+    times = [0.0] + [step * config.dt for step in range(1, n_steps + 1)]
+    return Trajectory.from_records(times, [(0.0,) * 4] * len(times),
+                                   config.params, grid,
+                                   states=[pair] * len(times),
+                                   final_state=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +522,8 @@ def xt_distance(a: Trajectory, b: Trajectory) -> float:
         raise ValueError("both trajectories must store states")
     if a.grid.spec != b.grid.spec or a.params != b.params:
         raise ValueError("trajectories must share grid and parameters")
-    if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
+    if len(a.times) != len(b.times) or not np.allclose(
+            a.times, b.times, rtol=1e-9, atol=1e-12):
         raise ValueError("trajectories must share snapshot times")
     grid = a.grid
     xs = grid.xi_mag ** a.params.sigma

@@ -448,6 +448,27 @@ def test_sweep_row_is_the_single_run(tmp_path, key):
         assert row[f"{quantity}_sharp"] == str(verdict["sharp"]).lower()
 
 
+def test_empty_fit_window_is_refused(tmp_path, capsys):
+    # used to run the whole flow, then fit 0 samples with exit status 0
+    out = tmp_path / "out"
+    for window in (["--window_lo", "4", "--window_hi", "3"],
+                   ["--window_lo", "3", "--window_hi", "3"],
+                   ["--window_lo", "6"]):  # above the auto end t_end = 5
+        assert main(["linear", "--N", "64", "--L", "100", "--t_end", "5",
+                     *window, "--output_dir", str(out)]) == 2
+        assert "keys 'window_lo' and 'window_hi'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_point_with_an_empty_fit_window_fails_its_row(tmp_path):
+    status, rows = _sweep(tmp_path, "t_end", "40,10", N=256, window_lo=20)
+    assert status == 0
+    assert [row["override_t_end"] for row in rows] == ["10", "40"]
+    assert rows[0]["error"].startswith(
+        "ValidationError: keys 'window_lo' and 'window_hi'")
+    assert rows[1]["error"] == ""
+
+
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     target = tmp_path / "redirected"
     monkeypatch.setenv("SIGMAEVO_OUTPUT_DIR", str(target))

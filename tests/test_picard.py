@@ -293,3 +293,20 @@ def test_picard_and_xt_distance_memory_peaks():
     assert retained >= 2 * len(first.times) * 1025 * 16
     assert peak - retained <= 0.5 * 2 ** 20
     assert xt_peak <= 0.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_iterates_from_the_closed_form_zero_match_the_stepped_zero_run(case):
+    cfg = ROW_CASES[case]
+    stepped = integrate(replace(cfg, data_amplitude=0.0, store_states=True,
+                                snapshot_interval=cfg.dt,
+                                nonlinearity_enabled=False))
+    u1 = make_data(cfg, stepped.grid)
+
+    def distances(traj):
+        iters = [traj]
+        for _ in range(3):
+            iters.append(picard_apply(iters[-1], u1, cfg))
+        return [xt_distance(b, a) for a, b in zip(iters, iters[1:])]
+
+    assert distances(zero_trajectory(cfg)) == distances(stepped)

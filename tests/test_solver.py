@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -431,6 +432,19 @@ def test_trajectory_refuses_series_of_another_length():
         replace(a, times=a.times[:-1])
 
 
+def test_xt_distance_refuses_times_of_another_step():
+    # dt = 0.0500004 puts the snapshots up to 8e-6 off those of dt = 0.05,
+    # inside np.allclose's default rtol of 1e-5; the distance was 1.44e-6
+    def stored(dt):
+        return integrate(small_config(dt=dt, t_end=20 * dt,
+                                      snapshot_interval=dt, store_states=True))
+
+    base = stored(0.05)
+    assert xt_distance(base, stored(0.05)) == 0.0
+    with pytest.raises(ValueError, match="snapshot times"):
+        xt_distance(base, stored(0.0500004))
+
+
 def test_xt_distance_refuses_trajectories_of_different_runs():
     # the weights come from a's grid and params; b's would give another value
     def stored(**kw):
@@ -446,3 +460,78 @@ def test_xt_distance_refuses_trajectories_of_different_runs():
         for a, b in ((base, other), (other, base)):
             with pytest.raises(ValueError, match="grid and parameters"):
                 xt_distance(a, b)
+
+
+# --- the all-zero trajectory -----------------------------------------------
+
+ZERO_CASES = {
+    "1d": small_config(dt=0.05, t_end=2.0),
+    "2d": SolverConfig(params=ModelParams(n=2, sigma=1.0, alpha=0.5, p=3.0,
+                                          m=1.0),
+                       grid=GridSpec(2, 32, 40.0), dt=0.05, t_end=1.0,
+                       data_amplitude=0.5),
+}
+
+
+def _stepped_zero_run(cfg):
+    """Reference: the integrator run from zero data, every step stored."""
+    return integrate(replace(cfg, data_amplitude=0.0, store_states=True,
+                             snapshot_interval=cfg.dt,
+                             nonlinearity_enabled=False))
+
+
+@pytest.mark.parametrize("case", ZERO_CASES)
+def test_zero_trajectory_is_the_stepped_zero_run_bitwise(case):
+    cfg = ZERO_CASES[case]
+    got, want = zero_trajectory(cfg), _stepped_zero_run(cfg)
+    for name in ("times", "l2", "dt_l2", "hsigma", "lm"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert len(got.states) == len(want.states) == round(cfg.t_end / cfg.dt) + 1
+    for g, w in zip(got.states + [got.final_state],
+                    want.states + [want.final_state]):
+        for x, y in zip(g, w):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    assert got.label == want.label == "decayed"
+    assert not got.blew_up
+
+
+def test_zero_trajectory_shares_one_read_only_pair():
+    traj = zero_trajectory(ZERO_CASES["1d"])
+    zero = traj.states[0][0]
+    for u, ut in traj.states + [traj.final_state]:
+        assert u is zero and ut is zero
+    assert not zero.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        zero[0] = 1.0
+
+
+def test_zero_trajectory_makes_no_transform(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in dir(np.fft):
+        if re.fullmatch(r"i?r?fft[2n]?", name):
+            monkeypatch.setattr(np.fft, name,
+                                counted(name, getattr(np.fft, name)))
+    cfg = ZERO_CASES["1d"]
+    zero_trajectory(cfg)
+    assert calls == []
+    _stepped_zero_run(cfg)  # the counter sees the stepped run's transforms
+    assert len(calls) == len(zero_trajectory(cfg).times) + 1
+
+
+def test_zero_trajectory_refuses_what_integrate_refuses():
+    # past the box-validity horizon (25.3 here), and 1.03 / 0.1 steps
+    for cfg in (small_config(t_end=30.0), small_config(t_end=1.03)):
+        with pytest.raises(ValidationError) as stepped:
+            _stepped_zero_run(cfg)
+        with pytest.raises(ValidationError) as closed:
+            zero_trajectory(cfg)
+        assert str(closed.value) == str(stepped.value)
