@@ -88,7 +88,7 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
 
     The L2, ``u_t`` and ``H^sigma`` norms are kernel sums against the
     data's mode energies (``_half_energy``); only ``L^m`` needs the field,
-    one inverse transform per sample into a buffer of the run.
+    one inverse transform per sample into a one-row buffer of the run.
     ``final_state`` is the state at the last sample, ``t_end``.
     """
     if n_samples < 2:  # the series runs from 0 to t_end
@@ -101,7 +101,7 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     peak, energy = _half_energy(grid, u1_hat)
     energy_sigma = energy * k
     u_hat = np.empty_like(u1_hat)
-    work = np.empty(grid.shape)
+    work = np.empty((1,) + grid.shape)
     # the kernel squares use work's leading entries before the field fills it
     scratch = work.reshape(-1)[:k.size].reshape(k.shape)
 
@@ -112,9 +112,9 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
         hsigma = _multiplier_l2(peak, K1, energy_sigma, scratch)
         dt_l2 = _multiplier_l2(peak, dK1, energy, scratch)
         np.multiply(K1, u1_hat, out=u_hat)
-        field = _inverse_half(grid, u_hat, out=work)
-        records.append((l2, dt_l2, hsigma,
-                        _lm_norm(grid, field, params.m, out=work)))
+        _inverse_half(grid, u_hat, out=work[0])
+        lm = _lm_norm(grid, work, params.m, out=work)[0]
+        records.append((l2, dt_l2, hsigma, float(lm)))
     return Trajectory.from_records(times, records, params, grid,
                                    final_state=(u_hat, dK1 * u1_hat))
 

@@ -14,11 +14,14 @@ Conventions used throughout the package:
   this layout.
 * The forward transform carries the quadrature weight ``(L/N)^dim`` but
   not the lattice phase ``(-1)^(j_1+...+j_dim)``, which would cancel
-  between forward and inverse around real multipliers.  Parseval weighs
-  the ``j = 0`` and ``j = N/2`` last-axis planes once and interior
-  columns twice (``_parseval_sum``).  ``_half_l2`` takes the norm of a
-  field, and ``_half_l2_rows`` the norms of a block of fields with the
-  same bits (callers pass chunks of about ``ROW_CHUNK_BYTES``);
+  between forward and inverse around real multipliers.  The transform
+  pair and ``_lm_norm`` also take a block of fields along one leading
+  row axis: one library call per field, one pass per block for the
+  rest.  Parseval weighs the ``j = 0`` and ``j = N/2`` last-axis planes
+  once and interior columns twice (``_parseval_sum``).  ``_half_l2``
+  takes the norm of a field, and ``_half_l2_rows`` the norms of a block
+  of fields with the same bits (callers pass chunks of about
+  ``ROW_CHUNK_BYTES``);
   ``_half_energy`` tabulates its mode energies once, so that the norm of
   ``K * field`` for a real multiplier ``K`` costs one weighted sum
   (``_multiplier_l2``).
@@ -31,6 +34,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,20 +185,38 @@ class SpectralField:
 def _forward_half(grid: Grid, values: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients of ``values``, written into ``out`` when
-    it is given."""
-    out = np.fft.rfftn(values, s=grid.shape, axes=tuple(range(grid.dim)),
-                       out=out)
+    it is given.
+
+    ``values`` is one field or a block of fields along one leading row
+    axis: each field is one library call, and the weight is one pass
+    over the block.
+    """
+    if out is None:
+        out = np.empty(values.shape[:-grid.dim] + grid.xi_mag.shape, complex)
+    for row, dest in zip(_rows(grid, values), _rows(grid, out)):
+        np.fft.rfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
+                     out=dest)
     out *= grid.cell_volume
     return out
 
 
 def _inverse_half(grid: Grid, half: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of ``half``, written into ``out`` when it is given."""
-    out = np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)),
-                        out=out)
+    """Real samples of ``half``, written into ``out`` when it is given;
+    rows as in ``_forward_half``."""
+    if out is None:
+        out = np.empty(half.shape[:-grid.dim] + grid.shape)
+    for row, dest in zip(_rows(grid, half), _rows(grid, out)):
+        np.fft.irfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
+                      out=dest)
     out /= grid.cell_volume
     return out
+
+
+def _rows(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """``a`` as a block of fields: itself when it has a row axis, else a
+    view of one row."""
+    return a if a.ndim > grid.dim else a[np.newaxis]
 
 
 def _parseval_sum(sq: np.ndarray, lead: int = 0) -> np.float64 | np.ndarray:
@@ -230,8 +252,22 @@ def _half_l2(grid: Grid, half: np.ndarray,
     if not 1e-250 <= total < np.inf:
         peak = np.max(np.abs(half))
         if 0 < peak < np.inf:
-            return float(peak * _half_l2(grid, half / peak, out))
+            return float(peak * _half_l2(grid, _by_peak(half, peak), out))
     return float(np.sqrt(total / grid.box_length ** grid.dim))
+
+
+def _by_peak(half: np.ndarray, peak: float) -> np.ndarray:
+    """``half / peak`` for a finite coefficient peak ``> 0``.
+
+    numpy divides complex values by ``peak`` as ``half * (1 / peak)``,
+    and ``1 / peak`` overflows for peaks below about 5.6e-309.  Only
+    there are both first scaled by ``2^64``, which is exact; every other
+    peak keeps the bits of the plain division.
+    """
+    with np.errstate(over="ignore"):
+        if not np.isfinite(1.0 / peak):
+            half, peak = half * 2.0 ** 64, peak * 2.0 ** 64
+    return half / peak
 
 
 def _chunk_rows(grid: Grid) -> int:
@@ -278,7 +314,7 @@ def _half_energy(grid: Grid, half: np.ndarray) -> tuple[float, np.ndarray]:
     peak keeps the squares in range at any amplitude.
     """
     peak = float(np.max(np.abs(half)))
-    scaled = half / peak if peak > 0 else np.zeros_like(half)
+    scaled = _by_peak(half, peak) if peak > 0 else np.zeros_like(half)
     energy = scaled.real ** 2 + scaled.imag ** 2
     energy /= grid.box_length ** grid.dim
     return peak, energy
@@ -296,22 +332,42 @@ def _multiplier_l2(peak: float, kernel: np.ndarray, energy: np.ndarray,
 
 
 def _lm_norm(grid: Grid, values: np.ndarray, m: float,
-             out: np.ndarray | None = None) -> float:
+             out: np.ndarray | None = None) -> float | np.ndarray:
     """Discrete ``L^m`` norm ``(sum |f|^m (L/N)^n)^(1/m)`` of samples.
 
-    Rescaled by the peak ``|f|`` under the same rule as ``_half_l2``.
+    Rows as in ``_forward_half``: a block of fields gives one norm per
+    row, from one ``|f|``, one power and one row-sum pass over the block
+    (a row sum has the bits of the sum of that field alone).  A row is
+    rescaled by its peak ``|f|`` under the same rule as ``_half_l2``.
     ``|f|`` and ``|f|^m`` are formed in ``out`` when it is given (a float
-    array of the samples' shape, ``values`` itself allowed), so a field
-    whose sum needs no rescale allocates nothing.
+    array of the samples' shape, ``values`` itself allowed), so a block
+    whose sums need no rescale allocates no field.
     """
     a = np.abs(values, out=out)
-    with np.errstate(over="ignore", under="ignore"):
-        top = np.max(a) ** m
+    rows = _rows(grid, a)
+    axes = tuple(range(1, rows.ndim))
     # The sum is at least its largest term and at most size times it, so
-    # inside these bounds the rule [1e-250, inf) below keeps it unscaled.
-    if 2e-250 <= top <= 1e300 / a.size:
-        a **= m  # the same ufunc loop as ``a ** m``
-        return float((np.sum(a) * grid.cell_volume) ** (1.0 / m))
+    # inside [2e-250, bound] the rule [1e-250, inf) keeps it unscaled.
+    bound = 1e300 / math.prod(grid.shape)
+    norms = np.empty(len(rows))
+    plain = []
+    with np.errstate(over="ignore", under="ignore"):
+        for i, top in enumerate(np.max(rows, axis=axes)):
+            if 2e-250 <= top ** m <= bound:
+                plain.append(i)
+            else:
+                norms[i] = _lm_rescaled(grid, rows[i], m)
+        # rows rescaled above may overflow here; their sums are unused
+        rows **= m  # the same ufunc loop as ``a ** m``
+        totals = np.sum(rows, axis=axes) * grid.cell_volume
+    for i in plain:
+        norms[i] = totals[i] ** (1.0 / m)
+    return norms if a.ndim > grid.dim else float(norms[0])
+
+
+def _lm_rescaled(grid: Grid, a: np.ndarray, m: float) -> float:
+    """``_lm_norm`` of one field of samples ``a = |f|`` whose sum may leave
+    ``[1e-250, inf)``: such a sum is redone on ``a`` scaled by its peak."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(a ** m)
     if not 1e-250 <= total < np.inf:

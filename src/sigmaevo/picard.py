@@ -24,16 +24,34 @@ branch of its own.
 
 The free flow rides the same one-step matrix: ``F_0 = (0, u1)`` and
 ``F_i = M(dt) F_{i-1}``, so no closed-form kernel is evaluated per
-snapshot.  ``F`` and ``S`` are advanced as separate arrays and summed
-only for the output; ``F`` is then bitwise the same in every iterate,
-and the small differences between late iterates keep their resolution.
+snapshot.  ``F`` and ``S`` are separate arrays, summed only for the
+output; ``F`` is then bitwise the same in every iterate, and the small
+differences between late iterates keep their resolution.
+
+Neither the forcing ``f_i`` nor the norms of a snapshot depend on the
+recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
+128 KiB of coefficients) goes through three phases:
+
+1. Forcing rows.  The chunk's input ``u`` states are stacked into its
+   ``u`` rows of the output block and transformed into one real block
+   of samples; the weights, ``|.|``, both finiteness checks, the power
+   and ``(dt/2) f_i`` are each one pass over the block.  The first
+   offending snapshot raises ``BlowUpSignal``, as it would alone.  The
+   forcing rows stay in the block's ``u`` rows until phase 2 writes
+   ``u_i`` over them.
+2. Recurrence, per snapshot.  ``F`` and ``S`` are the two rows of one
+   ``(2, 2) + half`` buffer per parity, so one ``M(dt)`` advance moves
+   both; two adds write the snapshot's ``u_t`` and ``u``.
+3. Norm rows.  The new ``u`` rows go back into the real block for one
+   ``L^m`` pass (``grid._lm_norm`` on rows); the L2-type norms are row
+   sums (``grid._half_l2_rows``) whose squares take the real block's
+   memory.  Every norm has the bits of the per-snapshot record.
 
 Each call writes its states into one ``(2, n_snap) + half`` block (the
-``u`` rows, then the ``u_t`` rows); ``F`` and ``S`` alternate between
-two buffer pairs, so no array is allocated per snapshot.  The ``L^m``
-norm of a snapshot is taken from the inverse transform of its row; the
-L2-type norms are taken after the loop, over chunks of block rows
-(``grid._half_l2_rows``), with the bits of one ``_half_l2`` per state.
+``u`` rows, then the ``u_t`` rows); besides it, a call holds the
+kernel tables, the two flow buffers and one chunk's real block, and
+allocates nothing per snapshot.  Every transform is one library call
+per field, as in ``integrate``.
 
 The caps ``t_end <= MAX_HORIZON`` and ``dt <= MAX_DT`` were sized for the
 former O(n_snap^2 N) sum; they are kept until benchmark numbers at
@@ -41,6 +59,8 @@ longer horizons justify moving them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,6 +95,10 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
             f"snapshot spacing dt = {config.dt} too coarse; need <= {MAX_DT}")
     if traj_in.states is None:
         raise ValidationError("input trajectory must store states")
+    if len(traj_in.states) != len(traj_in.times):
+        raise ValidationError(
+            f"input trajectory holds {len(traj_in.states)} states for "
+            f"{len(traj_in.times)} snapshot times")
     dts = np.diff(traj_in.times)
     if not np.allclose(dts, config.dt, rtol=1e-9, atol=1e-12):
         raise ValidationError("input trajectory must be stored densely (every step)")
@@ -99,41 +123,49 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     half_dt = 0.5 * config.dt
     times = traj_in.times
     n_snap = len(times)
-
-    # free flow F (the pairs of ``tables``) and Duhamel sum S, each
-    # advanced from one pair into the other (module docstring)
-    free = tables.pairs
-    free[0][0].fill(0.0)
-    _forward_half(grid, u1.values, out=free[0][1])
-    duhamel = tuple((np.zeros_like(u), np.zeros_like(u)) for u, _ in free)
-    block = np.empty((2, n_snap) + grid.xi_mag.shape, complex)
-    lm = np.empty(n_snap)
-    for i, (t, state) in enumerate(zip(times, traj_in.states, strict=True)):
-        # f_hat and f_prev take tables.f0 and tables.f1 in turn
-        f_hat = _nonlinearity_hat(
-            _inverse_half(grid, state[0], out=tables.field), tables, t, i,
-            out=(tables.f0, tables.f1)[i % 2])
-        cur, prev = i % 2, 1 - i % 2
-        if i > 0:
-            tables.advance(*free[prev], out=free[cur])
-            w_prev = duhamel[prev][1]
-            w_prev += np.multiply(half_dt, f_prev, out=tables.scratch)
-            _, w_hat = tables.advance(*duhamel[prev], out=duhamel[cur])
-            w_hat += np.multiply(half_dt, f_hat, out=tables.scratch)
-        f_prev = f_hat
-        for c in (0, 1):
-            np.add(free[cur][c], duhamel[cur][c], out=block[c, i])
-        u_phys = _inverse_half(grid, block[0, i], out=tables.field)
-        lm[i] = _lm_norm(grid, u_phys, params.m, out=u_phys)
-
-    l2, dt_l2, hsigma = (np.empty(n_snap) for _ in range(3))
+    half = grid.xi_mag.shape
     chunk = _chunk_rows(grid)
-    squares = tuple(np.empty((chunk,) + grid.xi_mag.shape) for _ in range(2))
+
+    block = np.empty((2, n_snap) + half, complex)
+    # flows[c] = (F, S), each a (u, u_t) pair; snapshot i writes
+    # flows[i % 2] from the other one (module docstring)
+    flows = np.zeros((2, 2, 2) + half, complex)
+    _forward_half(grid, u1.values, out=flows[0, 0, 1])
+    pairs = [(f[:, 0], f[:, 1]) for f in flows]
+    parts = [(f[0, 0], f[0, 1], f[1, 0], f[1, 1]) for f in flows]
+    scratch = np.empty((2,) + half, complex)
+    # one chunk of real samples; the L2 squares take the same memory
+    real = np.empty(2 * chunk * grid.xi_mag.size)
+    samples = real[:chunk * math.prod(grid.shape)].reshape(
+        (chunk,) + grid.shape)
+    squares = tuple(real.reshape((2, chunk) + half))
+    l2, dt_l2, hsigma, lm = (np.empty(n_snap) for _ in range(4))
     for lo in range(0, n_snap, chunk):
-        rows = slice(lo, lo + chunk)
-        l2[rows] = _half_l2_rows(grid, block[0, rows], None, squares)
+        rows = slice(lo, min(lo + chunk, n_snap))
+        k = rows.stop - lo
+        # 1. forcing rows (dt/2) f_i, held in the chunk's u rows of the
+        #    block until the recurrence writes u over them
+        g = np.stack([u for u, _ in traj_in.states[rows]], out=block[0, rows])
+        u_phys = _inverse_half(grid, g, out=samples[:k])
+        _nonlinearity_hat(u_phys, tables, times[rows], lo, out=g)
+        g *= half_dt
+        # 2. the recurrence; after its output, S_i takes the (dt/2) f_i
+        #    that the next advance starts from
+        for i, g_i in enumerate(g, lo):
+            f_u, f_ut, s_u, s_ut = parts[i % 2]
+            if i > 0:
+                tables.advance(*pairs[1 - i % 2], out=pairs[i % 2],
+                               scratch=scratch)
+                s_ut += g_i
+            np.add(f_ut, s_ut, out=block[1, i])
+            s_ut += g_i
+            np.add(f_u, s_u, out=g_i)  # u_i over (dt/2) f_i
+        # 3. norm rows
+        u_rows = block[0, rows]
+        u_phys = _inverse_half(grid, u_rows, out=samples[:k])
+        lm[rows] = _lm_norm(grid, u_phys, params.m, out=u_phys)
+        l2[rows] = _half_l2_rows(grid, u_rows, None, squares)
         dt_l2[rows] = _half_l2_rows(grid, block[1, rows], None, squares)
-        hsigma[rows] = _half_l2_rows(grid, block[0, rows], tables.xi_sigma,
-                                     squares)
+        hsigma[rows] = _half_l2_rows(grid, u_rows, tables.xi_sigma, squares)
     return Trajectory(times.copy(), l2, dt_l2, hsigma, lm, params, grid,
                       states=list(zip(block[0], block[1])))

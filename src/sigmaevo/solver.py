@@ -46,7 +46,7 @@ __all__ = [
 
 # Growth factor over the initial data norms that triggers the blow-up label.
 BLOWUP_FACTOR = 1e6
-# Floor applied to |u| before the pointwise power, so that |0|^p underflows
+# Floor applied to |u| before ``np.power``, so that |0|^p underflows
 # back to 0 instead of tripping log(0).
 ABS_FLOOR = 1e-300
 # Integer powers p in [2, INT_POWER_MAX] are formed by multiplication.
@@ -161,8 +161,7 @@ def _dealias_mask(grid: Grid) -> np.ndarray:
 
 
 class _ForcingTables:
-    """Smoothing symbol on the half spectrum, times the dealias mask, and
-    the two real sample arrays that ``_nonlinearity_hat`` works in."""
+    """Smoothing symbol on the half spectrum, times the dealias mask."""
 
     def __init__(self, grid: Grid, params: ModelParams, dealias: bool):
         self.grid = grid
@@ -170,16 +169,13 @@ class _ForcingTables:
         self.riesz_mult = riesz_multiplier(grid.xi_mag, params.alpha)
         if dealias:
             self.riesz_mult *= _dealias_mask(grid)
-        self.field = np.empty(grid.shape)
-        self.field_scratch = np.empty(grid.shape)
 
 
 class StepTables(_ForcingTables):
-    """Per-mode half-spectrum tables and the work buffers of one run.
+    """Per-mode half-spectrum tables of one time step ``dt``.
 
-    The buffers: two ``(u, u_t)`` state pairs that the steps of a run
-    write in turn, the forcings ``f0`` and ``f1``, one complex
-    ``scratch`` and two float ``squares`` for the L2 sums.
+    They hold no work buffers: each loop that steps or records owns
+    its own (``_StepWork`` for ``integrate``).
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float,
@@ -189,39 +185,53 @@ class StepTables(_ForcingTables):
         self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
         self.IK1 = duhamel_weight(k, dt)
         self.xi_sigma = grid.xi_mag ** params.sigma
+
+    def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray,
+                out: tuple[np.ndarray, np.ndarray], scratch: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Free flow over one step: ``M(dt) (u, u_t)`` per mode, written
+        into the pair ``out`` (not the input's arrays).
+
+        Leading axes of the inputs index rows that all advance at once;
+        ``scratch`` is a complex array of the inputs' shape.
+        """
+        new_u, new_ut = out
+        np.multiply(self.A, u_hat, out=new_u)
+        new_u += np.multiply(self.K1, ut_hat, out=scratch)
+        np.multiply(self.dA, u_hat, out=new_ut)
+        new_ut += np.multiply(self.dK1, ut_hat, out=scratch)
+        return new_u, new_ut
+
+
+class _StepWork:
+    """Work buffers of one stepping run on ``grid``.
+
+    Two ``(u, u_t)`` state ``pairs`` that the steps write in turn, the
+    forcing rows ``f0`` and ``f1``, one row of real samples ``field``,
+    one complex ``scratch`` and two float ``squares`` for the L2 sums.
+    """
+
+    def __init__(self, grid: Grid):
         half = grid.xi_mag.shape
         self.pairs = tuple((np.empty(half, complex), np.empty(half, complex))
                            for _ in range(2))
-        self.f0, self.f1, self.scratch = (np.empty(half, complex)
-                                          for _ in range(3))
+        self.f0, self.f1 = (np.empty((1,) + half, complex) for _ in range(2))
+        self.field = np.empty((1,) + grid.shape)
+        self.scratch = np.empty(half, complex)
         self.squares = (np.empty(half), np.empty(half))
-
-    def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray,
-                out: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Free flow over one step: ``M(dt) (u, u_t)`` per mode, written
-        into the pair ``out`` (not the input's arrays) when it is given."""
-        if out is None:
-            out = (np.empty_like(u_hat), np.empty_like(ut_hat))
-        new_u, new_ut = out
-        np.multiply(self.A, u_hat, out=new_u)
-        new_u += np.multiply(self.K1, ut_hat, out=self.scratch)
-        np.multiply(self.dA, u_hat, out=new_ut)
-        new_ut += np.multiply(self.dK1, ut_hat, out=self.scratch)
-        return new_u, new_ut
 
 
 def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
                    ) -> np.ndarray:
-    """``a <- max(a, ABS_FLOOR) ** p`` in place, for samples ``a >= 0``.
+    """``a <- a ** p`` in place, for samples ``a >= 0``.
 
     An integer ``p`` in ``[2, INT_POWER_MAX]`` is raised by left-to-right
     binary powering, with the base kept in ``scratch`` (a float array of
     ``a``'s shape): a few multiplications instead of one libm ``pow`` per
-    sample, within ``(p - 1) eps`` relative of it.  Other ``p`` go
-    through ``np.power``.
+    sample, within ``(p - 1) eps`` relative of it.  A base below
+    ``ABS_FLOOR`` gives ``+0`` there, since its square underflows.  Other
+    ``p`` go through ``np.power`` on ``max(a, ABS_FLOOR)``.
     """
-    np.maximum(a, ABS_FLOOR, out=a)
     # Overflow is not an error here; it surfaces as a blow-up signal.
     with np.errstate(over="ignore"):
         if p == int(p) and 2 <= p <= INT_POWER_MAX:
@@ -233,27 +243,52 @@ def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
                 if bit == "1":
                     a *= scratch
         else:
+            np.maximum(a, ABS_FLOOR, out=a)
             np.power(a, p, out=a)
     return a
 
 
-def _nonlinearity_hat(u_phys: np.ndarray, tables: _ForcingTables,
-                      t: float, step: int, out: np.ndarray | None = None
-                      ) -> np.ndarray:
-    """Half-spectrum coefficients of the smoothed pointwise power of the
-    physical samples ``u_phys``, written into ``out`` when it is given.
-
-    ``u_phys`` is overwritten: it holds ``|u|^p`` on return.
-    """
-    a = np.abs(u_phys, out=u_phys)
+def _finite_rows(a: np.ndarray) -> int:
+    """Number of leading rows of ``a`` whose samples are all finite."""
     # np.max propagates NaN, so one reduction checks every sample
-    if not np.isfinite(np.max(a)):
-        raise BlowUpSignal(t, step, "non-finite state in nonlinearity")
-    _floored_power(a, tables.params.p, tables.field_scratch)
-    if not np.isfinite(np.max(a)):
-        raise BlowUpSignal(t, step, "overflow in pointwise power")
-    f_hat = _forward_half(tables.grid, a, out=out)
-    f_hat *= tables.riesz_mult
+    if a.size == 0 or np.isfinite(np.max(a)):
+        return len(a)
+    return int(np.argmin(np.isfinite(np.max(a, axis=tuple(range(1, a.ndim))))))
+
+
+def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
+                      times, step: int, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Half-spectrum coefficients of the smoothed pointwise power of each
+    row of physical samples ``u_rows`` (shape ``(k,) + grid.shape``),
+    written into ``out`` (``(k,) + half``) when it is given.
+
+    Row ``j`` is the state at ``times[j]``, step ``step + j``.  The first
+    row that is not finite, or whose power overflows, raises
+    ``BlowUpSignal`` with its time and step, as if the rows had been
+    taken one by one; within a row a non-finite state wins.  ``u_rows``
+    is overwritten: it holds ``|u|^p`` on return.
+    """
+    grid = tables.grid
+    if out is None:
+        out = np.empty((len(u_rows),) + grid.xi_mag.shape, complex)
+    a = np.abs(u_rows, out=u_rows)
+    n_state = _finite_rows(a)
+    powered = a[:n_state]
+    # out holds 2 (N/2+1) N^(dim-1) >= N^dim floats per row, and the
+    # power is done with its scratch before the transform fills out
+    scratch = out.reshape(-1).view(float)[:powered.size]
+    _floored_power(powered, tables.params.p, scratch.reshape(powered.shape))
+    n_power = _finite_rows(powered)
+    if n_power < len(a):
+        reason = ("non-finite state in nonlinearity" if n_power == n_state
+                  else "overflow in pointwise power")
+        raise BlowUpSignal(times[n_power], step + n_power, reason)
+    f_hat = _forward_half(grid, a, out=out)
+    # row by row: broadcast over a whole block, numpy copies the table
+    # into a temporary of the block's size
+    for row in f_hat:
+        row *= tables.riesz_mult
     return f_hat
 
 
@@ -265,32 +300,33 @@ def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
     the pointwise power before smoothing.
     """
     tables = _ForcingTables(u.grid, params, dealias)
-    np.copyto(tables.field, u.values)
-    f_hat = _nonlinearity_hat(tables.field, tables, t=0.0, step=0)
-    return RealField(u.grid, _inverse_half(u.grid, f_hat))
+    f_hat = _nonlinearity_hat(u.values[np.newaxis].copy(), tables, (0.0,), 0)
+    return RealField(u.grid, _inverse_half(u.grid, f_hat[0]))
 
 
 def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
-                     tables: StepTables, t: float, step: int,
-                     nonlinear: bool, out: tuple[np.ndarray, np.ndarray]
+                     tables: StepTables, work: _StepWork, t: float,
+                     step: int, nonlinear: bool,
+                     out: tuple[np.ndarray, np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray]:
     """One step from ``(u_hat, ut_hat)``, written into the pair ``out``.
 
     The inputs are only read and every temporary is a buffer of
-    ``tables``, so a blow-up signal in mid-step leaves the inputs as
-    the last completed state.
+    ``work``, so a blow-up signal in mid-step leaves the inputs as the
+    last completed state.
     """
-    new_u, new_ut = tables.advance(u_hat, ut_hat, out)
+    scratch = work.scratch
+    new_u, new_ut = tables.advance(u_hat, ut_hat, out, scratch)
     if not nonlinear:
         return new_u, new_ut
-    grid, scratch = tables.grid, tables.scratch
-    f0 = _nonlinearity_hat(_inverse_half(grid, u_hat, out=tables.field),
-                           tables, t, step, out=tables.f0)
+    grid, field = tables.grid, work.field
+    _inverse_half(grid, u_hat, out=field[0])
+    f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0)[0]
     # the prediction is only transformed back, so it lives in f1's buffer
     u_pred = np.add(new_u, np.multiply(tables.IK1, f0, out=scratch),
-                    out=tables.f1)
-    f1 = _nonlinearity_hat(_inverse_half(grid, u_pred, out=tables.field),
-                           tables, t, step, out=tables.f1)
+                    out=work.f1[0])
+    _inverse_half(grid, u_pred, out=field[0])
+    f1 = _nonlinearity_hat(field, tables, (t,), step, out=work.f1)[0]
     favg = np.add(f0, f1, out=f0)
     favg *= 0.5
     new_u += np.multiply(tables.IK1, favg, out=scratch)
@@ -306,8 +342,9 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
         raise ValidationError(f"dt must lie in (0, 0.5]; got {dt}")
     grid = state[0].grid
     tables = StepTables(grid, params, dt, dealias)
-    new = _etd_step_arrays(state[0].coeffs, state[1].coeffs, tables, 0.0, 0,
-                           nonlinear, out=tables.pairs[0])
+    work = _StepWork(grid)
+    new = _etd_step_arrays(state[0].coeffs, state[1].coeffs, tables, work,
+                           0.0, 0, nonlinear, out=work.pairs[0])
     return tuple(SpectralField(grid, c) for c in new)
 
 
@@ -385,15 +422,15 @@ class Trajectory:
             raise ValueError(f"unknown quantity '{name}'") from None
 
 
-def _record_norms(tables: StepTables, u_hat, ut_hat):
+def _record_norms(tables: StepTables, work: _StepWork, u_hat, ut_hat):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
-    state, formed in the buffers of ``tables`` (``scratch`` included)."""
-    grid, sq = tables.grid, tables.squares
-    u_phys = _inverse_half(grid, u_hat, out=tables.field)
-    lm = _lm_norm(grid, u_phys, tables.params.m, out=u_phys)
-    hs_hat = np.multiply(tables.xi_sigma, u_hat, out=tables.scratch)
+    state, formed in the buffers of ``work`` (``scratch`` included)."""
+    grid, sq, field = tables.grid, work.squares, work.field
+    _inverse_half(grid, u_hat, out=field[0])
+    lm = _lm_norm(grid, field, tables.params.m, out=field)[0]
+    hs_hat = np.multiply(tables.xi_sigma, u_hat, out=work.scratch)
     return (_half_l2(grid, u_hat, sq), _half_l2(grid, ut_hat, sq),
-            _half_l2(grid, hs_hat, sq), lm)
+            _half_l2(grid, hs_hat, sq), float(lm))
 
 
 def integrate(config: SolverConfig) -> Trajectory:
@@ -404,8 +441,8 @@ def integrate(config: SolverConfig) -> Trajectory:
     ``snapshot_interval`` time units (default: every step up to 1200
     snapshots, then coarsened).  A blow-up signal truncates the
     trajectory and labels it, which is a normal outcome.  The steps
-    write the two state pairs of ``StepTables`` in turn, so stored
-    states are copies.
+    write the two state pairs of the run's ``_StepWork`` in turn, so
+    stored states are copies.
     """
     _check_horizon(config)
     n_steps = _whole_steps(config.t_end, config.dt, "t_end")
@@ -418,13 +455,14 @@ def integrate(config: SolverConfig) -> Trajectory:
     grid = build_grid(config.grid)
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
+    work = _StepWork(grid)
 
-    u_hat, ut_hat = tables.pairs[0]
+    u_hat, ut_hat = work.pairs[0]
     u_hat.fill(0.0)
     np.copyto(ut_hat, _data_hat(config, grid))
 
     times = [0.0]
-    records = [_record_norms(tables, u_hat, ut_hat)]
+    records = [_record_norms(tables, work, u_hat, ut_hat)]
     states = [(u_hat.copy(), ut_hat.copy())] if config.store_states else None
     ref = max(max(records[0]), ABS_FLOOR)
 
@@ -433,11 +471,11 @@ def integrate(config: SolverConfig) -> Trajectory:
         for step in range(1, n_steps + 1):
             t = step * config.dt
             u_hat, ut_hat = _etd_step_arrays(
-                u_hat, ut_hat, tables, t, step,
+                u_hat, ut_hat, tables, work, t, step,
                 nonlinear=config.nonlinearity_enabled,
-                out=tables.pairs[step % 2])
+                out=work.pairs[step % 2])
             if step % every == 0 or step == n_steps:
-                rec = _record_norms(tables, u_hat, ut_hat)
+                rec = _record_norms(tables, work, u_hat, ut_hat)
                 times.append(t)
                 records.append(rec)
                 if config.store_states:

@@ -5,8 +5,9 @@ from hypothesis.extra import numpy as hnp
 
 from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
                            full_from_half, transform_forward,
-                           transform_inverse, _forward_half, _half_l2,
-                           _half_l2_rows, _inverse_half, _lm_norm)
+                           transform_inverse, _forward_half, _half_energy,
+                           _half_l2, _half_l2_rows, _inverse_half, _lm_norm,
+                           _multiplier_l2)
 
 from full_layout import (field_from_function, full_forward, full_phase,
                          full_xi_mag)
@@ -149,9 +150,13 @@ def test_half_spectrum_parseval_matches_full_layout(case, s):
     grid, values = case
     half = _forward_half(grid, values) * grid.xi_mag ** s
     full = full_forward(grid, values) * full_xi_mag(grid) ** s
-    # scaled by the peak so that the reference itself cannot underflow
+    # scaled by the peak so that the reference itself cannot underflow;
+    # numpy divides by it as full * (1 / peak), and 1 / peak overflows for
+    # peaks below about 5.6e-309, so such a pair is first scaled by 2^64
     peak = np.max(np.abs(full)) or 1.0
-    want = peak * np.sqrt(np.sum(np.abs(full / peak) ** 2)
+    scale = 2.0 ** 64 if peak < 1e-300 else 1.0
+    unit = (full * scale) / (peak * scale)
+    want = peak * np.sqrt(np.sum(np.abs(unit) ** 2)
                           / grid.box_length ** grid.dim)
     assert abs(_half_l2(grid, half) - want) <= 1e-12 * want
 
@@ -169,6 +174,22 @@ def test_half_l2_of_tiny_fields_is_linear(amplitude):
         unit = _lm_norm(grid, values, m)
         scaled = _lm_norm(grid, amplitude * values, m)
         assert abs(scaled - amplitude * unit) <= 1e-13 * amplitude * unit
+
+
+def test_norms_of_a_field_whose_coefficient_peak_is_subnormal():
+    # Every sample is the least normal double; the one nonzero coefficient,
+    # 64 * 2.2e-308 * (0.5 / 8)^2 = 5.6e-309, has a reciprocal past the
+    # float range.  The L2 norm is the sample times sqrt(L^2) = 0.5.
+    grid = build_grid(GridSpec(2, 8, 0.5))
+    sample = 2.2250738585072014e-308
+    half = _forward_half(grid, np.full(grid.shape, sample))
+    want = 0.5 * sample
+    assert abs(_half_l2(grid, half) - want) <= 1e-15 * want
+    peak, energy = _half_energy(grid, half)
+    assert np.all(np.isfinite(energy))
+    flat = _multiplier_l2(peak, np.ones(grid.xi_mag.shape), energy,
+                          np.empty(grid.xi_mag.shape))
+    assert abs(flat - want) <= 1e-15 * want
 
 
 @settings(deadline=None, max_examples=60)
@@ -203,3 +224,26 @@ def test_half_l2_rows_are_the_row_norms_bitwise(dim, data, exponents, s,
     want = np.array([_half_l2(grid, r if mult is None else mult * r)
                      for r in rows])
     assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.data(),
+       st.lists(st.sampled_from([0.0, 1.0, 1e-200, 1e200, 1e-320, 1e99,
+                                 1e149, 1e198]),
+                min_size=1, max_size=7),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(0, 2 ** 32 - 1))
+def test_lm_norm_rows_are_the_row_norms_bitwise(dim, data, amplitudes, m,
+                                                seed):
+    # Ordinary rows take the block's power and row sum; rows near 1e-200
+    # and 1e200 (and zero rows) take the rescale rule, in the same block.
+    # 1e99, 1e149 and 1e198 put |f|^m near the unscaled bound 1e300 / N^n
+    # for m = 3, 2 and 1.5.
+    grid = build_grid(GridSpec(dim, data.draw(st.sampled_from(SIZES[dim])),
+                               data.draw(st.floats(0.5, 100.0))))
+    rng = np.random.default_rng(seed)
+    scale = np.array(amplitudes).reshape((-1,) + (1,) * dim)
+    rows = rng.standard_normal((len(amplitudes),) + grid.shape) * scale
+    want = np.array([_lm_norm(grid, row, m) for row in rows])
+    assert _lm_norm(grid, rows, m).tobytes() == want.tobytes()
+    # the block itself as the work array, as the Picard map passes it
+    assert _lm_norm(grid, rows, m, out=rows).tobytes() == want.tobytes()

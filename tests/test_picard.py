@@ -5,15 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sigmaevo.grid import (GridSpec, _half_l2, _inverse_half, build_grid,
-                           full_from_half, transform_forward)
+from sigmaevo.grid import (GridSpec, _chunk_rows, _forward_half, _half_l2,
+                           _inverse_half, build_grid, full_from_half,
+                           transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import MAX_HORIZON, picard_apply
 from sigmaevo.propagator import kernel_arrays, propagate_linear
-from sigmaevo.solver import (SolverConfig, StepTables, _nonlinearity_hat,
-                             _record_norms, integrate, make_data,
-                             xt_distance, xt_norm, xt_weighted_sums,
-                             zero_trajectory)
+from sigmaevo.solver import (BlowUpSignal, SolverConfig, StepTables,
+                             _StepWork, _nonlinearity_hat, _record_norms,
+                             integrate, make_data, xt_distance, xt_norm,
+                             xt_weighted_sums, zero_trajectory)
 
 from full_layout import full_forward, full_xi_mag
 
@@ -142,7 +143,8 @@ def _double_sum_states(traj_in, u1, config):
     tables = StepTables(grid, params, dt, config.dealias)
     u1_hat = full_forward(grid, u1.values)
     f_hats = [full_from_half(grid, _nonlinearity_hat(
-                  _inverse_half(grid, state[0]), tables, t, i))
+                  _inverse_half(grid, state[0])[np.newaxis], tables, (t,),
+                  i)[0])
               for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states))]
     k = full_xi_mag(grid) ** (2.0 * params.sigma)
     n_snap = len(traj_in.times)
@@ -186,10 +188,12 @@ def test_recurrence_matches_double_sum():
 
 # --- states in one block, norms over snapshot rows ------------------------
 
-# Both cases hold more snapshots than one chunk of rows, so the last
-# chunk is partial.
+# Every case holds more snapshots than one chunk of rows, so the last
+# chunk is partial.  p = 2.5 takes np.power, m = 1.5 a non-trivial L^m.
 ROW_CASES = {
     "1d-p4": dense_config(0.1, t_end=2.0),
+    "1d-p2.5-m1.5": replace(dense_config(0.1, t_end=2.0),
+                            params=replace(PARAMS, p=2.5, m=1.5)),
     "2d-p3": SolverConfig(params=ModelParams(n=2, sigma=1.0, alpha=0.5, p=3.0,
                                              m=1.0),
                           grid=GridSpec(2, 32, 40.0), dt=0.05, t_end=1.0,
@@ -226,8 +230,10 @@ def test_picard_norms_are_the_record_norms_of_its_states(case):
     cfg = ROW_CASES[case]
     iters = _iterates(cfg)
     tables = StepTables(iters[0].grid, cfg.params, cfg.dt, cfg.dealias)
+    work = _StepWork(iters[0].grid)
     for traj in iters[1:]:
-        want = np.array([_record_norms(tables, u, ut) for u, ut in traj.states])
+        want = np.array([_record_norms(tables, work, u, ut)
+                         for u, ut in traj.states])
         got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
         assert got.tobytes() == want.tobytes()
 
@@ -274,7 +280,7 @@ def test_picard_states_share_no_memory():
 def test_picard_and_xt_distance_memory_peaks():
     # The picard-1d size: 251 snapshots at N = 2048.  A call keeps its
     # block of states (7.9 MiB); beyond it, only buffers of one snapshot
-    # or one chunk of rows (0.4 MiB measured) may be live at once.
+    # or one chunk of rows (0.34 MiB measured) may be live at once.
     cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 2048, 400.0),
                        dt=0.02, t_end=5.0, data_amplitude=0.1,
                        store_states=True, snapshot_interval=0.02)
@@ -310,3 +316,46 @@ def test_iterates_from_the_closed_form_zero_match_the_stepped_zero_run(case):
         return [xt_distance(b, a) for a, b in zip(iters, iters[1:])]
 
     assert distances(zero_trajectory(cfg)) == distances(stepped)
+
+
+def _first_signal(traj, u1, cfg):
+    """Reference: the forcing of each snapshot in turn, as a map that
+    takes one snapshot at a time meets them."""
+    tables = StepTables(traj.grid, cfg.params, cfg.dt, cfg.dealias)
+    for i, (t, (u, _)) in enumerate(zip(traj.times, traj.states)):
+        try:
+            _nonlinearity_hat(_inverse_half(traj.grid, u)[np.newaxis],
+                              tables, (t,), i)
+        except BlowUpSignal as sig:
+            return sig.time, sig.step, sig.reason
+    return None
+
+
+@pytest.mark.parametrize("nan_at, big_at", [
+    (5, 40), (40, 5),      # in different chunks, both orders
+    (3, 9), (9, 3),        # in one chunk, both orders
+    (40, 40),              # one snapshot: the non-finite state wins
+])
+def test_picard_blowup_reports_the_first_offending_snapshot(nan_at, big_at):
+    cfg = dense_config(0.01)
+    traj = zero_trajectory(cfg)
+    grid = traj.grid
+    assert _chunk_rows(grid) < 40 < len(traj.times)
+    zero = np.zeros(grid.xi_mag.shape, complex)
+    # samples of 1e100 overflow at the power p = 4
+    big = _forward_half(grid, np.full(grid.shape, 1e100))
+    nan = np.full(grid.xi_mag.shape, np.nan, complex)
+    states = list(traj.states)
+    states[big_at] = (big, zero)
+    states[nan_at] = (nan if nan_at != big_at else big + nan, zero)
+    traj.states = states
+    u1 = make_data(cfg, grid)
+    want = _first_signal(traj, u1, cfg)
+    first = min(nan_at, big_at)
+    assert want == (traj.times[first], first,
+                    "non-finite state in nonlinearity" if first == nan_at
+                    else "overflow in pointwise power")
+    with pytest.raises(BlowUpSignal) as caught:
+        picard_apply(traj, u1, cfg)
+    sig = caught.value
+    assert (sig.time, sig.step, sig.reason) == want

@@ -14,11 +14,12 @@ from sigmaevo.grid import (GridSpec, SpectralField, build_grid,
 from sigmaevo.operators import lebesgue_norm
 from sigmaevo.params import ModelParams, ValidationError
 from sigmaevo.propagator import propagate_linear
-from sigmaevo.solver import (INT_POWER_MAX, BlowUpSignal, SolverConfig,
-                             Trajectory, _dealias_mask, _floored_power,
-                             etd_step, horizon_limit, integrate, make_data,
-                             nonlinearity, xt_distance, xt_norm,
-                             zero_trajectory)
+from sigmaevo.solver import (ABS_FLOOR, INT_POWER_MAX, BlowUpSignal,
+                             SolverConfig, StepTables, Trajectory,
+                             _dealias_mask, _floored_power,
+                             _nonlinearity_hat, etd_step, horizon_limit,
+                             integrate, make_data, nonlinearity,
+                             xt_distance, xt_norm, zero_trajectory)
 
 from full_layout import field_from_function
 
@@ -155,6 +156,44 @@ def test_non_finite_state_raises_blowup():
         etd_step(state, 0.1, PARAMS)
 
 
+ROW_KINDS = {"ordinary": 1.0, "nan": np.nan, "inf": np.inf, "overflow": 1e200}
+
+
+def _signal_or_bytes(call):
+    try:
+        return call().tobytes()
+    except BlowUpSignal as sig:
+        return (sig.time, sig.step, sig.reason)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1,
+                         max_size=3), min_size=1, max_size=6),
+       st.sampled_from([2.5, 3.0, 4.0]), st.integers(0, 2 ** 32 - 1))
+def test_nonlinearity_rows_are_the_rows_one_by_one(kinds, p, seed):
+    # Each row is ordinary or carries NaN, inf or overflowing samples (some
+    # rows several kinds): a block raises the first signal of the rows taken
+    # one by one, with its time and step, and otherwise gives their bits.
+    grid = build_grid(GridSpec(1, 64, 10.0))
+    tables = StepTables(grid, replace(PARAMS, p=p), 0.05, True)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(kinds),) + grid.shape)
+    for row, row_kinds in zip(rows, kinds):
+        at = rng.choice(grid.shape[0], len(row_kinds), replace=False)
+        row[at] = [ROW_KINDS[kind] for kind in row_kinds]
+    times = 0.05 * np.arange(7, 7 + len(rows))
+
+    def one_by_one():
+        return np.concatenate([
+            _nonlinearity_hat(row[np.newaxis].copy(), tables, (t,), 7 + j)
+            for j, (row, t) in enumerate(zip(rows, times))])
+
+    want = _signal_or_bytes(one_by_one)
+    got = _signal_or_bytes(
+        lambda: _nonlinearity_hat(rows.copy(), tables, times, 7))
+    assert got == want
+
+
 def test_nonlinearity_and_step_leave_their_inputs_alone():
     grid = build_grid(GridSpec(1, 128, 20.0))
     u = field_from_function(grid, lambda x: np.exp(-x * x) - 0.3)
@@ -187,6 +226,21 @@ def test_integer_powers_match_np_power(p, x):
     assert np.all(np.abs(got - want)[normal]
                   <= (p - 1) * np.finfo(float).eps * want[normal])
     assert np.all(np.abs(got - want)[~normal] < tiny)
+
+
+@pytest.mark.parametrize("p", range(2, INT_POWER_MAX + 1))
+def test_integer_powers_need_no_floor(p):
+    # A base below ABS_FLOOR gives +0 with or without the floor, since its
+    # square underflows; every other base is left alone by the floor.
+    x = np.array([0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-301,
+                  np.nextafter(ABS_FLOOR, 0.0), ABS_FLOOR,
+                  np.nextafter(ABS_FLOOR, 1.0), 1e-299, 1e-160, 1.5e-154,
+                  0.5, 1.0, 3.0, 1e300])
+    got = _floored_power(x.copy(), float(p), np.empty_like(x))
+    floored = np.maximum(x, ABS_FLOOR)
+    want = _floored_power(floored, float(p), np.empty_like(x))
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got))
 
 
 @pytest.mark.parametrize("p", range(2, INT_POWER_MAX + 1))
