@@ -32,12 +32,12 @@ Neither the forcing ``f_i`` nor the norms of a snapshot depend on the
 recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
 128 KiB of coefficients) goes through three phases:
 
-1. Forcing rows.  The chunk's input ``u`` states are stacked into its
-   ``u`` rows of the output block and transformed into one real block
-   of samples; the weights, ``|.|``, both finiteness checks, the power
-   and ``(dt/2) f_i`` are each one pass over the block.  The first
-   offending snapshot raises ``BlowUpSignal``, as it would alone.  The
-   forcing rows stay in the block's ``u`` rows until phase 2 writes
+1. Forcing rows.  The chunk's input ``u`` rows are transformed into
+   one real block of samples; the weights, ``|.|``, both finiteness
+   checks, the power and ``(dt/2) f_i`` are each one pass over the
+   block.  The first offending snapshot raises ``BlowUpSignal``, as it
+   would alone.  The forcing rows are written into the chunk's ``u``
+   rows of the output block, where they stay until phase 2 writes
    ``u_i`` over them.
 2. Recurrence, per snapshot.  ``F`` and ``S`` are the two rows of one
    ``(2, 2) + half`` buffer per parity, so one ``M(dt)`` advance moves
@@ -48,7 +48,9 @@ recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
    memory.  Every norm has the bits of the per-snapshot record.
 
 Each call writes its states into one ``(2, n_snap) + half`` block (the
-``u`` rows, then the ``u_t`` rows); besides it, a call holds the
+``u`` rows, then the ``u_t`` rows), so that the forcing rows of a chunk
+are contiguous, and returns it as the ``(n_snap, 2) + half`` view that
+every ``Trajectory`` stores.  Besides the block, a call holds the
 kernel tables, the two flow buffers and one chunk's real block, and
 allocates nothing per snapshot.  Every transform is one library call
 per field, as in ``integrate``.
@@ -84,8 +86,8 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     the trajectory, ``u1`` and ``config`` on one grid.  The Duhamel sum
     is advanced by the one-step recurrence of the module docstring, so
     one call costs O(n_snap N); the free part ``K1(t) u1`` is advanced
-    by the same one-step matrix ``M(dt)``.  The returned states are row
-    views of one block that no other call shares.
+    by the same one-step matrix ``M(dt)``.  The returned states are a
+    view of one block that no other call shares.
     """
     if config.t_end > MAX_HORIZON:
         raise ValidationError(
@@ -95,10 +97,6 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
             f"snapshot spacing dt = {config.dt} too coarse; need <= {MAX_DT}")
     if traj_in.states is None:
         raise ValidationError("input trajectory must store states")
-    if len(traj_in.states) != len(traj_in.times):
-        raise ValidationError(
-            f"input trajectory holds {len(traj_in.states)} states for "
-            f"{len(traj_in.times)} snapshot times")
     dts = np.diff(traj_in.times)
     if not np.allclose(dts, config.dt, rtol=1e-9, atol=1e-12):
         raise ValidationError("input trajectory must be stored densely (every step)")
@@ -145,9 +143,10 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
         k = rows.stop - lo
         # 1. forcing rows (dt/2) f_i, held in the chunk's u rows of the
         #    block until the recurrence writes u over them
-        g = np.stack([u for u, _ in traj_in.states[rows]], out=block[0, rows])
-        u_phys = _inverse_half(grid, g, out=samples[:k])
-        _nonlinearity_hat(u_phys, tables, times[rows], lo, out=g)
+        u_phys = _inverse_half(grid, traj_in.states[rows, 0],
+                               out=samples[:k])
+        g = _nonlinearity_hat(u_phys, tables, times[rows], lo,
+                              out=block[0, rows])
         g *= half_dt
         # 2. the recurrence; after its output, S_i takes the (dt/2) f_i
         #    that the next advance starts from
@@ -168,4 +167,4 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
         dt_l2[rows] = _half_l2_rows(grid, block[1, rows], None, squares)
         hsigma[rows] = _half_l2_rows(grid, u_rows, tables.xi_sigma, squares)
     return Trajectory(times.copy(), l2, dt_l2, hsigma, lm, params, grid,
-                      states=list(zip(block[0], block[1])))
+                      states=block.swapaxes(0, 1))

@@ -348,21 +348,20 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
     return tuple(SpectralField(grid, c) for c in new)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Result of every run (linear flow, integration, Picard map).
 
     ``l2``, ``dt_l2``, ``hsigma`` and ``lm`` are ``||u||_2``,
     ``||u_t||_2``, ``|u|_{H^sigma}`` and ``||u||_m`` at ``times``.
-    ``states`` and ``final_state`` hold the coefficient arrays of
-    ``(u, du/dt)``, laid out like ``SpectralField.coeffs``.  Every norm
-    series, and ``states`` when present, holds one entry per time; a
-    mismatch raises ``ValueError``.  ``integrate`` stores copies of its
-    state buffers; ``picard_apply`` stores row views of one
-    ``(2, n_snap) + half`` block per call; ``zero_trajectory`` stores
-    one read-only zero pair, shared by every snapshot and
-    ``final_state``.  A run cut by a
-    ``BlowUpSignal`` keeps its time, step and reason.
+    ``states``, when stored, is one complex array of shape
+    ``(n_snap, 2) + half``: ``states[i]`` is the ``(u, du/dt)`` pair of
+    snapshot ``i``, each laid out like ``SpectralField.coeffs``, and
+    ``states[rows, c]`` is a block of rows.  ``final_state`` is the
+    ``(u, du/dt)`` pair at the last time.  Every norm series, and
+    ``states`` when present, holds one entry per time; a mismatch raises
+    ``ValueError``, and the fields cannot be reassigned afterwards.  A
+    run cut by a ``BlowUpSignal`` keeps its time, step and reason.
     """
 
     times: np.ndarray
@@ -372,7 +371,7 @@ class Trajectory:
     lm: np.ndarray
     params: ModelParams
     grid: Grid
-    states: list[tuple[np.ndarray, np.ndarray]] | None = None
+    states: np.ndarray | None = None
     final_state: tuple[np.ndarray, np.ndarray] | None = None
     blew_up: bool = False
     blowup_time: float | None = None
@@ -440,9 +439,9 @@ def integrate(config: SolverConfig) -> Trajectory:
     steps ``dt`` (to 1e-9 relative).  Norms are recorded every
     ``snapshot_interval`` time units (default: every step up to 1200
     snapshots, then coarsened).  A blow-up signal truncates the
-    trajectory and labels it, which is a normal outcome.  The steps
-    write the two state pairs of the run's ``_StepWork`` in turn, so
-    stored states are copies.
+    trajectory and labels it, which is a normal outcome.  With
+    ``store_states`` every recorded state is copied into one block of
+    rows, allocated for the whole run and cut to the recorded rows.
     """
     _check_horizon(config)
     n_steps = _whole_steps(config.t_end, config.dt, "t_end")
@@ -463,7 +462,11 @@ def integrate(config: SolverConfig) -> Trajectory:
 
     times = [0.0]
     records = [_record_norms(tables, work, u_hat, ut_hat)]
-    states = [(u_hat.copy(), ut_hat.copy())] if config.store_states else None
+    states = None
+    if config.store_states:
+        n_rec = n_steps // every + 1 + (n_steps % every != 0)
+        states = np.empty((n_rec, 2) + grid.xi_mag.shape, complex)
+        states[0, 0], states[0, 1] = u_hat, ut_hat
     ref = max(max(records[0]), ABS_FLOOR)
 
     blowup = None
@@ -478,8 +481,9 @@ def integrate(config: SolverConfig) -> Trajectory:
                 rec = _record_norms(tables, work, u_hat, ut_hat)
                 times.append(t)
                 records.append(rec)
-                if config.store_states:
-                    states.append((u_hat.copy(), ut_hat.copy()))
+                if states is not None:
+                    row = len(times) - 1
+                    states[row, 0], states[row, 1] = u_hat, ut_hat
                 if not all(np.isfinite(rec)) or max(rec) > BLOWUP_FACTOR * ref:
                     raise BlowUpSignal(t, step, "runaway or non-finite norms")
     except BlowUpSignal as sig:
@@ -488,6 +492,8 @@ def integrate(config: SolverConfig) -> Trajectory:
     cut = {} if blowup is None else dict(
         blew_up=True, blowup_time=blowup.time, blowup_step=blowup.step,
         blowup_reason=blowup.reason)
+    if states is not None:
+        states = states[:len(times)]
     return Trajectory.from_records(times, records, params, grid,
                                    states=states,
                                    final_state=(u_hat.copy(), ut_hat.copy()),
@@ -500,22 +506,21 @@ def zero_trajectory(config: SolverConfig) -> Trajectory:
 
     Built in closed form, with the bits of ``integrate`` run from zero
     data with the nonlinearity off: no step is taken and no transform
-    is made.  Every snapshot and ``final_state`` is one shared
-    ``(u, u_t)`` pair of zero half-spectrum arrays, marked read-only.
+    is made.  ``states`` broadcasts one read-only zero over its
+    ``(n_snap, 2) + half`` shape, so it takes O(1) memory; ``final_state``
+    is its last row.
     A config that ``integrate`` refuses (past the horizon, or ``t_end``
     not a whole number of steps) is refused with the same message.
     """
     _check_horizon(config)
     n_steps = _whole_steps(config.t_end, config.dt, "t_end")
     grid = build_grid(config.grid)
-    zero = np.zeros(grid.xi_mag.shape, complex)
-    zero.flags.writeable = False
-    pair = (zero, zero)
     times = [0.0] + [step * config.dt for step in range(1, n_steps + 1)]
+    states = np.broadcast_to(np.zeros(1, complex),
+                             (len(times), 2) + grid.xi_mag.shape)
     return Trajectory.from_records(times, [(0.0,) * 4] * len(times),
-                                   config.params, grid,
-                                   states=[pair] * len(times),
-                                   final_state=pair)
+                                   config.params, grid, states=states,
+                                   final_state=tuple(states[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +557,9 @@ def xt_distance(a: Trajectory, b: Trajectory) -> float:
     trajectories of one grid and one parameter tuple.
 
     The snapshots go in chunks of rows (``grid._chunk_rows``): each
-    chunk's states are stacked into two buffers and subtracted in place,
-    and the three norms are row sums with the bits of one ``_half_l2``
-    per difference.
+    component of a chunk's difference is one subtraction of state rows
+    into one buffer, and the three norms are row sums with the bits of
+    one ``_half_l2`` per difference.
     """
     if a.states is None or b.states is None:
         raise ValueError("both trajectories must store states")
@@ -568,20 +573,14 @@ def xt_distance(a: Trajectory, b: Trajectory) -> float:
     n_snap = len(a.times)
     l2, hs, dt = (np.empty(n_snap) for _ in range(3))
     chunk = _chunk_rows(grid)
-    diff, other = (np.empty((chunk,) + xs.shape, complex) for _ in range(2))
+    diff = np.empty((chunk,) + xs.shape, complex)
     squares = tuple(np.empty((chunk,) + xs.shape) for _ in range(2))
-
-    def diff_rows(c, rows):
-        """Component ``c`` of ``a - b`` on the snapshots ``rows``."""
-        k = len(a.states[rows])
-        d = np.stack([s[c] for s in a.states[rows]], out=diff[:k])
-        d -= np.stack([s[c] for s in b.states[rows]], out=other[:k])
-        return d
-
     for lo in range(0, n_snap, chunk):
         rows = slice(lo, lo + chunk)
-        du = diff_rows(0, rows)
+        d = diff[:min(chunk, n_snap - lo)]
+        du = np.subtract(a.states[rows, 0], b.states[rows, 0], out=d)
         l2[rows] = _half_l2_rows(grid, du, None, squares)
         hs[rows] = _half_l2_rows(grid, du, xs, squares)
-        dt[rows] = _half_l2_rows(grid, diff_rows(1, rows), None, squares)
+        dut = np.subtract(a.states[rows, 1], b.states[rows, 1], out=d)
+        dt[rows] = _half_l2_rows(grid, dut, None, squares)
     return float(np.max(xt_weighted_sums(a.times, l2, hs, dt, a.params)))

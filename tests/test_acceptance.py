@@ -141,9 +141,9 @@ def test_criterion_7_self_convergence():
     def final_state(dt):
         cfg = SolverConfig(params=REFERENCE, grid=GridSpec(1, 2048, 200.0),
                            dt=dt, t_end=5.0, data_amplitude=0.01,
-                           store_states=True, snapshot_interval=5.0)
+                           snapshot_interval=5.0)
         traj = integrate(cfg)
-        return full_from_half(traj.grid, traj.states[-1][0])
+        return full_from_half(traj.grid, traj.final_state[0])
 
     ref = final_state(0.0125)
     errs = [np.linalg.norm(final_state(dt) - ref) for dt in (0.1, 0.05, 0.025)]

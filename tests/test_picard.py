@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -247,13 +247,12 @@ def test_xt_distance_is_the_per_snapshot_loop(case):
 
 
 def test_picard_refuses_states_cut_after_construction():
-    # Trajectory checks lengths when built; a states list cut afterwards
-    # must not leave rows of the block unwritten.
+    # Trajectory checks lengths when built and is frozen, so no states
+    # cut afterwards can leave rows of picard_apply's block unwritten.
     cfg = dense_config(0.01, n=64, t_end=1.0)
     traj = zero_trajectory(cfg)
-    traj.states = traj.states[:5]
-    with pytest.raises(ValueError):
-        picard_apply(traj, make_data(cfg, traj.grid), cfg)
+    with pytest.raises(FrozenInstanceError):
+        traj.states = traj.states[:5]
 
 
 def test_picard_states_share_no_memory():
@@ -280,7 +279,10 @@ def test_picard_states_share_no_memory():
 def test_picard_and_xt_distance_memory_peaks():
     # The picard-1d size: 251 snapshots at N = 2048.  A call keeps its
     # block of states (7.9 MiB); beyond it, only buffers of one snapshot
-    # or one chunk of rows (0.34 MiB measured) may be live at once.
+    # or one chunk of rows may be live at once.  Measured: 0.38 MiB for
+    # picard_apply, whose retained memory holds no per-snapshot objects,
+    # and 0.29 MiB for xt_distance, which subtracts state rows into one
+    # chunk buffer.
     cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 2048, 400.0),
                        dt=0.02, t_end=5.0, data_amplitude=0.1,
                        store_states=True, snapshot_interval=0.02)
@@ -298,7 +300,7 @@ def test_picard_and_xt_distance_memory_peaks():
         tracemalloc.stop()
     assert retained >= 2 * len(first.times) * 1025 * 16
     assert peak - retained <= 0.5 * 2 ** 20
-    assert xt_peak <= 0.5 * 2 ** 20
+    assert xt_peak <= 0.375 * 2 ** 20
 
 
 @pytest.mark.parametrize("case", ROW_CASES)
@@ -341,14 +343,13 @@ def test_picard_blowup_reports_the_first_offending_snapshot(nan_at, big_at):
     traj = zero_trajectory(cfg)
     grid = traj.grid
     assert _chunk_rows(grid) < 40 < len(traj.times)
-    zero = np.zeros(grid.xi_mag.shape, complex)
     # samples of 1e100 overflow at the power p = 4
     big = _forward_half(grid, np.full(grid.shape, 1e100))
     nan = np.full(grid.xi_mag.shape, np.nan, complex)
-    states = list(traj.states)
-    states[big_at] = (big, zero)
-    states[nan_at] = (nan if nan_at != big_at else big + nan, zero)
-    traj.states = states
+    states = np.array(traj.states)
+    states[big_at, 0] = big
+    states[nan_at, 0] = nan if nan_at != big_at else big + nan
+    traj = replace(traj, states=states)
     u1 = make_data(cfg, grid)
     want = _first_signal(traj, u1, cfg)
     first = min(nan_at, big_at)
