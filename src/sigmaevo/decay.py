@@ -7,9 +7,18 @@
 and ``E`` the data's mode energies, tabulated once per run on the data
 scaled by its coefficient peak (which keeps the norms linear in the
 amplitude over the whole float range).  The ``L^m`` norm takes one
-inverse transform per sample, into a buffer of the run.  Norm time
-series from linear or semilinear runs are fitted by ordinary least
-squares of ``log(norm)`` against ``log(1 + t)``.  Verdicts are
+inverse transform per sample, into a buffer of the run.  These two
+halves of a sample overlap: the kernel tables and sums run on one
+worker thread, one sample ahead of the calling thread, which forms the
+field and makes every transform (so a tracer with one span stack sees
+them all).  The worker moves the shared tables on only after the caller
+has formed the field from them, so the norms are bitwise those of the
+serial loop.  numpy's floating-point error state is per thread, so any
+``errstate`` the worker needs is set inside the functions it calls, as
+``velocity_kernels`` does.
+
+Norm time series from linear or semilinear runs are fitted by ordinary
+least squares of ``log(norm)`` against ``log(1 + t)``.  Verdicts are
 one-sided: the theoretical exponents are upper bounds on the norms, so a
 measured slope at least as negative passes; a separate sharpness flag
 records agreement within tolerance.  The auto rules for the box length
@@ -19,6 +28,7 @@ point is resolved, run and judged exactly like a single run.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +96,16 @@ def _sample_times(t_end: float, n_samples: int) -> np.ndarray:
 def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     """Exact linear flow sampled at log-spaced times (no stepping error).
 
-    The L2, ``u_t`` and ``H^sigma`` norms are kernel sums against the
-    data's mode energies (``_half_energy``); only ``L^m`` needs the field,
-    one inverse transform per sample into a one-row buffer of the run.
+    Each sample has a spectral half and a field half.  The spectral half
+    moves the kernel tables to the sample's time and takes the L2,
+    ``u_t`` and ``H^sigma`` norms as kernel sums against the data's mode
+    energies (``_half_energy``); it runs on one worker thread, one
+    sample ahead.  The field half, on the calling thread, forms
+    ``u_hat = K1 u1_hat`` and takes ``L^m`` from one inverse transform
+    into a one-row buffer of the run.  The worker moves the tables on
+    only once ``u_hat`` is formed, so both halves share one set of
+    tables and the norms are bitwise those of the serial loop.  An
+    exception on either thread stops both and reaches the caller.
     ``final_state`` is the state at the last sample, ``t_end``.
     """
     if n_samples < 2:  # the series runs from 0 to t_end
@@ -102,20 +119,55 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     energy_sigma = energy * k
     u_hat = np.empty_like(u1_hat)
     work = np.empty((1,) + grid.shape)
-    # the kernel squares use work's leading entries before the field fills it
-    scratch = work.reshape(-1)[:k.size].reshape(k.shape)
-
+    scratch = np.empty_like(k)
+    norms = np.empty((n_samples, 4))
     times = _sample_times(config.t_end, n_samples)
-    records = []
-    for K1, dK1 in velocity_kernels(k, times):
-        l2 = _multiplier_l2(peak, K1, energy, scratch)
-        hsigma = _multiplier_l2(peak, K1, energy_sigma, scratch)
-        dt_l2 = _multiplier_l2(peak, dK1, energy, scratch)
-        np.multiply(K1, u1_hat, out=u_hat)
-        _inverse_half(grid, u_hat, out=work[0])
-        lm = _lm_norm(grid, work, params.m, out=work)[0]
-        records.append((l2, dt_l2, hsigma, float(lm)))
-    return Trajectory.from_records(times, records, params, grid,
+    # Every array is allocated here: the worker's would land in a new
+    # malloc arena and grow the peak memory.
+    kernels = velocity_kernels(k, times)
+    K1, dK1 = next(kernels)  # overwritten in place by each next()
+    ready, formed = threading.Semaphore(0), threading.Semaphore(0)
+    failed, stopped = [], False
+
+    def spectral_half():
+        try:
+            for i in range(n_samples):
+                if i:
+                    formed.acquire()  # the caller is done with K1
+                    if stopped:
+                        return
+                    next(kernels)
+                    ready.release()
+                norms[i, :3] = (_multiplier_l2(peak, K1, energy, scratch),
+                                _multiplier_l2(peak, dK1, energy, scratch),
+                                _multiplier_l2(peak, K1, energy_sigma,
+                                               scratch))
+        except BaseException as exc:
+            failed.append(exc)
+            ready.release()
+
+    # daemon: a worker stuck by a defect cannot hold the interpreter open
+    worker = threading.Thread(target=spectral_half, daemon=True,
+                              name="run_linear-spectral")
+    worker.start()
+    try:
+        for i in range(n_samples):
+            if i:
+                ready.acquire()
+                if failed:
+                    break
+            np.multiply(K1, u1_hat, out=u_hat)
+            formed.release()
+            _inverse_half(grid, u_hat, out=work[0])
+            norms[i, 3] = _lm_norm(grid, work, params.m, out=work)[0]
+    finally:
+        stopped = True
+        formed.release()
+        worker.join()
+    if failed:
+        raise failed[0]
+    # the tables stay at t_end: the generator ended after the last sample
+    return Trajectory.from_records(times, norms, params, grid,
                                    final_state=(u_hat, dK1 * u1_hat))
 
 

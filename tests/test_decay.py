@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +12,9 @@ from sigmaevo.data import PROFILES
 from sigmaevo.decay import (_sample_times, check_rate, default_window,
                             fit_decay, run_linear, suggest_box_length,
                             DecayFit)
-from sigmaevo.grid import GridSpec, _half_l2, build_grid, transform_forward
+from sigmaevo.grid import (GridSpec, _half_energy, _half_l2, _inverse_half,
+                           _lm_norm, _multiplier_l2, build_grid,
+                           transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import kernel_arrays, propagate_linear
 from sigmaevo.solver import SolverConfig, Trajectory, integrate, make_data
@@ -230,6 +235,128 @@ def test_run_linear_final_state_outlives_the_run_buffers():
     run_linear(replace(FAST, data_amplitude=2.0), n_samples=40)
     for got, want in zip(first.final_state, kept):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 40])
+@pytest.mark.parametrize("shape", [(1, 256), (2, 16), (3, 8)])
+def test_run_linear_is_bitwise_the_serial_loop(shape, n_samples):
+    # The worker and the caller share one set of kernel tables; a slot or
+    # ordering race would change some norm of some sample.
+    dim, points = shape
+    params = ModelParams(n=dim, sigma=1.0, alpha=0.5, p=4.0, m=1.5)
+    cfg = SolverConfig(params=params,
+                       grid=GridSpec(dim, points,
+                                     suggest_box_length(50.0, 1.0)),
+                       dt=0.1, t_end=50.0, data_amplitude=1.0)
+    series = run_linear(cfg, n_samples=n_samples)
+    grid = series.grid
+    u1_hat = transform_forward(make_data(cfg, grid)).coeffs
+    k = grid.xi_mag ** 2.0
+    peak, energy = _half_energy(grid, u1_hat)
+    scratch = np.empty_like(k)
+    assert np.array_equal(series.times, _sample_times(50.0, n_samples))
+    for i, t in enumerate(series.times):
+        _, K1, _, dK1 = kernel_arrays(k, t)
+        want = (_multiplier_l2(peak, K1, energy, scratch),
+                _multiplier_l2(peak, dK1, energy, scratch),
+                _multiplier_l2(peak, K1, energy * k, scratch),
+                _lm_norm(grid, _inverse_half(grid, K1 * u1_hat), params.m))
+        got = (series.l2[i], series.dt_l2[i], series.hsigma[i],
+               series.lm[i])
+        assert got == want, i
+
+
+def _bounded(*fns, timeout=60.0):
+    """Each ``fn()`` on its own daemon thread, all joined by one deadline,
+    so that a deadlock fails the test instead of hanging the suite."""
+    results = [{} for _ in fns]
+
+    def target(fn, result):
+        try:
+            result["value"] = fn()
+        except BaseException as exc:
+            result["error"] = exc
+
+    threads = [threading.Thread(target=target, args=pair, daemon=True)
+               for pair in zip(fns, results)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), "run_linear did not return"
+    return results
+
+
+class _Injected(Exception):
+    pass
+
+
+def _raise_on_call(fn, call):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise _Injected(f"call {call}")
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_run_linear_leaves_no_thread_running():
+    before = threading.active_count()
+    [result] = _bounded(lambda: run_linear(FAST, n_samples=40))
+    assert "error" not in result
+    assert threading.active_count() == before
+
+
+def test_run_linear_keeps_its_bits_under_thread_stress():
+    # Three runs at once, six threads on a two-core machine, switching
+    # every 10 us: a lost handoff would change some norm.
+    configs = [replace(FAST, data_amplitude=a) for a in (1.0, 2.0, 3.0)]
+    want = [run_linear(cfg, n_samples=40) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = _bounded(*(lambda cfg=cfg: run_linear(cfg, n_samples=40)
+                             for cfg in configs))
+    finally:
+        sys.setswitchinterval(interval)
+    for result, series in zip(results, want):
+        got = result["value"]
+        for name in ("u_L2", "dtu_L2", "Hsigma_semi", "Lm"):
+            assert np.array_equal(got.quantity(name), series.quantity(name))
+
+
+# 40 samples make 120 kernel sums and 40 L^m norms: the first failure
+# stops the other thread mid-run, the last one after it has finished.
+@pytest.mark.parametrize("name,call", [("_multiplier_l2", 5),
+                                       ("_multiplier_l2", 120),
+                                       ("_lm_norm", 1), ("_lm_norm", 3),
+                                       ("_lm_norm", 40)])
+def test_run_linear_error_on_either_thread_reaches_the_caller(monkeypatch,
+                                                              name, call):
+    import sigmaevo.decay as decay
+    monkeypatch.setattr(decay, name,
+                        _raise_on_call(getattr(decay, name), call))
+    before = threading.active_count()
+    [result] = _bounded(lambda: run_linear(FAST, n_samples=40))
+    assert type(result.get("error")) is _Injected
+    assert threading.active_count() == before
+
+
+def test_run_linear_makes_every_transform_on_the_calling_thread(monkeypatch):
+    # perfbench's tracer keeps one span stack, and its FFT count pins
+    # n_samples + 1 transforms per linear run.
+    threads = []
+    for name in ("rfftn", "irfftn"):
+        def wrapped(*args, _fn=getattr(np.fft, name), **kwargs):
+            threads.append(threading.current_thread())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, wrapped)
+    run_linear(FAST, n_samples=40)
+    assert len(threads) == 41
+    assert set(threads) == {threading.current_thread()}
 
 
 def test_linear_label_sees_ramp_before_turnover():
