@@ -19,8 +19,8 @@ fundamental matrix of the mode ODE, so ``M(t + s) = M(t) M(s)`` and
 
 is exactly the quadrature of the full sum over all earlier snapshots.
 It costs O(n_snap N) time and holds only the current sum and forcing,
-and it never divides by ``1 - k``, so the double-root band needs no
-branch of its own.
+and it only multiplies by the tables of ``M(dt)``, so the double root
+``k = 1`` needs no case of its own.
 
 The free flow rides the same one-step matrix: ``F_0 = (0, u1)`` and
 ``F_i = M(dt) F_{i-1}``, so no closed-form kernel is evaluated per

@@ -15,11 +15,22 @@ The fundamental solutions are therefore combinations of ``exp(-t)`` and
 and the factorization gives the response to ``v(0) = 1`` from them:
 ``A = K1 + exp(-t)`` and ``dA = -k K1`` (both sides solve the ODE with
 the same initial values).  ``A`` adds two non-negative terms, so
-nothing cancels.  ``K1`` and ``dK1`` have one closed form, in
-``velocity_kernels``, evaluated over the whole table in one pass.  The
-double root at ``k = 1`` is removable; inside a band
-``|1 - k| <= 1e-4`` the entries are overwritten through
-``phi1(z) = (exp(z) - 1)/z`` with ``z = (1 - k) t``.
+nothing cancels.
+
+The difference quotients above cancel wherever ``(1 - k) t`` is small,
+and are 0/0 at the double root ``k = 1``.  ``velocity_kernels`` takes
+the slower rate ``lo = min(k, 1)`` out of ``K1`` instead (with
+``hi = max(k, 1)``):
+
+    K1  = t exp(-lo t) phi1(x),   x = -|1 - k| t,
+    dK1 = exp(-hi t) - lo K1,
+
+where ``phi1(x) = expm1(x)/x`` (Cox & Matthews, J. Comput. Phys. 176,
+2002) is formed with ``x`` floored at ``-1e-300``, so it reads exactly
+1 at ``x = 0``.  Every factor is positive and ``dK1`` subtracts only
+where it crosses zero, so one formula holds for every ``k`` and ``t``,
+with no band around ``k = 1``.  ``duhamel_weight`` integrates ``K1``
+over one step.
 
 From rest the flow is ``u_hat(t) = K1(t, k) u1_hat`` mode by mode, so
 its norms are weighted sums of kernel squares against the data's mode
@@ -35,8 +46,6 @@ independent check of these closed forms.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grid import SpectralField
@@ -50,27 +59,18 @@ __all__ = [
     "decay_exponent",
 ]
 
-# Half-width of the band around the double root k = 1 whose kernels are
-# evaluated through phi1.
-DOUBLE_ROOT_BAND = 1e-4
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1)/z, with phi1(0) = 1."""
-    z = np.asarray(z, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(np.expm1(z) / z)  # writable for a scalar z too
-    out[z == 0] = 1.0
-    return out
-
-
-def _kernels_near(k: np.ndarray, t: float):
-    # (K1, dK1) through phi1 around k = 1, z = (1-k) t.
-    z = (1.0 - k) * t
-    phi = _phi1(z)
-    e_t = np.exp(-t)
-    # exp(z) = 1 + z*phi1(z) keeps the branch internally consistent.
-    return t * e_t * phi, e_t * ((1.0 + z * phi) - t * phi)
+# 12-point Gauss-Legendre rule on [-1, 1], (node, weight) for the
+# positive nodes; the negative nodes mirror them with the same weights.
+# These are the values of numpy.polynomial.legendre.leggauss(12), which
+# is not imported at run time: numpy.polynomial adds 1.4 MiB of memory.
+GAUSS_LEGENDRE_12 = (
+    (0.1252334085114689, 0.2491470458134027),
+    (0.3678314989981802, 0.2334925365383546),
+    (0.5873179542866175, 0.20316742672306573),
+    (0.7699026741943047, 0.16007832854334642),
+    (0.9041172563704748, 0.10693932599531907),
+    (0.9815606342467192, 0.04717533638651141),
+)
 
 
 def kernel_arrays(k: np.ndarray, t: float):
@@ -87,68 +87,56 @@ def kernel_arrays(k: np.ndarray, t: float):
 def velocity_kernels(k: np.ndarray, times):
     """Yield ``(K1, dK1)`` at each of ``times``, the flow from rest.
 
-    The one closed form of both kernels: ``(exp(-k t) - exp(-t))/(1 - k)``
-    and ``(exp(-t) - k exp(-k t))/(1 - k)`` over the whole table, with
-    the double-root band overwritten by ``_kernels_near``.  The values
-    go into three arrays (``exp(-k t)``, ``K1`` and ``dK1``) allocated
-    once for all times, like ``1 - k`` and the band.  The yielded
-    arrays are overwritten at the next step; copy them to keep them.
+    One formula for every mode (module docstring): ``K1 = t exp(-lo t)
+    phi1(-|1 - k| t)`` and ``dK1 = exp(-hi t) - lo K1``, where
+    ``exp(-lo t)`` and ``exp(-hi t)`` are the larger and the smaller
+    of ``exp(-k t)`` and ``exp(-t)``.  The values go into three arrays
+    (``K1``, ``dK1`` and a scratch table) allocated once for all times,
+    like ``|1 - k|``.  The yielded arrays are overwritten at the next
+    step; copy them to keep them.
     """
     k = np.asarray(k, dtype=np.float64)
-    denom = 1.0 - k
-    near = np.abs(denom) <= DOUBLE_ROOT_BAND
-    k_near = k[near]
-    e_kt, K1, dK1 = (np.empty_like(k) for _ in range(3))
+    gap, K1, dK1, scratch = (np.empty_like(k) for _ in range(4))
+    np.abs(np.subtract(1.0, k, out=gap), out=gap)
     for t in times:
         t = float(t)
-        np.exp(np.multiply(k, -t, out=e_kt), out=e_kt)
         e_t = np.exp(-t)
-        # the only 0/0 is at k = 1, inside the band overwritten below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(e_kt, e_t, out=K1)
-            K1 /= denom
-            np.subtract(e_t, np.multiply(k, e_kt, out=dK1), out=dK1)
-            dK1 /= denom
-        K1[near], dK1[near] = _kernels_near(k_near, t)
+        x = np.minimum(np.multiply(gap, -t, out=scratch), -1e-300,
+                       out=scratch)
+        np.divide(np.expm1(x, out=K1), x, out=K1)  # phi1(x)
+        K1 *= t
+        e_kt = np.exp(np.multiply(k, -t, out=dK1), out=dK1)
+        K1 *= np.maximum(e_kt, e_t, out=scratch)  # exp(-lo t)
+        np.minimum(e_kt, e_t, out=dK1)  # exp(-hi t)
+        dK1 -= np.multiply(np.minimum(k, 1.0, out=scratch), K1, out=scratch)
         yield K1, dK1
 
 
-def _band_moments(dt: float) -> list[float]:
-    """``M_j = int_0^dt tau^j exp(-tau) dtau`` for ``j = 1, 2, 3``.
-
-    ``M_j = j! exp(-dt) sum_{i>j} dt^i / i!``, a series of positive
-    terms, so nothing cancels at small ``dt``; the tails are summed
-    smallest term first.
-    """
-    terms = [1.0]  # dt^i / i!
-    while len(terms) < 6 or terms[-1] > 1e-17 * terms[4]:
-        terms.append(terms[-1] * dt / len(terms))
-    tails = np.cumsum(terms[:0:-1])[::-1]  # tails[j] = sum_{i>j} dt^i / i!
-    return [math.factorial(j) * math.exp(-dt) * tails[j] for j in (1, 2, 3)]
-
-
 def duhamel_weight(k: np.ndarray, dt: float) -> np.ndarray:
-    """Closed form of ``int_0^dt K1(tau, k) dtau`` (forcing response weight).
+    """``int_0^dt K1(tau, k) dtau``, the forcing response weight.
 
-    Away from the double root this is ``(psi(k) - psi(1)) / (1 - k)``
-    with ``psi(a) = (1 - exp(-a dt))/a``; inside the band around k = 1
-    it is evaluated as a short series in ``1 - k`` with the moments of
-    ``_band_moments``.
+    Where ``|1 - k| dt > 1`` this is the closed form
+    ``(psi(k) - psi(1)) / (1 - k)`` with ``psi(a) = (1 - exp(-a dt))/a``;
+    there ``k dt > 1 + dt``, so ``psi(k) < 0.69 psi(1)`` and the
+    difference loses less than a digit.  Elsewhere ``min(k, 1) dt`` and
+    ``|1 - k| dt`` are at most 1, ``K1`` is smooth on the scale of the
+    step, and the 12-point Gauss-Legendre rule of ``velocity_kernels``
+    is exact to rounding.  Both hold only for ``dt <= 1``, which also
+    keeps ``k = 0`` on the quadrature side.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive; got {dt}")
+    if not 0 < dt <= 1:
+        raise ValueError(f"dt must lie in (0, 1]; got {dt}")
     k = np.asarray(k, dtype=np.float64)
-    psi_1 = -np.expm1(-dt)
-    # 0/0 arises only at k = 0 and k = 1; both are patched below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_k = np.asarray(-np.expm1(-k * dt) / k)
-        psi_k[k == 0] = dt
-        out = np.asarray((psi_k - psi_1) / (1.0 - k))
-
-    near = np.abs(1.0 - k) <= DOUBLE_ROOT_BAND
-    w = 1.0 - k[near]
-    m1, m2, m3 = _band_moments(dt)
-    out[near] = m1 + (w / 2.0) * m2 + (w * w / 6.0) * m3
+    out = np.empty_like(k)
+    near = np.abs(1.0 - k) * dt <= 1.0
+    far = k[~near]
+    out[~near] = (-np.expm1(-far * dt) / far + np.expm1(-dt)) / (1.0 - far)
+    half = 0.5 * dt
+    taus = [half * (1.0 + s * x) for x, _ in GAUSS_LEGENDRE_12
+            for s in (-1, 1)]
+    weights = [half * w for _, w in GAUSS_LEGENDRE_12 for _ in (-1, 1)]
+    out[near] = sum(w * K1 for w, (K1, _)
+                    in zip(weights, velocity_kernels(k[near], taus)))
     return out
 
 

@@ -167,14 +167,14 @@ def _double_sum_states(traj_in, u1, config):
 
 
 def test_recurrence_matches_double_sum():
-    # L = 128 pi puts the modes j = +-64 at k = 1, inside the double-root band;
+    # L = 128 pi puts the modes j = +-64 exactly at the double root k = 1;
     # the half-spectrum table holds j = 64, its mirror -64 is implied
     cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 128.0 * np.pi),
                        dt=0.04, t_end=2.0, data_amplitude=0.1,
                        store_states=True, snapshot_interval=0.04)
     grid = build_grid(cfg.grid)
     k = grid.xi_mag ** (2.0 * PARAMS.sigma)
-    assert np.count_nonzero(np.abs(1.0 - k) <= 1e-4) == 1
+    assert np.count_nonzero(k == 1.0) == 1
     u1 = make_data(cfg, grid)
     traj = zero_trajectory(cfg)
     for _ in range(3):

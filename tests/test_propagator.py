@@ -1,19 +1,16 @@
 import math
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammainc
 
 from sigmaevo.checks import ode_oracle
 from sigmaevo.grid import GridSpec, build_grid, transform_forward
 from sigmaevo.params import ModelParams
-from sigmaevo.propagator import (DOUBLE_ROOT_BAND, _band_moments,
-                                 _kernels_near, _phi1,
-                                 decay_exponent, duhamel_weight,
-                                 kernel_arrays, propagate_linear,
-                                 velocity_kernels)
+from sigmaevo.propagator import (GAUSS_LEGENDRE_12, decay_exponent,
+                                 duhamel_weight, kernel_arrays,
+                                 propagate_linear, velocity_kernels)
 
 from full_layout import field_from_function
 
@@ -33,6 +30,11 @@ def test_mean_mode_reduction():
         A, K1, _, _ = kernel_arrays(np.array([0.0]), t)
         assert abs(K1[0] - (1.0 - np.exp(-t))) < 1e-15
         assert A[0] == 1.0
+    # late times, where exp(-t) is far below the rounding of K1 = 1 - exp(-t)
+    for t in (30.0, 100.0):
+        A, _, _, dK1 = kernel_arrays(np.array([0.0]), t)
+        assert abs(dK1[0] - math.exp(-t)) <= 1e-15 * math.exp(-t)
+        assert abs(A[0] - 1.0) <= 1e-15
 
 
 def test_double_root_values():
@@ -53,10 +55,11 @@ def test_derivative_identity():
             assert abs(dA[0] + k * K1[0]) <= 1e-12
 
 
-# k across the spectrum, with a share of draws forced into the band
-# |1 - k| <= DOUBLE_ROOT_BAND where the series-stabilized branch is used.
+# k across the spectrum, with a share of draws at 1 +- 10^-u, around the
+# double root where the difference quotients of the kernels cancel.
 K_DRAWS = st.one_of(st.floats(0.0, 1e4),
-                    st.floats(1.0 - DOUBLE_ROOT_BAND, 1.0 + DOUBLE_ROOT_BAND))
+                    st.builds(lambda u, s: 1.0 + s * 10.0 ** -u,
+                              st.integers(1, 15), st.sampled_from((-1, 1))))
 T_DRAWS = st.floats(0.0, 10.0)
 
 
@@ -69,8 +72,7 @@ def _kernel_matrix(k, t):
 @given(K_DRAWS, T_DRAWS, T_DRAWS)
 def test_kernel_matrix_semigroup(k, s, t):
     # The Picard recurrence advances Duhamel sums by M(dt); it is exact
-    # only if M(s) M(t) = M(s + t).  Entries are O(1); the far branch's
-    # cancellation at the band edge costs about 2e-12 of that.
+    # only if M(s) M(t) = M(s + t).  Entries are O(1).
     product = _kernel_matrix(k, s) @ _kernel_matrix(k, t)
     assert np.max(np.abs(product - _kernel_matrix(k, s + t))) <= 1e-11
 
@@ -86,56 +88,22 @@ def test_derivative_identity_and_wronskian(k, t):
     assert abs(A * dK1 - K1 * dA - np.exp(-(1.0 + k) * t)) <= 1e-10 * scale
 
 
-def test_branch_continuity_at_band_edge():
-    # The near branch against the textbook far closed forms of (A, K1, dK1).
-    # Per-value relative error, floored at 1% of the local kernel scale:
-    # dK1 crosses zero near (k, t) = (1, 1), and right at the band edge the
-    # far closed form's own cancellation caps its accuracy at about 1e-12
-    # of the kernel scale, which the floored gauge represents honestly.
-    for k in (1.0 - DOUBLE_ROOT_BAND, 1.0 + DOUBLE_ROOT_BAND):
-        for t in (0.1, 1.0, 10.0):
-            e_kt, e_t = math.exp(-k * t), math.exp(-t)
-            far = [(e_kt - k * e_t) / (1.0 - k), (e_kt - e_t) / (1.0 - k),
-                   (e_t - k * e_kt) / (1.0 - k)]
-            K1, dK1 = (arr[0] for arr in _kernels_near(np.array([k]), t))
-            near = [K1 + e_t, K1, dK1]
-            scale = max(abs(v) for v in near)
-            for a, b in zip(far, near):
-                assert abs(a - b) <= 1e-10 * max(abs(b), 1e-2 * scale)
-
-
 @settings(deadline=None)
 @given(K_DRAWS, T_DRAWS)
 def test_velocity_kernels_sum_to_slow_exponential(k, t):
-    # dK1 + K1 = exp(-k t): the two come from separate formulas (and
-    # separate branches in the band), so this checks one against the
-    # other.  In the sum the far form keeps the rounding of k exp(-k t)
-    # divided by 1 - k: up to 2^-53 / 1e-4 = 1.1e-12 of the larger term
-    # just outside the band (1.1e-12 is also the largest seen in a dense
-    # scan of the band edges).
+    # dK1 + K1 = exp(-k t).  Below k = 1 this checks K1 against the
+    # exponential dK1 is formed from: dK1 + K1 = exp(-t) + (1 - k) K1.
     _, K1, _, dK1 = (v[0] for v in kernel_arrays(np.array([k]), t))
     slow = math.exp(-k * t)
     assert abs(dK1 + K1 - slow) <= 5e-12 * max(abs(K1), slow)
 
 
-def _exact_phi1(z: float) -> float:
-    # sum_j z^j / (j + 1)! in exact rationals; 12 terms leave < 1e-40
-    # relative at |z| <= 1e-3.
-    x = Fraction(z)
-    return float(sum(x ** j / math.factorial(j + 1) for j in range(12)))
-
-
-@settings(deadline=None)
-@given(st.floats(-1e-3, 1e-3))
-def test_phi1_matches_exact_series(z):
-    # expm1(z)/z rounds twice, so it is within about two ulps of 1.
-    assert abs(_phi1(z) - _exact_phi1(z)) <= 4.5e-16
-
-
-# Both sides of each band edge, the removable singularities k = 0 and
-# k = 1, and stiff modes whose exponentials underflow.
+# The removable singularities k = 0 and k = 1 and modes beside them, both
+# sides of duhamel_weight's switch |1 - k| dt = 1 at dt = 0.5 (k = 3), and
+# stiff modes whose exponentials underflow.
 PATCH_TABLE = np.array([0.0, 1e-3, 1.0 - 1.1e-4, 1.0 - 1e-4, 1.0 - 1e-6, 1.0,
-                        1.0 + 1e-6, 1.0 + 1e-4, 1.0 + 1.1e-4, 10.0, 1e4, 1e8])
+                        1.0 + 1e-6, 1.0 + 1e-4, 1.0 + 1.1e-4, 3.0 - 1e-9,
+                        3.0 + 1e-9, 10.0, 1e4, 1e8])
 
 
 def _entrywise(fn, arg):
@@ -147,9 +115,9 @@ def _entrywise(fn, arg):
 
 
 def test_kernel_tables_patch_singularities_entrywise():
-    # Tables are evaluated in closed form in one pass and patched where
-    # the closed form is 0/0; no such value may escape the patch, and a
-    # patched entry may not depend on its neighbours.
+    # Tables are evaluated in one pass over the table (duhamel_weight in
+    # one pass per side of its switch); no 0/0 may arise at the removable
+    # singularities, and no entry may depend on its neighbours.
     cases = [(kernel_arrays, t) for t in (0.0, 0.1, 10.0)]
     cases += [(duhamel_weight, dt) for dt in (0.02, 0.5)]
     with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -157,7 +125,6 @@ def test_kernel_tables_patch_singularities_entrywise():
             whole, alone = _entrywise(fn, arg)
             assert np.all(np.isfinite(whole))
             assert np.all(np.abs(whole - alone) <= 1e-14 * np.abs(alone))
-    assert _phi1(0.0) == 1.0
 
 
 @settings(deadline=None)
@@ -171,31 +138,122 @@ def test_velocity_kernels_are_the_kernel_tables(times):
         assert np.array_equal(K1, K1_ref) and np.array_equal(dK1, dK1_ref)
 
 
-def _exact_moment(j: int, dt: float) -> float:
-    # int_0^dt tau^j exp(-tau) dtau = sum_i (-1)^i dt^(i+j+1) / (i! (i+j+1))
-    # in exact rationals; 25 terms leave < 1e-24 relative at dt <= 0.5.
-    x = Fraction(dt)
-    return float(sum(Fraction((-1) ** i, math.factorial(i) * (i + j + 1))
-                     * x ** (i + j + 1) for i in range(25)))
+# --- 40-digit references (stdlib decimal) ---------------------------------
+#
+# Both references sum positive-term series wherever a difference quotient
+# would cancel, so 40 digits leave every value far below the bounds.
+
+def _dec_phi1(z: Decimal) -> Decimal:
+    # (exp(z) - 1)/z, by its series below |z| = 1 where the difference cancels
+    if abs(z) >= 1:
+        return (z.exp() - 1) / z
+    term, total, j = Decimal(1), Decimal(0), 1
+    while total == 0 or abs(term) > Decimal("1e-45") * abs(total):
+        total += term
+        j += 1
+        term = term * z / j
+    return total
 
 
-@settings(deadline=None)
-@given(st.floats(1e-3, 0.5))
-def test_band_moments_match_incomplete_gamma(dt):
-    # M_j = j! P(j + 1, dt).  Below dt = 1e-3 gammainc itself drifts
-    # (1e-14 relative near 1e-8, and it is wrong outright below about
-    # 1e-12), so the exact rational series covers the rest of (0, 0.5].
-    for j, got in zip((1, 2, 3), _band_moments(dt)):
-        want = gammainc(j + 1, dt) * math.factorial(j)
-        assert abs(got - want) <= 1e-14 * want
+def _dec_kernels(k: float, t: float) -> list[float]:
+    # (A, K1, dA, dK1) from K1 = t exp(-t) phi1((1 - k) t); dK1 = e^-t - k K1
+    with localcontext() as ctx:
+        ctx.prec = 40
+        k, t = Decimal(k), Decimal(t)
+        e_t = (-t).exp()
+        K1 = t * e_t * _dec_phi1((1 - k) * t)
+        return [float(v) for v in (K1 + e_t, K1, -k * K1, e_t - k * K1)]
 
 
-@settings(deadline=None)
-@given(st.floats(1e-60, 0.5))
-def test_band_moments_match_exact_series(dt):
-    for j, got in zip((1, 2, 3), _band_moments(dt)):
-        want = _exact_moment(j, dt)
-        assert abs(got - want) <= 1e-15 * want
+def _dec_moment(m: int, dt: Decimal) -> Decimal:
+    # int_0^dt tau^m exp(-tau) dtau = m! exp(-dt) sum_{i > m} dt^i / i!
+    term = dt ** (m + 1) / math.factorial(m + 1)
+    total, i = Decimal(0), m + 1
+    while term > Decimal("1e-45") * total:
+        total += term
+        i += 1
+        term = term * dt / i
+    return math.factorial(m) * (-dt).exp() * total
+
+
+def _dec_weight(k: float, dt: float) -> float:
+    # int_0^dt K1: for |1 - k| dt <= 1 the series
+    # sum_j (1 - k)^j M_{j+1} / (j + 1)! of the moments M, else the closed
+    # form (psi(k) - psi(1)) / (1 - k), psi(a) = dt phi1(-a dt), which then
+    # keeps all but a digit (dt <= 1 puts only k > 2 there)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        k, dt = Decimal(k), Decimal(dt)
+        w = 1 - k
+        if abs(w) * dt > 1:
+            return float(dt * (_dec_phi1(-k * dt) - _dec_phi1(-dt)) / w)
+        total, power, j = Decimal(0), Decimal(1), 0
+        while True:
+            term = power * _dec_moment(j + 1, dt) / math.factorial(j + 1)
+            total += term
+            if abs(term) <= Decimal("1e-45") * abs(total):
+                return float(total)
+            power *= w
+            j += 1
+
+
+# The double root from both sides at every scale, the mean mode, and
+# stiff modes; times down to the smallest subnormal and up to 1000.
+DEC_K = sorted({1.0 + s * 10.0 ** -u for u in range(1, 16) for s in (-1, 1)}
+               | {0.0, 1e-8, 1e-3, 1.0, 10.0, 1e4, 1e8})
+DEC_T = (0.0, 5e-324, 1e-9, 1e-3, 0.02, 0.0353, 0.25, 1.0, 10.0, 100.0,
+         1000.0)
+DEC_DT = (1e-6, 1e-4, 1e-3, 0.01, 0.02, 0.0353, 0.1, 0.25, 0.5)
+DEC_TOL = 1e-13
+# The weight sums twelve positive terms, each within a few ulps; the worst
+# seen is 4.2e-16.  Six nodes instead of twelve read 4.3e-14 at the switch.
+DEC_TOL_WEIGHT = 1e-14
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # below it float64 keeps absolute precision only
+
+
+def test_kernels_match_decimal_reference():
+    # The gauge of checks.kernel_oracle_suite: relative error, floored at
+    # 1e-5 of the quartet's scale (and at the smallest normal float, where
+    # a whole quartet underflows).  dK1 = exp(-max(k, 1) t) - min(k, 1) K1
+    # crosses zero (at t = 1 for k = 1), and there it keeps the rounding
+    # of its two terms: two ulps of exp(-max(k, 1) t) are allowed on top.
+    errors = []
+    for t in DEC_T:
+        tables = kernel_arrays(np.array(DEC_K), t)
+        for i, k in enumerate(DEC_K):
+            ref = _dec_kernels(k, t)
+            scale = max(abs(b) for b in ref)
+            floor = max(1e-5 * scale, TINY)
+            for name, table, b in zip(("A", "K1", "dA", "dK1"), tables, ref):
+                slack = (2 * EPS * min(math.exp(-t), math.exp(-k * t))
+                         if name == "dK1" else 0.0)
+                err = max(abs(table[i] - b) - slack, 0.0) / max(abs(b), floor)
+                errors.append((err, k, t, name))
+    bad = [e for e in errors if not e[0] <= DEC_TOL]  # NaN fails too
+    assert not bad, bad[:5]
+
+
+def test_duhamel_weight_matches_decimal_reference():
+    # DEC_K, and the switch |1 - k| dt = 1, where the quadrature is hardest
+    errors = []
+    for dt in DEC_DT:
+        ks = DEC_K + [1.0 + 1.0 / dt]
+        got = duhamel_weight(np.array(ks), dt)
+        for i, k in enumerate(ks):
+            b = _dec_weight(k, dt)
+            errors.append((abs(got[i] - b) / b, k, dt))
+    bad = [e for e in errors if not e[0] <= DEC_TOL_WEIGHT]  # NaN fails too
+    assert not bad, bad[:5]
+
+
+def test_gauss_legendre_table_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    table = np.array(GAUSS_LEGENDRE_12)
+    assert np.array_equal(table[:, 0], nodes[6:])
+    assert np.array_equal(table[:, 1], weights[6:])
+    assert np.array_equal(nodes[:6], -nodes[6:][::-1])
+    assert np.array_equal(weights[:6], weights[6:][::-1])
 
 
 def test_velocity_kernel_bounded():
@@ -210,6 +268,9 @@ def test_kernel_input_validation():
         kernel_arrays(np.array([-1.0]), 1.0)
     with pytest.raises(ValueError):
         kernel_arrays(np.array([1.0]), -0.5)
+    for dt in (0.0, 1.5):  # the quadrature side holds for dt <= 1
+        with pytest.raises(ValueError):
+            duhamel_weight(np.array([1.0]), dt)
 
 
 def test_oracle_spot_values():
@@ -238,11 +299,12 @@ def test_duhamel_weight_continuity_and_limits():
     # double root: integral of s exp(-s)
     w1 = duhamel_weight(np.array([1.0]), dt)[0]
     assert abs(w1 - (1.0 - (1.0 + dt) * np.exp(-dt))) < 1e-14
-    # continuity across the band edge
-    for k in (1.0 - DOUBLE_ROOT_BAND, 1.0 + DOUBLE_ROOT_BAND):
-        inside = duhamel_weight(np.array([k * (1 - 1e-12)]), dt)[0]
-        outside = duhamel_weight(np.array([k * (1 + 1e-12)]), dt)[0]
-        assert abs(inside - outside) <= 1e-9 * abs(outside)
+    # continuity across the switch |1 - k| dt = 1 between the quadrature
+    # and the closed form
+    k = 1.0 + 1.0 / dt
+    inside = duhamel_weight(np.array([k * (1 - 1e-12)]), dt)[0]
+    outside = duhamel_weight(np.array([k * (1 + 1e-12)]), dt)[0]
+    assert abs(inside - outside) <= 1e-9 * abs(outside)
 
 
 def test_propagate_linear_initial_condition():
