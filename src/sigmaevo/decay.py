@@ -8,14 +8,12 @@ and ``E`` the data's mode energies, tabulated once per run on the data
 scaled by its coefficient peak (which keeps the norms linear in the
 amplitude over the whole float range).  The ``L^m`` norm takes one
 inverse transform per sample, into a buffer of the run.  These two
-halves of a sample overlap: the kernel tables and sums run on one
-worker thread, one sample ahead of the calling thread, which forms the
-field and makes every transform (so a tracer with one span stack sees
-them all).  The worker moves the shared tables on only after the caller
-has formed the field from them, so the norms are bitwise those of the
-serial loop.  numpy's floating-point error state is per thread, so any
-``errstate`` the worker needs is set inside the functions it calls, as
-``velocity_kernels`` does.
+halves of a sample overlap on two threads (``solver._Worker``), at
+every grid size: the kernel sums and the move of the kernel tables to
+the next sample run on a helper thread, while the calling thread makes
+the sample's transform (so a tracer with one span stack sees them
+all).  The calling thread forms the field from the tables before it
+hands them over, so the norms are bitwise those of the serial loop.
 
 Norm time series from linear or semilinear runs are fitted by ordinary
 least squares of ``log(norm)`` against ``log(1 + t)``.  Verdicts are
@@ -28,7 +26,6 @@ point is resolved, run and judged exactly like a single run.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +34,8 @@ from .grid import (_half_energy, _inverse_half, _lm_norm, _multiplier_l2,
                    build_grid)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, velocity_kernels
-from .solver import SolverConfig, Trajectory, _check_horizon, _data_hat
+from .solver import (SolverConfig, Trajectory, _Worker, _check_horizon,
+                     _data_hat)
 
 __all__ = [
     "DecayFit",
@@ -96,17 +94,16 @@ def _sample_times(t_end: float, n_samples: int) -> np.ndarray:
 def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     """Exact linear flow sampled at log-spaced times (no stepping error).
 
-    Each sample has a spectral half and a field half.  The spectral half
-    moves the kernel tables to the sample's time and takes the L2,
-    ``u_t`` and ``H^sigma`` norms as kernel sums against the data's mode
-    energies (``_half_energy``); it runs on one worker thread, one
-    sample ahead.  The field half, on the calling thread, forms
-    ``u_hat = K1 u1_hat`` and takes ``L^m`` from one inverse transform
-    into a one-row buffer of the run.  The worker moves the tables on
-    only once ``u_hat`` is formed, so both halves share one set of
-    tables and the norms are bitwise those of the serial loop.  An
-    exception on either thread stops both and reaches the caller.
-    ``final_state`` is the state at the last sample, ``t_end``.
+    For each sample the calling thread forms ``u_hat = K1 u1_hat``.  A
+    helper thread then takes the L2, ``u_t`` and ``H^sigma`` norms as
+    kernel sums against the data's mode energies (``_half_energy``) and
+    moves the kernel tables to the next sample's time, while the calling
+    thread takes ``L^m`` from one inverse transform of ``u_hat`` into a
+    one-row buffer of the run; the next sample starts once both are
+    done.  So both threads share one set of tables and the norms are
+    bitwise those of the serial loop.  An exception on either thread
+    reaches the caller once both are done.  ``final_state`` is the
+    state at the last sample, ``t_end``.
     """
     if n_samples < 2:  # the series runs from 0 to t_end
         raise ValidationError(f"n_samples must be >= 2; got {n_samples}")
@@ -126,47 +123,23 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     # malloc arena and grow the peak memory.
     kernels = velocity_kernels(k, times)
     K1, dK1 = next(kernels)  # overwritten in place by each next()
-    ready, formed = threading.Semaphore(0), threading.Semaphore(0)
-    failed, stopped = [], False
+    with _Worker(threaded=True) as worker:
+        for i in range(n_samples):
+            np.multiply(K1, u1_hat, out=u_hat)
 
-    def spectral_half():
-        try:
-            for i in range(n_samples):
-                if i:
-                    formed.acquire()  # the caller is done with K1
-                    if stopped:
-                        return
-                    next(kernels)
-                    ready.release()
+            def spectral_half():
                 norms[i, :3] = (_multiplier_l2(peak, K1, energy, scratch),
                                 _multiplier_l2(peak, dK1, energy, scratch),
                                 _multiplier_l2(peak, K1, energy_sigma,
                                                scratch))
-        except BaseException as exc:
-            failed.append(exc)
-            ready.release()
+                if i + 1 < n_samples:
+                    next(kernels)
 
-    # daemon: a worker stuck by a defect cannot hold the interpreter open
-    worker = threading.Thread(target=spectral_half, daemon=True,
-                              name="run_linear-spectral")
-    worker.start()
-    try:
-        for i in range(n_samples):
-            if i:
-                ready.acquire()
-                if failed:
-                    break
-            np.multiply(K1, u1_hat, out=u_hat)
-            formed.release()
-            _inverse_half(grid, u_hat, out=work[0])
-            norms[i, 3] = _lm_norm(grid, work, params.m, out=work)[0]
-    finally:
-        stopped = True
-        formed.release()
-        worker.join()
-    if failed:
-        raise failed[0]
-    # the tables stay at t_end: the generator ended after the last sample
+            def field_half():
+                _inverse_half(grid, u_hat, out=work[0])
+                norms[i, 3] = _lm_norm(grid, work, params.m, out=work)[0]
+            worker.both(spectral_half, field_half)
+    # the tables stay at t_end: nothing moves them past the last sample
     return Trajectory.from_records(times, norms, params, grid,
                                    final_state=(u_hat, dK1 * u1_hat))
 

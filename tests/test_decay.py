@@ -1,6 +1,5 @@
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +18,8 @@ from sigmaevo.params import ModelParams
 from sigmaevo.propagator import kernel_arrays, propagate_linear
 from sigmaevo.solver import SolverConfig, Trajectory, integrate, make_data
 from sigmaevo.theory import admissibility
+
+from thread_checks import Injected, bounded, raise_on_call
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -266,46 +267,9 @@ def test_run_linear_is_bitwise_the_serial_loop(shape, n_samples):
         assert got == want, i
 
 
-def _bounded(*fns, timeout=60.0):
-    """Each ``fn()`` on its own daemon thread, all joined by one deadline,
-    so that a deadlock fails the test instead of hanging the suite."""
-    results = [{} for _ in fns]
-
-    def target(fn, result):
-        try:
-            result["value"] = fn()
-        except BaseException as exc:
-            result["error"] = exc
-
-    threads = [threading.Thread(target=target, args=pair, daemon=True)
-               for pair in zip(fns, results)]
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        thread.join(max(0.0, deadline - time.monotonic()))
-        assert not thread.is_alive(), "run_linear did not return"
-    return results
-
-
-class _Injected(Exception):
-    pass
-
-
-def _raise_on_call(fn, call):
-    calls = []
-
-    def wrapped(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == call:
-            raise _Injected(f"call {call}")
-        return fn(*args, **kwargs)
-    return wrapped
-
-
 def test_run_linear_leaves_no_thread_running():
     before = threading.active_count()
-    [result] = _bounded(lambda: run_linear(FAST, n_samples=40))
+    [result] = bounded(lambda: run_linear(FAST, n_samples=40))
     assert "error" not in result
     assert threading.active_count() == before
 
@@ -318,8 +282,8 @@ def test_run_linear_keeps_its_bits_under_thread_stress():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results = _bounded(*(lambda cfg=cfg: run_linear(cfg, n_samples=40)
-                             for cfg in configs))
+        results = bounded(*(lambda cfg=cfg: run_linear(cfg, n_samples=40)
+                            for cfg in configs))
     finally:
         sys.setswitchinterval(interval)
     for result, series in zip(results, want):
@@ -338,10 +302,10 @@ def test_run_linear_error_on_either_thread_reaches_the_caller(monkeypatch,
                                                               name, call):
     import sigmaevo.decay as decay
     monkeypatch.setattr(decay, name,
-                        _raise_on_call(getattr(decay, name), call))
+                        raise_on_call(getattr(decay, name), call))
     before = threading.active_count()
-    [result] = _bounded(lambda: run_linear(FAST, n_samples=40))
-    assert type(result.get("error")) is _Injected
+    [result] = bounded(lambda: run_linear(FAST, n_samples=40))
+    assert type(result.get("error")) is Injected
     assert threading.active_count() == before
 
 

@@ -1,5 +1,7 @@
 import itertools
 import re
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -16,12 +18,14 @@ from sigmaevo.params import ModelParams, ValidationError
 from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import (ABS_FLOOR, INT_POWER_MAX, BlowUpSignal,
                              SolverConfig, StepTables, Trajectory,
-                             _dealias_mask, _floored_power,
+                             _Worker, _dealias_mask, _floored_power,
                              _nonlinearity_hat, etd_step, horizon_limit,
                              integrate, make_data, nonlinearity,
                              xt_distance, xt_norm, zero_trajectory)
+import sigmaevo.solver as solver
 
 from full_layout import field_from_function
+from thread_checks import Injected, bounded, raise_on_call
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -173,7 +177,8 @@ def _signal_or_bytes(call):
 def test_nonlinearity_rows_are_the_rows_one_by_one(kinds, p, seed):
     # Each row is ordinary or carries NaN, inf or overflowing samples (some
     # rows several kinds): a block raises the first signal of the rows taken
-    # one by one, with its time and step, and otherwise gives their bits.
+    # one by one, with its time and step, and otherwise gives their bits,
+    # also with its passes split into halves on two threads.
     grid = build_grid(GridSpec(1, 64, 10.0))
     tables = StepTables(grid, replace(PARAMS, p=p), 0.05, True)
     rng = np.random.default_rng(seed)
@@ -191,6 +196,10 @@ def test_nonlinearity_rows_are_the_rows_one_by_one(kinds, p, seed):
     want = _signal_or_bytes(one_by_one)
     got = _signal_or_bytes(
         lambda: _nonlinearity_hat(rows.copy(), tables, times, 7))
+    assert got == want
+    with _Worker(threaded=True) as worker:
+        got = _signal_or_bytes(lambda: _nonlinearity_hat(
+            rows.copy(), tables, times, 7, worker=worker))
     assert got == want
 
 
@@ -433,6 +442,147 @@ def test_integrate_two_dimensional():
     assert not traj.blew_up
     assert np.all(np.isfinite(traj.l2))
     assert traj.l2[-1] < traj.dt_l2[0]  # decays below the data norm
+
+
+# --- two threads ---------------------------------------------------------
+
+THREAD_GRIDS = [(GridSpec(1, 256, 100.0), 0.5),  # 129 modes: halves 64 + 65
+                (GridSpec(2, 32, 60.0), 0.5),
+                (GridSpec(3, 16, 40.0), 1.0)]
+
+
+def _both_paths(monkeypatch, cfg):
+    """``integrate(cfg)`` stepped on two threads, then on the calling
+    thread alone."""
+    runs = []
+    for threshold in (0, np.inf):
+        monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
+        runs.append(integrate(cfg))
+    return runs
+
+
+def _assert_same_run(a, b):
+    for name in ("times", "l2", "dt_l2", "hsigma", "lm"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(a.final_state, b.final_state))
+    assert (a.states is None) == (b.states is None)
+    if a.states is not None:
+        assert a.states.tobytes() == b.states.tobytes()
+    assert (a.blew_up, a.blowup_time, a.blowup_step, a.blowup_reason) \
+        == (b.blew_up, b.blowup_time, b.blowup_step, b.blowup_reason)
+
+
+@pytest.mark.parametrize("spec, alpha", THREAD_GRIDS)
+@pytest.mark.parametrize("p, dealias, nonlinear", [
+    (3.0, True, True), (3.0, False, True), (4.0, True, True),
+    (4.0, False, True), (2.5, True, True), (2.5, False, True),
+    (3.0, True, False)])
+def test_two_thread_steps_keep_the_bits(monkeypatch, spec, alpha, p,
+                                        dealias, nonlinear):
+    params = ModelParams(n=spec.dim, sigma=1.0, alpha=alpha, p=p, m=1.0)
+    cfg = SolverConfig(params=params, grid=spec, dt=0.1, t_end=2.0,
+                       data_amplitude=0.5, dealias=dealias,
+                       nonlinearity_enabled=nonlinear, store_states=True,
+                       snapshot_interval=0.3)
+    threaded, inline = _both_paths(monkeypatch, cfg)
+    assert not inline.blew_up
+    _assert_same_run(threaded, inline)
+
+
+@pytest.mark.parametrize("p, amplitude, N, L, t_end, reason", [
+    (2.0, 10.0, 256, 100.0, 20.0, "runaway or non-finite norms"),
+    (4.0, 1e80, 256, 100.0, 2.0, "overflow in pointwise power"),
+    (2.0, 1e155, 64, 40.0, 2.0, "non-finite state in nonlinearity"),
+])
+def test_two_thread_blowups_match_the_inline_run(monkeypatch, p, amplitude,
+                                                 N, L, t_end, reason):
+    # the overflows on the way to a non-finite state are silenced by the
+    # caller's errstate, which the helper thread shares
+    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=p, m=1.0)
+    cfg = SolverConfig(params=params, grid=GridSpec(1, N, L), dt=0.1,
+                       t_end=t_end, data_amplitude=amplitude,
+                       store_states=True, snapshot_interval=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        threaded, inline = _both_paths(monkeypatch, cfg)
+    assert inline.blowup_reason == reason
+    _assert_same_run(threaded, inline)
+
+
+def test_two_thread_steps_keep_their_bits_under_thread_stress(monkeypatch):
+    # Three runs at once, six threads on a two-core machine, switching
+    # every 10 us: a lost handoff would change some norm or state.
+    spec, alpha = THREAD_GRIDS[2]
+    params = ModelParams(n=3, sigma=1.0, alpha=alpha, p=3.0, m=1.0)
+    configs = [SolverConfig(params=params, grid=spec, dt=0.1, t_end=1.0,
+                            data_amplitude=a, snapshot_interval=0.1)
+               for a in (0.5, 1.0, 1.5)]
+    want = [integrate(cfg) for cfg in configs]
+    monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = bounded(*(lambda cfg=cfg: integrate(cfg)
+                            for cfg in configs))
+    finally:
+        sys.setswitchinterval(interval)
+    for result, traj in zip(results, want):
+        _assert_same_run(result["value"], traj)
+
+
+@pytest.mark.parametrize("case", ["normal", "blow-up", "advance", "power"])
+def test_two_thread_steps_leave_no_thread_running(monkeypatch, case):
+    # advance runs only on the helper thread; _floored_power on both
+    cfg = small_config(t_end=1.0)
+    if case == "blow-up":
+        cfg = small_config(data_amplitude=1e80)
+    elif case == "advance":
+        monkeypatch.setattr(StepTables, "advance",
+                            raise_on_call(StepTables.advance, 4))
+    elif case == "power":
+        monkeypatch.setattr(solver, "_floored_power",
+                            raise_on_call(solver._floored_power, 5))
+    monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", 0)
+    before = threading.active_count()
+    [result] = bounded(lambda: integrate(cfg))
+    if case in ("advance", "power"):
+        assert type(result.get("error")) is Injected
+    else:
+        assert result["value"].blew_up == (case == "blow-up")
+    assert threading.active_count() == before
+
+
+def test_two_thread_steps_make_every_transform_on_the_calling_thread(
+        monkeypatch):
+    # perfbench's tracer keeps one span stack, and pins the transforms
+    # per run
+    cfg = SolverConfig(params=ModelParams(n=2, sigma=1.0, alpha=0.5, p=3.0,
+                                          m=1.0),
+                       grid=GridSpec(2, 32, 60.0), dt=0.1, t_end=1.0,
+                       data_amplitude=0.5, snapshot_interval=0.3)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        def wrapped(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(threading.current_thread())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, wrapped)
+    advanced = []
+
+    def advance(*args, _fn=StepTables.advance, **kwargs):
+        advanced.append(threading.current_thread())
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(StepTables, "advance", advance)
+    counts = []
+    for threshold in (np.inf, 0):
+        monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
+        calls.clear()
+        advanced.clear()
+        integrate(cfg)
+        counts.append(len(calls))
+        assert set(calls) == {threading.current_thread()}
+    # 10 steps of 4 transforms, 5 records and the data's transform
+    assert counts == [46, 46]
+    assert threading.current_thread() not in advanced
 
 
 def test_config_validation():
