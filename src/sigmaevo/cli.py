@@ -88,7 +88,8 @@ SCHEMA = {
     "seed": (int, 0, "RNG seed for noise data (>= 0)"),
     "n_samples": (int, 200, "sample count for linear runs"),
     "window_lo": (float_or_auto, "auto",
-                  "fit window start, or 'auto' (= 0.1 t_end)"),
+                  "fit window start, or 'auto' (= max(1, 0.1 t_end); "
+                  "fits need t >= 1)"),
     "window_hi": (float_or_auto, "auto",
                   "fit window end, or 'auto' (= t_end)"),
     "snapshot_interval": (float_or_auto, "auto",
@@ -208,7 +209,8 @@ def parse_config(path: str | Path | None = None,
         raise ValidationError(
             f"keys 'window_lo' and 'window_hi': the fit window "
             f"[{window[0]:g}, {window[1]:g}] is empty; window_lo must be "
-            "below window_hi")
+            "below window_hi (fits need t >= 1: the auto window_lo is "
+            "max(1, 0.1 t_end))")
 
     output_dir = Path(os.environ.get(ENV_OUTPUT_DIR, values["output_dir"]))
     emit = frozenset(part.strip() for part in str(values["emit"]).split(",")

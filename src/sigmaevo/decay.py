@@ -79,8 +79,12 @@ def suggest_box_length(t_end: float, sigma: float) -> float:
 
 
 def default_window(t_end: float) -> tuple[float, float]:
-    """Fit window skipping the transient: ``[0.1 t_end, t_end]``."""
-    return (0.1 * t_end, t_end)
+    """Fit window skipping the transient: ``[max(1, 0.1 t_end), t_end]``.
+
+    ``fit_decay`` needs ``t >= 1``, so the window is empty for
+    ``t_end <= 1``.
+    """
+    return (max(1.0, 0.1 * t_end), t_end)
 
 
 def _sample_times(t_end: float, n_samples: int) -> np.ndarray:

@@ -15,16 +15,18 @@ Conventions used throughout the package:
 * The forward transform carries the quadrature weight ``(L/N)^dim`` but
   not the lattice phase ``(-1)^(j_1+...+j_dim)``, which would cancel
   between forward and inverse around real multipliers.  The transform
-  pair and ``_lm_norm`` also take a block of fields along one leading
-  row axis: one library call per field, one pass per block for the
-  rest.  Parseval weighs the ``j = 0`` and ``j = N/2`` last-axis planes
-  once and interior columns twice (``_parseval_sum``).  ``_half_l2``
-  takes the norm of a field, and ``_half_l2_rows`` the norms of a block
-  of fields with the same bits (callers pass chunks of about
-  ``ROW_CHUNK_BYTES``);
-  ``_half_energy`` tabulates its mode energies once, so that the norm of
-  ``K * field`` for a real multiplier ``K`` costs one weighted sum
-  (``_multiplier_l2``).
+  pair and the norms ``_half_l2_rows`` (L2, from half-spectrum
+  coefficients) and ``_lm_norm`` (``L^m``, from samples) take one field
+  or a block of fields along one leading row axis: one library call per
+  field, one pass per block for the rest, and each row has the bits of
+  its field alone (callers pass chunks of about ``ROW_CHUNK_BYTES``).
+  Parseval weighs the ``j = 0`` and ``j = N/2`` last-axis planes once
+  and interior columns twice (``_parseval_sum``).  Both norms redo a
+  row whose sum leaves ``[1e-250, inf)`` on the row scaled by its peak,
+  and look for such rows only when a block's extreme sums are out of
+  range; ``L^1`` takes no power pass.  ``_half_energy`` tabulates the
+  mode energies of a field once, so that the norm of ``K * field`` for
+  a real multiplier ``K`` costs one weighted sum (``_multiplier_l2``).
 * ``full_from_half`` gives the full ``N^dim`` layout times the phase,
   whose coefficients approximate the continuum integral
   ``F(xi) = int f(x) exp(-i xi.x) dx`` over the box.  Coefficients built
@@ -224,36 +226,19 @@ def _parseval_sum(sq: np.ndarray, lead: int = 0) -> np.float64 | np.ndarray:
 
     The ``j = 0`` and ``j = N/2`` last-axis planes count once, every
     other column twice: it stands for itself and its conjugate mirror
-    ``j > N/2``.  Each term is a pairwise ``np.sum``, whose order does not
-    depend on threads or the BLAS build, so norms are reproducible.  The
-    first ``lead`` axes of ``sq`` index rows and are kept: a sum over the
-    trailing axes of contiguous rows has the bits of the sum of each row.
+    ``j > N/2``.  Each term is a pairwise sum (``ndarray.sum``), whose
+    order does not depend on threads or the BLAS build, so norms are
+    reproducible.  The first ``lead`` axes of ``sq`` index rows and are
+    kept: a sum over the trailing axes of contiguous rows has the bits of
+    the sum of each row.  When one axis is summed, each plane term is one
+    entry per row, which is its own sum.
     """
     axes = tuple(range(lead, sq.ndim))
-    return (2.0 * np.sum(sq, axis=axes) - np.sum(sq[..., 0], axis=axes[:-1])
-            - np.sum(sq[..., -1], axis=axes[:-1]))
-
-
-def _half_l2(grid: Grid, half: np.ndarray,
-             out: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """L2 norm of a real field from its half-spectrum coefficients.
-
-    A sum below ``1e-250`` (squares in or near the subnormal range) or
-    not finite (squares past the float range) is redone on the field
-    scaled by its coefficient peak; other fields take the unscaled sum
-    unchanged.  The squares are formed in ``out`` when it is given (two
-    float arrays of the half-spectrum shape).
-    """
-    re2, im2 = (None, None) if out is None else out
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.multiply(half.real, half.real, out=re2)  # the loop of x ** 2
-        sq += np.multiply(half.imag, half.imag, out=im2)
-        total = _parseval_sum(sq)
-    if not 1e-250 <= total < np.inf:
-        peak = np.max(np.abs(half))
-        if 0 < peak < np.inf:
-            return float(peak * _half_l2(grid, _by_peak(half, peak), out))
-    return float(np.sqrt(total / grid.box_length ** grid.dim))
+    total = 2.0 * sq.sum(axis=axes)
+    first, last = sq[..., 0], sq[..., -1]
+    if len(axes) > 1:
+        first, last = first.sum(axis=axes[:-1]), last.sum(axis=axes[:-1])
+    return total - first - last
 
 
 def _by_peak(half: np.ndarray, peak: float) -> np.ndarray:
@@ -275,35 +260,46 @@ def _chunk_rows(grid: Grid) -> int:
     return max(1, ROW_CHUNK_BYTES // (16 * grid.xi_mag.size))
 
 
-def _half_l2_rows(grid: Grid, rows: np.ndarray, mult: np.ndarray | None,
-                  out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``_half_l2`` of every row of a ``(k,) + half`` block, or of
-    ``mult * row`` for a real half-spectrum table ``mult``.
+def _half_l2_rows(grid: Grid, rows: np.ndarray, mult: np.ndarray | None = None,
+                  out: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> float | np.ndarray:
+    """L2 norms of real fields from their half-spectrum coefficients, or
+    of ``mult * row`` for a real half-spectrum table ``mult``.
 
-    The squares are formed in ``out``, two float arrays of at least ``k``
-    rows.  ``(mult re)^2 + (mult im)^2`` in real arithmetic has the bits
-    of the squares of the complex product ``mult * row``.  Rows whose sum
-    falls outside ``[1e-250, inf)`` go through ``_half_l2`` and its
-    rescale rule.
+    Rows as in ``_forward_half``: a ``(k,) + half`` block gives one norm
+    per row, one field a float.  The squares are formed in ``out`` when
+    it is given, two float arrays of at least ``k`` rows (of the
+    half-spectrum shape for one field).  ``(mult re)^2 + (mult im)^2`` in
+    real arithmetic has the bits of the squares of the complex product
+    ``mult * row``.  A row whose sum is below ``1e-250`` (squares in or
+    near the subnormal range) or not finite (squares past the float
+    range) is redone on the row scaled by its coefficient peak; other
+    rows take the unscaled sum unchanged.
     """
-    k = len(rows)
-    re2, im2 = (buf[:k] for buf in out)
+    block = _rows(grid, rows)
+    k = len(block)
+    re2, im2 = (None, None) if out is None else (
+        _rows(grid, buf)[:k] for buf in out)
     with np.errstate(over="ignore", invalid="ignore"):
         if mult is None:
-            np.multiply(rows.real, rows.real, out=re2)
-            np.multiply(rows.imag, rows.imag, out=im2)
+            re2 = np.multiply(block.real, block.real, out=re2)
+            im2 = np.multiply(block.imag, block.imag, out=im2)
         else:
-            np.multiply(rows.real, mult, out=re2)
+            re2 = np.multiply(block.real, mult, out=re2)
             re2 *= re2
-            np.multiply(rows.imag, mult, out=im2)
+            im2 = np.multiply(block.imag, mult, out=im2)
             im2 *= im2
         re2 += im2
         totals = _parseval_sum(re2, lead=1)
     norms = np.sqrt(totals / grid.box_length ** grid.dim)
-    for i in np.flatnonzero(~((totals >= 1e-250) & (totals < np.inf))):
-        row = rows[i] if mult is None else mult * rows[i]
-        norms[i] = _half_l2(grid, row, (re2[i], im2[i]))
-    return norms
+    if not (totals.min() >= 1e-250 and totals.max() < np.inf):
+        for i in np.flatnonzero(~((totals >= 1e-250) & (totals < np.inf))):
+            row = block[i] if mult is None else mult * block[i]
+            peak = np.max(np.abs(row))
+            if 0 < peak < np.inf:
+                norms[i] = peak * _half_l2_rows(grid, _by_peak(row, peak),
+                                                None, (re2[i], im2[i]))
+    return norms if rows.ndim > grid.dim else float(norms[0])
 
 
 def _half_energy(grid: Grid, half: np.ndarray) -> tuple[float, np.ndarray]:
@@ -336,9 +332,10 @@ def _lm_norm(grid: Grid, values: np.ndarray, m: float,
     """Discrete ``L^m`` norm ``(sum |f|^m (L/N)^n)^(1/m)`` of samples.
 
     Rows as in ``_forward_half``: a block of fields gives one norm per
-    row, from one ``|f|``, one power and one row-sum pass over the block
-    (a row sum has the bits of the sum of that field alone).  A row is
-    rescaled by its peak ``|f|`` under the same rule as ``_half_l2``.
+    row, from one ``|f|``, one power (none at ``m = 1``) and one row-sum
+    pass over the block (a row sum has the bits of the sum of that field
+    alone).  A row is rescaled by its peak ``|f|`` under the same rule as
+    ``_half_l2_rows``; one mask over the rows' peaks picks them.
     ``|f|`` and ``|f|^m`` are formed in ``out`` when it is given (a float
     array of the samples' shape, ``values`` itself allowed), so a block
     whose sums need no rescale allocates no field.
@@ -350,17 +347,18 @@ def _lm_norm(grid: Grid, values: np.ndarray, m: float,
     # inside [2e-250, bound] the rule [1e-250, inf) keeps it unscaled.
     bound = 1e300 / math.prod(grid.shape)
     norms = np.empty(len(rows))
-    plain = []
     with np.errstate(over="ignore", under="ignore"):
-        for i, top in enumerate(np.max(rows, axis=axes)):
-            if 2e-250 <= top ** m <= bound:
-                plain.append(i)
-            else:
-                norms[i] = _lm_rescaled(grid, rows[i], m)
+        top = rows.max(axis=axes)
+        if m != 1:
+            top **= m
+        plain = (2e-250 <= top) & (top <= bound)
+        for i in np.flatnonzero(~plain):
+            norms[i] = _lm_rescaled(grid, rows[i], m)
         # rows rescaled above may overflow here; their sums are unused
-        rows **= m  # the same ufunc loop as ``a ** m``
-        totals = np.sum(rows, axis=axes) * grid.cell_volume
-    for i in plain:
+        if m != 1:
+            rows **= m  # the same ufunc loop as ``a ** m``
+        totals = rows.sum(axis=axes) * grid.cell_volume
+    for i in np.flatnonzero(plain):
         norms[i] = totals[i] ** (1.0 / m)
     return norms if a.ndim > grid.dim else float(norms[0])
 

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .grid import RealField, _forward_half, _half_l2, _inverse_half, _lm_norm
+from .grid import (RealField, _forward_half, _half_l2_rows, _inverse_half,
+                   _lm_norm)
 
 __all__ = [
     "riesz_multiplier",
@@ -129,5 +130,5 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
     coeffs = _forward_half(grid, f.values)
     if s != 0:
         coeffs *= grid.xi_mag ** s
-    return _half_l2(grid, coeffs)
+    return _half_l2_rows(grid, coeffs)
 

@@ -41,7 +41,10 @@ recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
    ``u_i`` over them.
 2. Recurrence, per snapshot.  ``F`` and ``S`` are the two rows of one
    ``(2, 2) + half`` buffer per parity, so one ``M(dt)`` advance moves
-   both; two adds write the snapshot's ``u_t`` and ``u``.
+   both; two adds write the snapshot's ``u_t`` and ``u``.  The advance
+   multiplies by complex copies of the tables of ``M(dt)``, made once
+   per call: the products have the bits of the float tables, which
+   numpy would cast to complex in every product.
 3. Norm rows.  The new ``u`` rows go back into the real block for one
    ``L^m`` pass (``grid._lm_norm`` on rows); the L2-type norms are row
    sums (``grid._half_l2_rows``) whose squares take the real block's
@@ -51,9 +54,9 @@ Each call writes its states into one ``(2, n_snap) + half`` block (the
 ``u`` rows, then the ``u_t`` rows), so that the forcing rows of a chunk
 are contiguous, and returns it as the ``(n_snap, 2) + half`` view that
 every ``Trajectory`` stores.  Besides the block, a call holds the
-kernel tables, the two flow buffers and one chunk's real block, and
-allocates nothing per snapshot.  Every transform is one library call
-per field, as in ``integrate``.
+kernel tables with the complex copies, the two flow buffers and one
+chunk's real block, and allocates nothing per snapshot.  Every
+transform is one library call per field, as in ``integrate``.
 
 The caps ``t_end <= MAX_HORIZON`` and ``dt <= MAX_DT`` were sized for the
 former O(n_snap^2 N) sum; they are kept until benchmark numbers at
@@ -132,6 +135,8 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     pairs = [(f[:, 0], f[:, 1]) for f in flows]
     parts = [(f[0, 0], f[0, 1], f[1, 0], f[1, 1]) for f in flows]
     scratch = np.empty((2,) + half, complex)
+    matrix = tuple(t.astype(complex)
+                   for t in (tables.A, tables.K1, tables.dA, tables.dK1))
     # one chunk of real samples; the L2 squares take the same memory
     real = np.empty(2 * chunk * grid.xi_mag.size)
     samples = real[:chunk * math.prod(grid.shape)].reshape(
@@ -154,7 +159,7 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
             f_u, f_ut, s_u, s_ut = parts[i % 2]
             if i > 0:
                 tables.advance(*pairs[1 - i % 2], out=pairs[i % 2],
-                               scratch=scratch)
+                               scratch=scratch, matrix=matrix)
                 s_ut += g_i
             np.add(f_ut, s_ut, out=block[1, i])
             s_ut += g_i

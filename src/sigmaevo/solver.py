@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _chunk_rows, _forward_half, _half_l2, _half_l2_rows,
+                   _chunk_rows, _forward_half, _half_l2_rows,
                    _inverse_half, _lm_norm)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
@@ -207,19 +207,23 @@ class StepTables(_ForcingTables):
         self.xi_sigma = grid.xi_mag ** params.sigma
 
     def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray,
-                out: tuple[np.ndarray, np.ndarray], scratch: np.ndarray
+                out: tuple[np.ndarray, np.ndarray], scratch: np.ndarray,
+                matrix: tuple[np.ndarray, ...] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Free flow over one step: ``M(dt) (u, u_t)`` per mode, written
         into the pair ``out`` (not the input's arrays).
 
         Leading axes of the inputs index rows that all advance at once;
-        ``scratch`` is a complex array of the inputs' shape.
+        ``scratch`` is a complex array of the inputs' shape.  ``matrix``
+        stands in for ``(A, K1, dA, dK1)``: complex copies give the same
+        bits without numpy casting each float table in every product.
         """
+        A, K1, dA, dK1 = matrix or (self.A, self.K1, self.dA, self.dK1)
         new_u, new_ut = out
-        np.multiply(self.A, u_hat, out=new_u)
-        new_u += np.multiply(self.K1, ut_hat, out=scratch)
-        np.multiply(self.dA, u_hat, out=new_ut)
-        new_ut += np.multiply(self.dK1, ut_hat, out=scratch)
+        np.multiply(A, u_hat, out=new_u)
+        new_u += np.multiply(K1, ut_hat, out=scratch)
+        np.multiply(dA, u_hat, out=new_ut)
+        new_ut += np.multiply(dK1, ut_hat, out=scratch)
         return new_u, new_ut
 
 
@@ -561,13 +565,13 @@ class Trajectory:
 
 def _record_norms(tables: StepTables, work: _StepWork, u_hat, ut_hat):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
-    state, formed in the buffers of ``work`` (``scratch`` included)."""
+    state, formed in the buffers of ``work``."""
     grid, sq, field = tables.grid, work.squares, work.field
     _inverse_half(grid, u_hat, out=field[0])
     lm = _lm_norm(grid, field, tables.params.m, out=field)[0]
-    hs_hat = np.multiply(tables.xi_sigma, u_hat, out=work.scratch)
-    return (_half_l2(grid, u_hat, sq), _half_l2(grid, ut_hat, sq),
-            _half_l2(grid, hs_hat, sq), float(lm))
+    return (_half_l2_rows(grid, u_hat, None, sq),
+            _half_l2_rows(grid, ut_hat, None, sq),
+            _half_l2_rows(grid, u_hat, tables.xi_sigma, sq), float(lm))
 
 
 def integrate(config: SolverConfig) -> Trajectory:

@@ -460,6 +460,42 @@ def test_empty_fit_window_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_short_run_with_the_auto_window_gets_its_fits(tmp_path):
+    # The auto start used to be 0.1 t_end = 0.5, below the t >= 1 that a
+    # fit needs: the run exited 0 with all three fits failing.
+    out = tmp_path / "out"
+    assert main(["linear", "--N", "64", "--L", "100", "--t_end", "5",
+                 "--output_dir", str(out)]) == 0
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts["window"] == [1.0, 5.0]
+    assert set(verdicts["verdicts"]) == {"u_L2", "dtu_L2", "Hsigma_semi"}
+    assert all("slope" in fit for fit in verdicts["fits"].values())
+
+
+def test_sparse_short_run_keeps_an_empty_verdict_set(tmp_path):
+    # The semilinear-3d-sparse benchmark shape (t_end = 2, norms every
+    # 0.5) on a smaller grid: the window [1, 2] holds 3 records, too few
+    # to fit, which is reported, not refused.
+    out = tmp_path / "out"
+    assert main(["semilinear", "--n", "3", "--alpha", "1", "--p", "3",
+                 "--profile", "noise_bandlimited", "--epsilon", "0.1",
+                 "--N", "16", "--dt", "0.05", "--t_end", "2",
+                 "--snapshot_interval", "0.5", "--output_dir", str(out)]) == 0
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts["window"] == [1.0, 2.0] and verdicts["verdicts"] == {}
+    assert all("holds 3 samples" in fit["error"]
+               for fit in verdicts["fits"].values())
+
+
+@pytest.mark.parametrize("sub,t_end", [("linear", "1"), ("semilinear", "0.5")])
+def test_empty_auto_window_is_refused(tmp_path, capsys, sub, t_end):
+    out = tmp_path / "out"
+    assert main([sub, "--N", "64", "--L", "100", "--t_end", t_end,
+                 "--output_dir", str(out)]) == 2
+    assert "the auto window_lo is max(1, 0.1 t_end)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_point_with_an_empty_fit_window_fails_its_row(tmp_path):
     status, rows = _sweep(tmp_path, "t_end", "40,10", N=256, window_lo=20)
     assert status == 0
@@ -489,32 +525,32 @@ def test_main_entrypoint(tmp_path):
 def test_main_validation_exit(tmp_path, capsys):
     assert main(["linear", "--alpha", "2", "--n", "1",
                  "--output_dir", str(tmp_path)]) == 2
-    # t_end = 1.0 is not a whole number of steps dt = 0.3
-    assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
+    # t_end = 2.0 is not a whole number of steps dt = 0.3
+    assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "2.0",
                  "--dt", "0.3", "--output_dir", str(tmp_path)]) == 2
     # snapshot_interval = 0.15 is not a whole number of steps dt = 0.1
-    assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
+    assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "2.0",
                  "--dt", "0.1", "--snapshot_interval", "0.15",
                  "--output_dir", str(tmp_path)]) == 2
     for key in ("snapshot_interval", "window_lo", "window_hi"):
-        assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "1.0",
+        assert main(["semilinear", "--n", "1", "--N", "64", "--t_end", "2.0",
                      f"--{key}", "abc", "--output_dir", str(tmp_path)]) == 2
     # a linear run needs two samples, t = 0 and t_end
     for count in ("0", "1"):
-        assert main(["linear", "--N", "64", "--t_end", "1.0",
+        assert main(["linear", "--N", "64", "--t_end", "2.0",
                      "--n_samples", count, "--output_dir", str(tmp_path)]) == 2
     # non-finite model values and tolerances are bad input, not results
-    assert main(["semilinear", "--p", "nan", "--N", "64", "--t_end", "1.0",
+    assert main(["semilinear", "--p", "nan", "--N", "64", "--t_end", "2.0",
                  "--output_dir", str(tmp_path)]) == 2
     for tol in ("nan", "-1"):
         assert main(["linear", "--rate_tol", tol, "--N", "64",
-                     "--t_end", "1.0", "--output_dir", str(tmp_path)]) == 2
+                     "--t_end", "2.0", "--output_dir", str(tmp_path)]) == 2
     capsys.readouterr()
     for key in ("t_end", "window_lo", "window_hi", "snapshot_interval",
                 "epsilon"):
         for text in ("nan", "inf", "-inf"):
             assert main(["semilinear", "--N", "64", "--L", "100",
-                         "--t_end", "1.0", f"--{key}={text}",
+                         "--t_end", "2.0", f"--{key}={text}",
                          "--output_dir", str(tmp_path)]) == 2
             assert f"key '{key}'" in capsys.readouterr().err
 

@@ -11,9 +11,9 @@ from sigmaevo.data import PROFILES
 from sigmaevo.decay import (_sample_times, check_rate, default_window,
                             fit_decay, run_linear, suggest_box_length,
                             DecayFit)
-from sigmaevo.grid import (GridSpec, _half_energy, _half_l2, _inverse_half,
-                           _lm_norm, _multiplier_l2, build_grid,
-                           transform_forward)
+from sigmaevo.grid import (GridSpec, _half_energy, _half_l2_rows,
+                           _inverse_half, _lm_norm, _multiplier_l2,
+                           build_grid, transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.propagator import kernel_arrays, propagate_linear
 from sigmaevo.solver import SolverConfig, Trajectory, integrate, make_data
@@ -211,8 +211,8 @@ def test_run_linear_norms_are_the_formed_state_norms(shape, profile, mean_zero,
     for i, t in enumerate(series.times):
         _, K1, _, dK1 = kernel_arrays(k, t)
         u_hat = K1 * u1_hat
-        want = (_half_l2(grid, u_hat), _half_l2(grid, dK1 * u1_hat),
-                _half_l2(grid, grid.xi_mag ** sigma * u_hat))
+        want = (_half_l2_rows(grid, u_hat), _half_l2_rows(grid, dK1 * u1_hat),
+                _half_l2_rows(grid, grid.xi_mag ** sigma * u_hat))
         got = (series.l2[i], series.dt_l2[i], series.hsigma[i])
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * w

@@ -6,11 +6,11 @@ from hypothesis.extra import numpy as hnp
 from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
                            full_from_half, transform_forward,
                            transform_inverse, _forward_half, _half_energy,
-                           _half_l2, _half_l2_rows, _inverse_half, _lm_norm,
-                           _multiplier_l2)
+                           _half_l2_rows, _inverse_half, _lm_norm,
+                           _multiplier_l2, _parseval_sum)
 
 from full_layout import (field_from_function, full_forward, full_phase,
-                         full_xi_mag)
+                         full_xi_mag, l1_reference, parseval_reference)
 
 
 def test_wavenumbers_unit_box():
@@ -158,7 +158,7 @@ def test_half_spectrum_parseval_matches_full_layout(case, s):
     unit = (full * scale) / (peak * scale)
     want = peak * np.sqrt(np.sum(np.abs(unit) ** 2)
                           / grid.box_length ** grid.dim)
-    assert abs(_half_l2(grid, half) - want) <= 1e-12 * want
+    assert abs(_half_l2_rows(grid, half) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("amplitude", [1e-160, 1e-300, 1e200, 1e300])
@@ -167,8 +167,8 @@ def test_half_l2_of_tiny_fields_is_linear(amplitude):
     # L^m norms must not.
     grid = build_grid(GridSpec(3, 8, 5.0))
     values = np.random.default_rng(3).standard_normal(grid.spec.shape)
-    unit = _half_l2(grid, _forward_half(grid, values))
-    tiny = _half_l2(grid, _forward_half(grid, amplitude * values))
+    unit = _half_l2_rows(grid, _forward_half(grid, values))
+    tiny = _half_l2_rows(grid, _forward_half(grid, amplitude * values))
     assert abs(tiny - amplitude * unit) <= 1e-13 * amplitude * unit
     for m in (1.0, 1.5, 2.0):
         unit = _lm_norm(grid, values, m)
@@ -184,7 +184,7 @@ def test_norms_of_a_field_whose_coefficient_peak_is_subnormal():
     sample = 2.2250738585072014e-308
     half = _forward_half(grid, np.full(grid.shape, sample))
     want = 0.5 * sample
-    assert abs(_half_l2(grid, half) - want) <= 1e-15 * want
+    assert abs(_half_l2_rows(grid, half) - want) <= 1e-15 * want
     peak, energy = _half_energy(grid, half)
     assert np.all(np.isfinite(energy))
     flat = _multiplier_l2(peak, np.ones(grid.xi_mag.shape), energy,
@@ -208,7 +208,7 @@ def test_real_transform_pair_returns_samples(case):
 def test_half_l2_rows_are_the_row_norms_bitwise(dim, data, exponents, s,
                                                  seed):
     # Amplitudes 1e-300 .. 1e300 and zero rows: the extremes take the
-    # rescale path of _half_l2, ordinary rows the batched sum.
+    # rescale path, ordinary rows the batched sum.
     grid = build_grid(GridSpec(dim, data.draw(st.sampled_from(SIZES[dim])),
                                data.draw(st.floats(0.5, 100.0))))
     half = grid.xi_mag.shape
@@ -221,7 +221,7 @@ def test_half_l2_rows_are_the_row_norms_bitwise(dim, data, exponents, s,
     # buffers may hold more rows than the block
     out = tuple(np.empty((len(scale) + 2,) + half) for _ in range(2))
     got = _half_l2_rows(grid, rows, mult, out)
-    want = np.array([_half_l2(grid, r if mult is None else mult * r)
+    want = np.array([_half_l2_rows(grid, r if mult is None else mult * r)
                      for r in rows])
     assert got.tobytes() == want.tobytes()
 
@@ -247,3 +247,36 @@ def test_lm_norm_rows_are_the_row_norms_bitwise(dim, data, amplitudes, m,
     assert _lm_norm(grid, rows, m).tobytes() == want.tobytes()
     # the block itself as the work array, as the Picard map passes it
     assert _lm_norm(grid, rows, m, out=rows).tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.integers(0, 1), st.integers(1, 4), st.data())
+def test_parseval_sum_is_the_reference_formula_bitwise(dim, lead, k, data):
+    n = data.draw(st.sampled_from(SIZES[dim]))
+    half = (n,) * (dim - 1) + (n // 2 + 1,)
+    sq = data.draw(hnp.arrays(np.float64, (k,) * lead + half,
+                              elements=st.floats(0.0, 1e6)))
+    got, want = _parseval_sum(sq, lead), parseval_reference(sq, lead)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.integers(0, 1), st.data(),
+       st.lists(st.sampled_from([1e-100, 1e-3, 1.0, 1e50, 1e100]),
+                min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_l1_norm_is_the_reference_sum_bitwise(dim, lead, data, amplitudes,
+                                              seed):
+    # Amplitudes inside the unscaled range: m = 1 takes no power pass.
+    grid = build_grid(GridSpec(dim, data.draw(st.sampled_from(SIZES[dim])),
+                               data.draw(st.floats(0.5, 100.0))))
+    rng = np.random.default_rng(seed)
+    scale = np.array(amplitudes).reshape((-1,) + (1,) * dim)
+    rows = rng.standard_normal((len(amplitudes),) + grid.shape) * scale
+    want = np.array([l1_reference(grid, row) for row in rows])
+    if lead:
+        assert _lm_norm(grid, rows, 1.0).tobytes() == want.tobytes()
+    else:
+        for row, w in zip(rows, want):
+            got = _lm_norm(grid, row, 1.0)
+            assert type(got) is float and got == w

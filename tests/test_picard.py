@@ -5,9 +5,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from sigmaevo.grid import (GridSpec, _chunk_rows, _forward_half, _half_l2,
-                           _inverse_half, build_grid, full_from_half,
-                           transform_forward)
+from sigmaevo.grid import (GridSpec, _chunk_rows, _forward_half,
+                           _half_l2_rows, _inverse_half, build_grid,
+                           full_from_half, transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import MAX_HORIZON, picard_apply
 from sigmaevo.propagator import kernel_arrays, propagate_linear
@@ -212,15 +212,15 @@ def _iterates(cfg, count=3):
 
 
 def _xt_distance_loop(a, b):
-    """Reference: one ``_half_l2`` per snapshot difference."""
+    """Reference: one ``_half_l2_rows`` call per snapshot difference."""
     grid = a.grid
     xs = grid.xi_mag ** a.params.sigma
     l2, hs, dt = [], [], []
     for (ua, uta), (ub, utb) in zip(a.states, b.states):
         du = ua - ub
-        l2.append(_half_l2(grid, du))
-        hs.append(_half_l2(grid, xs * du))
-        dt.append(_half_l2(grid, uta - utb))
+        l2.append(_half_l2_rows(grid, du))
+        hs.append(_half_l2_rows(grid, xs * du))
+        dt.append(_half_l2_rows(grid, uta - utb))
     return float(np.max(xt_weighted_sums(a.times, np.array(l2), np.array(hs),
                                          np.array(dt), a.params)))
 
@@ -236,6 +236,44 @@ def test_picard_norms_are_the_record_norms_of_its_states(case):
                          for u, ut in traj.states])
         got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
         assert got.tobytes() == want.tobytes()
+
+
+def _float_table_states(traj_in, u1, cfg):
+    """Reference: the recurrence of the module docstring one snapshot at a
+    time, with ``F`` and ``S`` advanced apart by ``StepTables.advance`` on
+    its float tables."""
+    grid = traj_in.grid
+    tables = StepTables(grid, cfg.params, cfg.dt, cfg.dealias)
+    zero = np.zeros(grid.xi_mag.shape, complex)
+    flows = [(zero, _forward_half(grid, u1.values)), (zero, zero)]
+    states = []
+    for i, (t, (u, _)) in enumerate(zip(traj_in.times, traj_in.states)):
+        g = _nonlinearity_hat(_inverse_half(grid, u)[np.newaxis], tables,
+                              (t,), i)[0] * (0.5 * cfg.dt)
+        if i > 0:
+            flows = [tables.advance(*flow, out=(np.empty_like(zero),
+                                                np.empty_like(zero)),
+                                    scratch=np.empty_like(zero))
+                     for flow in flows]
+            flows[1] = (flows[1][0], flows[1][1] + g)
+        (f_u, f_ut), (s_u, s_ut) = flows
+        states.append((f_u + s_u, f_ut + s_ut))
+        flows[1] = (s_u, s_ut + g)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_picard_states_are_the_float_table_recurrence_bitwise(case):
+    # picard_apply multiplies by complex copies of M(dt); the bits must be
+    # those of the float tables, iterate after iterate.
+    cfg = ROW_CASES[case]
+    iters = _iterates(cfg)
+    u1 = make_data(cfg, iters[0].grid)
+    want = iters[0]
+    for got in iters[1:]:
+        states = _float_table_states(want, u1, cfg)
+        assert got.states.tobytes() == states.tobytes()
+        want = replace(got, states=states)
 
 
 @pytest.mark.parametrize("case", ROW_CASES)
@@ -279,10 +317,11 @@ def test_picard_states_share_no_memory():
 def test_picard_and_xt_distance_memory_peaks():
     # The picard-1d size: 251 snapshots at N = 2048.  A call keeps its
     # block of states (7.9 MiB); beyond it, only buffers of one snapshot
-    # or one chunk of rows may be live at once.  Measured: 0.38 MiB for
-    # picard_apply, whose retained memory holds no per-snapshot objects,
-    # and 0.29 MiB for xt_distance, which subtracts state rows into one
-    # chunk buffer.
+    # or one chunk of rows may be live at once.  Measured: 0.44 MiB for
+    # picard_apply (0.38 MiB before it held complex copies of the four
+    # M(dt) tables, 66 KB), whose retained memory holds no per-snapshot
+    # objects, and 0.29 MiB for xt_distance, which subtracts state rows
+    # into one chunk buffer.
     cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, 2048, 400.0),
                        dt=0.02, t_end=5.0, data_amplitude=0.1,
                        store_states=True, snapshot_interval=0.02)

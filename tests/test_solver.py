@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sigmaevo.grid import (GridSpec, SpectralField, build_grid,
-                           transform_forward, _half_l2, _inverse_half,
+                           transform_forward, _half_l2_rows, _inverse_half,
                            _lm_norm)
 from sigmaevo.operators import lebesgue_norm
 from sigmaevo.params import ModelParams, ValidationError
@@ -420,8 +420,8 @@ def test_integrate_matches_public_steps_bitwise(params, spec):
     xi_sigma = grid.xi_mag ** params.sigma
 
     def norms(u, ut):
-        return (_half_l2(grid, u), _half_l2(grid, ut),
-                _half_l2(grid, xi_sigma * u),
+        return (_half_l2_rows(grid, u), _half_l2_rows(grid, ut),
+                _half_l2_rows(grid, xi_sigma * u),
                 _lm_norm(grid, _inverse_half(grid, u), params.m))
 
     ut = transform_forward(make_data(cfg, grid))
