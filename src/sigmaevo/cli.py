@@ -5,8 +5,9 @@ Usage: ``sigmaevo <subcommand> --config <file> [--key=value ...]``
 The config file is a flat ``key = value`` document (``#`` starts a
 comment); command-line flags override file values, and every key has a
 documented default.  Each run writes its outputs plus a ``manifest.json``
-(config echo, config hash, library versions, wall time, output list,
-exit status, and the error of a failed run) into the output directory.
+(config echo, config hash, library versions, wall time, peak resident
+memory and minor page faults, output list, exit status, and the error of
+a failed run) into the output directory.
 Exit status: 0 success, 2 input refused before the run starts (a
 ``ValidationError``), 3 labeled blow-up termination, 1 any other failure.
 """
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, asdict
@@ -365,8 +367,12 @@ def dispatch(config: RunConfig) -> int:
     """Run one subcommand, writing artifacts and a manifest under output_dir.
 
     The manifest is written on every exit; a failed run adds ``error``
-    (exception class and message) to it.
+    (exception class and message) to it.  ``peak_rss_mib`` is the
+    process's peak resident memory so far (``ru_maxrss``, which Linux
+    reports in KiB) and ``minor_faults`` the minor page faults taken
+    during this call.
     """
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
@@ -380,6 +386,7 @@ def dispatch(config: RunConfig) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         status, error = 1, exc
 
+    end = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "subcommand": config.subcommand,
         "config": {k: (fmt17(v) if isinstance(v, float) else v)
@@ -391,6 +398,8 @@ def dispatch(config: RunConfig) -> int:
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
         "wall_time_s": time.perf_counter() - start,
+        "peak_rss_mib": end.ru_maxrss / 1024.0,
+        "minor_faults": end.ru_minflt - usage.ru_minflt,
         "outputs": [p.name for p in outputs],
         "exit_status": status,
     }

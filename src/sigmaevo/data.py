@@ -14,15 +14,18 @@ PROFILES = ("gaussian", "bump", "noise_bandlimited", "spectral_tail")
 DIPOLE_SHIFT = 1.0
 
 
+def _r2(grid: Grid) -> np.ndarray:
+    """``|x|^2`` on the lattice, summed from one broadcast axis at a time."""
+    return sum(x * x for x in np.meshgrid(*grid.coords, indexing="ij",
+                                          sparse=True))
+
+
 def _gaussian(grid: Grid) -> np.ndarray:
-    mesh = grid.meshgrid()
-    r2 = sum(x * x for x in mesh)
-    return np.exp(-r2 / 2.0)
+    return np.exp(-_r2(grid) / 2.0)
 
 
 def _bump(grid: Grid) -> np.ndarray:
-    mesh = grid.meshgrid()
-    r2 = sum(x * x for x in mesh)
+    r2 = _r2(grid)
     out = np.zeros(grid.shape)
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
@@ -35,7 +38,7 @@ def _noise_bandlimited(grid: Grid, seed: int) -> np.ndarray:
     coeffs = _forward_half(grid, rng.standard_normal(grid.shape))
     j2 = [idx * idx for idx in grid.indices]
     j2[-1] = j2[-1][:n // 2 + 1]
-    jmag = np.sqrt(sum(np.meshgrid(*j2, indexing="ij")))
+    jmag = np.sqrt(sum(np.meshgrid(*j2, indexing="ij", sparse=True)))
     coeffs[jmag > n / 8.0] = 0.0
     field = _inverse_half(grid, coeffs)
     peak = np.max(np.abs(field))

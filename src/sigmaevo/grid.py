@@ -10,8 +10,8 @@ Conventions used throughout the package:
   ``j in [-N/2, N/2)`` along the leading axes (storage order
   ``0, 1, ..., N/2-1, -N/2, ..., -1``) and ``j = 0..N/2`` along the last
   axis, shape ``N^(dim-1) x (N/2+1)``, with physical wavenumber
-  ``xi = 2*pi*j/L``.  ``Grid.xi_mag`` and ``Grid.phase`` are tables on
-  this layout.
+  ``xi = 2*pi*j/L``.  ``Grid.xi_mag`` is a stored table on this layout;
+  ``Grid.phase`` is built on this layout each time it is read.
 * The forward transform carries the quadrature weight ``(L/N)^dim`` but
   not the lattice phase ``(-1)^(j_1+...+j_dim)``, which would cancel
   between forward and inverse around real multipliers.  The transform
@@ -90,8 +90,8 @@ class Grid:
     """Lattice coordinates and the wavenumber table for a :class:`GridSpec`.
 
     ``coords``, ``indices`` and ``wavenumbers`` hold one full 1-D array
-    per axis; ``xi_mag`` (wavevector magnitudes) and ``phase`` (the
-    lattice phase) are half-spectrum tables.
+    per axis; ``xi_mag`` (wavevector magnitudes) is a half-spectrum
+    table, and ``phase`` (the lattice phase) one built when read.
     """
 
     spec: GridSpec
@@ -99,7 +99,6 @@ class Grid:
     indices: tuple[np.ndarray, ...]
     wavenumbers: tuple[np.ndarray, ...]
     xi_mag: np.ndarray = field(repr=False)
-    phase: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,6 +115,15 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.spec.cell_volume
+
+    @property
+    def phase(self) -> np.ndarray:
+        """``(-1)^(j_1+...+j_dim)`` on the half spectrum: it relates
+        samples on ``[-L/2, L/2)`` to the FFT origin."""
+        last = self.indices[-1][:self.xi_mag.shape[-1]]
+        jsum = sum(np.meshgrid(*self.indices[:-1], last, indexing="ij",
+                               sparse=True))
+        return np.where(jsum % 2 == 0, 1.0, -1.0)
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.coords, indexing="ij")
@@ -142,13 +150,8 @@ def build_grid(spec: GridSpec) -> Grid:
     half = (slice(None),) * (spec.dim - 1) + (slice(0, n // 2 + 1),)
     mags = np.meshgrid(*axes_xi, indexing="ij", sparse=True)
     xi_mag = np.sqrt(sum(m[half] * m[half] for m in mags))
-
-    # (-1)^(j_1+...+j_dim): relates samples on [-L/2, L/2) to the FFT origin.
-    jsum = sum(g[half] for g in np.meshgrid(*axes_j, indexing="ij", sparse=True))
-    phase = np.where(jsum % 2 == 0, 1.0, -1.0)
-
     return Grid(spec=spec, coords=axes_x, indices=axes_j,
-                wavenumbers=axes_xi, xi_mag=xi_mag, phase=phase)
+                wavenumbers=axes_xi, xi_mag=xi_mag)
 
 
 @dataclass(frozen=True)
@@ -190,14 +193,18 @@ def _forward_half(grid: Grid, values: np.ndarray,
     it is given.
 
     ``values`` is one field or a block of fields along one leading row
-    axis: each field is one library call, and the weight is one pass
-    over the block.
+    axis: each field is one library call (``rfft`` in 1-D, which skips
+    the n-d wrapper with the same bits), and the weight is one pass over
+    the block.
     """
     if out is None:
         out = np.empty(values.shape[:-grid.dim] + grid.xi_mag.shape, complex)
     for row, dest in zip(_rows(grid, values), _rows(grid, out)):
-        np.fft.rfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
-                     out=dest)
+        if grid.dim == 1:
+            np.fft.rfft(row, grid.shape[0], out=dest)
+        else:
+            np.fft.rfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
+                         out=dest)
     out *= grid.cell_volume
     return out
 
@@ -209,8 +216,11 @@ def _inverse_half(grid: Grid, half: np.ndarray,
     if out is None:
         out = np.empty(half.shape[:-grid.dim] + grid.shape)
     for row, dest in zip(_rows(grid, half), _rows(grid, out)):
-        np.fft.irfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
-                      out=dest)
+        if grid.dim == 1:
+            np.fft.irfft(row, grid.shape[0], out=dest)
+        else:
+            np.fft.irfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
+                          out=dest)
     out /= grid.cell_volume
     return out
 

@@ -314,11 +314,14 @@ class _StepWork:
     """Work buffers of one stepping run on ``grid``.
 
     Two ``(u, u_t)`` state ``pairs`` that the steps write in turn, the
-    forcing rows ``f0`` and ``f1``, one row of real samples ``field``,
-    one complex ``scratch`` and two float ``squares`` for the L2 sums.
-    They are allocated on the calling thread (arrays a helper thread
-    allocates land in a malloc arena of its own), and a pass split into
-    halves touches disjoint halves of them on the two threads.
+    forcing rows ``f0`` and ``f1`` and one row of real samples ``field``.
+    ``f1`` doubles as the step's scratch wherever it holds nothing
+    (``_etd_step_arrays``), and ``squares``, the two float tables of the
+    records' L2 squares, is a view of its memory.
+    The buffers are allocated on the calling thread (arrays a helper
+    thread allocates land in a malloc arena of its own), and a pass
+    split into halves touches disjoint halves of them on the two
+    threads.
     """
 
     def __init__(self, grid: Grid):
@@ -327,8 +330,7 @@ class _StepWork:
                            for _ in range(2))
         self.f0, self.f1 = (np.empty((1,) + half, complex) for _ in range(2))
         self.field = np.empty((1,) + grid.shape)
-        self.scratch = np.empty(half, complex)
-        self.squares = (np.empty(half), np.empty(half))
+        self.squares = self.f1.reshape(-1).view(float).reshape((2,) + half)
 
 
 def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
@@ -443,10 +445,13 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
 
     The inputs are only read and every temporary is a buffer of
     ``work``, so a blow-up signal in mid-step leaves the inputs as the
-    last completed state.  ``worker`` advances the free flow beside the
-    first inverse transform and runs the elementwise passes in halves.
+    last completed state.  ``f1``'s buffer is the scratch of the free
+    flow, holds the prediction until it is transformed back, and takes
+    the corrector's products once ``f1`` is summed into ``f0``.
+    ``worker`` advances the free flow beside the first inverse
+    transform and runs the elementwise passes in halves.
     """
-    scratch = work.scratch
+    scratch = work.f1[0]
     if not nonlinear:
         return tables.advance(u_hat, ut_hat, out, scratch)
     new_u, new_ut = out
@@ -455,20 +460,19 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
                 lambda: _inverse_half(grid, u_hat, out=field[0]))
     f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0,
                            worker=worker)[0]
-    # the prediction is only transformed back, so it lives in f1's buffer
-    u_pred = work.f1[0]
+    u_pred = scratch
 
     def predict(s):
-        np.add(new_u[s], np.multiply(tables.IK1[s], f0[s], out=scratch[s]),
-               out=u_pred[s])
+        np.multiply(tables.IK1[s], f0[s], out=u_pred[s])
+        u_pred[s] += new_u[s]
     worker.halves(predict, len(u_pred))
     _inverse_half(grid, u_pred, out=field[0])
     f1 = _nonlinearity_hat(field, tables, (t,), step, out=work.f1,
                            worker=worker)[0]
 
     def correct(s):
-        favg, u, ut, part = f0[s], new_u[s], new_ut[s], scratch[s]
-        favg += f1[s]
+        favg, u, ut, part = f0[s], new_u[s], new_ut[s], f1[s]
+        favg += part
         favg *= 0.5
         u += np.multiply(tables.IK1[s], favg, out=part)
         ut += np.multiply(tables.K1[s], favg, out=part)
@@ -598,11 +602,14 @@ def integrate(config: SolverConfig) -> Trajectory:
     grid = build_grid(config.grid)
     params = config.params
     tables = StepTables(grid, params, config.dt, config.dealias)
+    # the data's temporaries are freed before the step buffers exist
+    data_hat = _data_hat(config, grid)
     work = _StepWork(grid)
 
     u_hat, ut_hat = work.pairs[0]
     u_hat.fill(0.0)
-    np.copyto(ut_hat, _data_hat(config, grid))
+    np.copyto(ut_hat, data_hat)
+    del data_hat
 
     times = [0.0]
     records = [_record_norms(tables, work, u_hat, ut_hat)]

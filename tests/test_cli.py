@@ -157,6 +157,21 @@ def test_manifest_written_with_hash(tmp_path):
     assert manifest2["config_hash"] != manifest["config_hash"]
 
 
+def test_manifest_reports_memory_and_keeps_the_artifacts(tmp_path):
+    outs = []
+    for name in ("one", "two"):
+        out = tmp_path / name
+        assert main(["semilinear", "--N", "64", "--L", "60", "--t_end", "2",
+                     "--dt", "0.1", "--output_dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key in ("peak_rss_mib", "minor_faults"):
+            value = manifest[key]
+            assert type(value) in (int, float) and value >= 0, key
+        outs.append([(out / f).read_bytes()
+                     for f in ("norms.csv", "verdicts.json")])
+    assert outs[0] == outs[1]
+
+
 def test_manifest_hash_ignores_output_dir(tmp_path, monkeypatch):
     def run_hash(out):
         cfg = parse_config(None, {**FAST_LINEAR, "output_dir": str(out)},

@@ -311,9 +311,10 @@ def test_run_linear_error_on_either_thread_reaches_the_caller(monkeypatch,
 
 def test_run_linear_makes_every_transform_on_the_calling_thread(monkeypatch):
     # perfbench's tracer keeps one span stack, and its FFT count pins
-    # n_samples + 1 transforms per linear run.
+    # n_samples + 1 transforms per linear run (1-D grids call rfft and
+    # irfft, the others rfftn and irfftn).
     threads = []
-    for name in ("rfftn", "irfftn"):
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
         def wrapped(*args, _fn=getattr(np.fft, name), **kwargs):
             threads.append(threading.current_thread())
             return _fn(*args, **kwargs)

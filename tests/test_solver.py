@@ -2,6 +2,7 @@ import itertools
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -561,7 +562,7 @@ def test_two_thread_steps_make_every_transform_on_the_calling_thread(
                        grid=GridSpec(2, 32, 60.0), dt=0.1, t_end=1.0,
                        data_amplitude=0.5, snapshot_interval=0.3)
     calls = []
-    for name in ("rfftn", "irfftn"):
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
         def wrapped(*args, _fn=getattr(np.fft, name), **kwargs):
             calls.append(threading.current_thread())
             return _fn(*args, **kwargs)
@@ -583,6 +584,37 @@ def test_two_thread_steps_make_every_transform_on_the_calling_thread(
     # 10 steps of 4 transforms, 5 records and the data's transform
     assert counts == [46, 46]
     assert threading.current_thread() not in advanced
+
+
+@pytest.mark.parametrize("threshold", [np.inf, 0])
+def test_integrate_memory_peak_is_its_live_set(monkeypatch, threshold):
+    # A 3-D run holds its tables (xi_mag, riesz_mult, A, K1, dA, dK1, IK1,
+    # xi_sigma: 8 float half tables), two state pairs, f0 and f1 (6
+    # complex tables), one field of samples, and at the peak the two
+    # complex temporaries of one irfftn.  Measured about 13 KB above
+    # that inline, and up to about 150 KB on two threads, where the
+    # helper's float-to-complex products hold numpy's 128 KiB cast
+    # buffer during the irfftn.  The headroom is half a float table
+    # (540 KiB): a separate scratch and squares (2 complex tables), the
+    # data's temporaries alive beside the step buffers, or a stored
+    # phase table (1 float table) each exceed it.
+    monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
+    n = 64
+    cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
+                                          m=1.0),
+                       grid=GridSpec(3, n, 30.0), dt=0.05, t_end=0.5,
+                       data_amplitude=0.1, data_profile="noise_bandlimited",
+                       snapshot_interval=0.1)
+    integrate(cfg)  # first-call imports are not the run's memory
+    tracemalloc.start()
+    try:
+        integrate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 * n * n * (n // 2 + 1)
+    live = 8 * table + (6 + 2) * 2 * table + 8 * n ** 3
+    assert peak <= live + table // 2
 
 
 def test_config_validation():
