@@ -328,9 +328,12 @@ def _sweep_rows(config: RunConfig) -> tuple[str, list[dict]]:
     return key, rows
 
 
-def _run_subcommand(config: RunConfig, outputs: list[Path]) -> int:
+def _run_subcommand(config: RunConfig, outputs: list[Path],
+                    shape: dict) -> int:
     if config.subcommand in ("linear", "semilinear"):
         series = _run(config)
+        shape.update(records=len(series.times),
+                     helper_thread=series.helper_thread)
         _emit_series(series, config, outputs)
         if "fields" in config.emit:
             _emit_fields(series, config, outputs)
@@ -370,15 +373,18 @@ def dispatch(config: RunConfig) -> int:
     (exception class and message) to it.  ``peak_rss_mib`` is the
     process's peak resident memory so far (``ru_maxrss``, which Linux
     reports in KiB) and ``minor_faults`` the minor page faults taken
-    during this call.
+    during this call.  A ``linear`` or ``semilinear`` run that returns
+    adds its shape: ``records`` (the rows of ``norms.csv``) and
+    ``helper_thread`` (whether it ran a helper thread).
     """
     usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
+    shape: dict = {}
     error = None
     try:
-        status = _run_subcommand(config, outputs)
+        status = _run_subcommand(config, outputs, shape)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status, error = 2, exc
@@ -400,6 +406,7 @@ def dispatch(config: RunConfig) -> int:
         "wall_time_s": time.perf_counter() - start,
         "peak_rss_mib": end.ru_maxrss / 1024.0,
         "minor_faults": end.ru_minflt - usage.ru_minflt,
+        **shape,
         "outputs": [p.name for p in outputs],
         "exit_status": status,
     }

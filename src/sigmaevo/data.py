@@ -33,16 +33,19 @@ def _bump(grid: Grid) -> np.ndarray:
 
 
 def _noise_bandlimited(grid: Grid, seed: int) -> np.ndarray:
+    # The mesh of |j| is freed before the inverse transform, and the
+    # field is divided by the peak of |field|, max(max, -min), in place
+    # (by 1.0, which changes no bit, when the field is zero).
     n = grid.spec.points_per_axis
     rng = np.random.default_rng(seed)
     coeffs = _forward_half(grid, rng.standard_normal(grid.shape))
     j2 = [idx * idx for idx in grid.indices]
     j2[-1] = j2[-1][:n // 2 + 1]
-    jmag = np.sqrt(sum(np.meshgrid(*j2, indexing="ij", sparse=True)))
-    coeffs[jmag > n / 8.0] = 0.0
+    coeffs[np.sqrt(sum(np.meshgrid(*j2, indexing="ij", sparse=True)))
+           > n / 8.0] = 0.0
     field = _inverse_half(grid, coeffs)
-    peak = np.max(np.abs(field))
-    return field / peak if peak > 0 else field
+    peak = max(field.max(), -field.min())
+    return np.divide(field, peak if peak > 0 else 1.0, out=field)
 
 
 def _spectral_tail(grid: Grid, n: int, m: float) -> np.ndarray:
@@ -98,4 +101,5 @@ def make_profile(grid: Grid, profile: str, amplitude: float,
         raise ValueError(f"unknown data profile '{profile}'")
     if mean_zero:
         values = _dipole(grid, values)
-    return RealField(grid, amplitude * values)
+    # every profile is a fresh array, scaled in place
+    return RealField(grid, np.multiply(values, amplitude, out=values))

@@ -119,7 +119,7 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     peak, energy = _half_energy(grid, u1_hat)
     energy_sigma = energy * k
     u_hat = np.empty_like(u1_hat)
-    work = np.empty((1,) + grid.shape)
+    work = np.empty(grid.shape)
     scratch = np.empty_like(k)
     norms = np.empty((n_samples, 4))
     times = _sample_times(config.t_end, n_samples)
@@ -140,12 +140,13 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
                     next(kernels)
 
             def field_half():
-                _inverse_half(grid, u_hat, out=work[0])
-                norms[i, 3] = _lm_norm(grid, work, params.m, out=work)[0]
+                _inverse_half(grid, u_hat, out=work)
+                norms[i, 3] = _lm_norm(grid, work, params.m, out=work)
             worker.both(spectral_half, field_half)
     # the tables stay at t_end: nothing moves them past the last sample
     return Trajectory.from_records(times, norms, params, grid,
-                                   final_state=(u_hat, dK1 * u1_hat))
+                                   final_state=(u_hat, dK1 * u1_hat),
+                                   helper_thread=True)
 
 
 def fit_decay(series: Trajectory, quantity: str,

@@ -20,11 +20,17 @@ Conventions used throughout the package:
   or a block of fields along one leading row axis: one library call per
   field, one pass per block for the rest, and each row has the bits of
   its field alone (callers pass chunks of about ``ROW_CHUNK_BYTES``).
-  Parseval weighs the ``j = 0`` and ``j = N/2`` last-axis planes once
-  and interior columns twice (``_parseval_sum``).  Both norms redo a
-  row whose sum leaves ``[1e-250, inf)`` on the row scaled by its peak,
-  and look for such rows only when a block's extreme sums are out of
-  range; ``L^1`` takes no power pass.  ``_half_energy`` tabulates the
+  One field takes a scalar route through the same code: no row views,
+  its sum a numpy scalar tested and rooted as a float (``math.sqrt``),
+  with the squares, sums and rescue of a row.  Parseval weighs the
+  ``j = 0`` and ``j = N/2`` last-axis planes once and interior columns
+  twice (``_parseval_sum``).  Both norms redo a row whose sum leaves
+  ``[1e-250, inf)`` on the row scaled by its peak, and look for such
+  rows only when a block's extreme sums are out of range; ``L^1`` takes
+  no power pass, and one field's ``L^1`` sum is its own range test.
+  The norms run under one numpy error state (``_QUIET``), which a
+  caller taking several norms can hold once around their bodies
+  (``__wrapped__``).  ``_half_energy`` tabulates the
   mode energies of a field once, so that the norm of ``K * field`` for
   a real multiplier ``K`` costs one weighted sum (``_multiplier_l2``).
 * ``full_from_half`` gives the full ``N^dim`` layout times the phase,
@@ -56,6 +62,11 @@ __all__ = [
 
 # Bytes of complex coefficients per chunk of rows in the row-wise norms.
 ROW_CHUNK_BYTES = 128 * 1024
+# numpy's error state of the norms, as a decorator: a sum out of range
+# is redone on the scaled field or returned as it is, never reported.
+# A decorated function's body is its ``__wrapped__``, for callers that
+# already run under this state.
+_QUIET = np.errstate(over="ignore", under="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,8 @@ class Grid:
     ``coords``, ``indices`` and ``wavenumbers`` hold one full 1-D array
     per axis; ``xi_mag`` (wavevector magnitudes) is a half-spectrum
     table, and ``phase`` (the lattice phase) one built when read.
+    ``shape``, ``dim``, ``box_length`` and ``cell_volume`` are the
+    spec's.
     """
 
     spec: GridSpec
@@ -100,21 +113,10 @@ class Grid:
     wavenumbers: tuple[np.ndarray, ...]
     xi_mag: np.ndarray = field(repr=False)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.spec.shape
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    @property
-    def box_length(self) -> float:
-        return self.spec.box_length
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spec.cell_volume
+    def __post_init__(self):
+        # read on every transform and norm, so kept as plain attributes
+        for name in ("shape", "dim", "box_length", "cell_volume"):
+            object.__setattr__(self, name, getattr(self.spec, name))
 
     @property
     def phase(self) -> np.ndarray:
@@ -199,12 +201,9 @@ def _forward_half(grid: Grid, values: np.ndarray,
     """
     if out is None:
         out = np.empty(values.shape[:-grid.dim] + grid.xi_mag.shape, complex)
-    for row, dest in zip(_rows(grid, values), _rows(grid, out)):
-        if grid.dim == 1:
-            np.fft.rfft(row, grid.shape[0], out=dest)
-        else:
-            np.fft.rfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
-                         out=dest)
+    transform = np.fft.rfft if grid.dim == 1 else np.fft.rfftn
+    for row, dest in _fields(grid, values, out):
+        transform(row, out=dest)
     out *= grid.cell_volume
     return out
 
@@ -215,20 +214,17 @@ def _inverse_half(grid: Grid, half: np.ndarray,
     rows as in ``_forward_half``."""
     if out is None:
         out = np.empty(half.shape[:-grid.dim] + grid.shape)
-    for row, dest in zip(_rows(grid, half), _rows(grid, out)):
-        if grid.dim == 1:
-            np.fft.irfft(row, grid.shape[0], out=dest)
-        else:
-            np.fft.irfftn(row, s=grid.shape, axes=tuple(range(grid.dim)),
-                          out=dest)
+    transform = np.fft.irfft if grid.dim == 1 else np.fft.irfftn
+    for row, dest in _fields(grid, half, out):
+        transform(row, out=dest)  # N samples from N/2 + 1 last-axis modes
     out /= grid.cell_volume
     return out
 
 
-def _rows(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """``a`` as a block of fields: itself when it has a row axis, else a
-    view of one row."""
-    return a if a.ndim > grid.dim else a[np.newaxis]
+def _fields(grid: Grid, a: np.ndarray, b: np.ndarray):
+    """Matching fields of ``a`` and ``b``: the pair itself for one field,
+    one pair per row for a block."""
+    return zip(a, b) if a.ndim > grid.dim else ((a, b),)
 
 
 def _parseval_sum(sq: np.ndarray, lead: int = 0) -> np.float64 | np.ndarray:
@@ -245,7 +241,8 @@ def _parseval_sum(sq: np.ndarray, lead: int = 0) -> np.float64 | np.ndarray:
     """
     axes = tuple(range(lead, sq.ndim))
     total = 2.0 * sq.sum(axis=axes)
-    first, last = sq[..., 0], sq[..., -1]
+    # ``sq.T[j].T`` is ``sq[..., j]``, but a scalar for one 1-D field
+    first, last = sq.T[0].T, sq.T[-1].T
     if len(axes) > 1:
         first, last = first.sum(axis=axes[:-1]), last.sum(axis=axes[:-1])
     return total - first - last
@@ -270,6 +267,7 @@ def _chunk_rows(grid: Grid) -> int:
     return max(1, ROW_CHUNK_BYTES // (16 * grid.xi_mag.size))
 
 
+@_QUIET
 def _half_l2_rows(grid: Grid, rows: np.ndarray, mult: np.ndarray | None = None,
                   out: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> float | np.ndarray:
@@ -277,39 +275,41 @@ def _half_l2_rows(grid: Grid, rows: np.ndarray, mult: np.ndarray | None = None,
     of ``mult * row`` for a real half-spectrum table ``mult``.
 
     Rows as in ``_forward_half``: a ``(k,) + half`` block gives one norm
-    per row, one field a float.  The squares are formed in ``out`` when
-    it is given, two float arrays of at least ``k`` rows (of the
-    half-spectrum shape for one field).  ``(mult re)^2 + (mult im)^2`` in
-    real arithmetic has the bits of the squares of the complex product
-    ``mult * row``.  A row whose sum is below ``1e-250`` (squares in or
-    near the subnormal range) or not finite (squares past the float
-    range) is redone on the row scaled by its coefficient peak; other
-    rows take the unscaled sum unchanged.
+    per row, one field a float from scalar arithmetic.  The squares are
+    formed in ``out`` when it is given, two float arrays of at least
+    ``k`` rows (of the half-spectrum shape for one field).
+    ``(mult re)^2 + (mult im)^2`` in real arithmetic has the bits of the
+    squares of the complex product ``mult * row``.  A row whose sum is
+    below ``1e-250`` (squares in or near the subnormal range) or not
+    finite (squares past the float range) is redone on the row scaled by
+    its coefficient peak; other rows take the unscaled sum unchanged.
     """
-    block = _rows(grid, rows)
-    k = len(block)
-    re2, im2 = (None, None) if out is None else (
-        _rows(grid, buf)[:k] for buf in out)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mult is None:
-            re2 = np.multiply(block.real, block.real, out=re2)
-            im2 = np.multiply(block.imag, block.imag, out=im2)
-        else:
-            re2 = np.multiply(block.real, mult, out=re2)
-            re2 *= re2
-            im2 = np.multiply(block.imag, mult, out=im2)
-            im2 *= im2
-        re2 += im2
-        totals = _parseval_sum(re2, lead=1)
-    norms = np.sqrt(totals / grid.box_length ** grid.dim)
-    if not (totals.min() >= 1e-250 and totals.max() < np.inf):
-        for i in np.flatnonzero(~((totals >= 1e-250) & (totals < np.inf))):
-            row = block[i] if mult is None else mult * block[i]
-            peak = np.max(np.abs(row))
-            if 0 < peak < np.inf:
-                norms[i] = peak * _half_l2_rows(grid, _by_peak(row, peak),
-                                                None, (re2[i], im2[i]))
-    return norms if rows.ndim > grid.dim else float(norms[0])
+    # a buffer's first len(rows) entries: k rows, or all of one field
+    k = len(rows)
+    re2, im2 = (None, None) if out is None else (out[0][:k], out[1][:k])
+    if mult is None:
+        re2 = np.multiply(rows.real, rows.real, out=re2)
+        im2 = np.multiply(rows.imag, rows.imag, out=im2)
+    else:
+        re2 = np.multiply(rows.real, mult, out=re2)
+        re2 *= re2
+        im2 = np.multiply(rows.imag, mult, out=im2)
+        im2 *= im2
+    re2 += im2
+    totals = _parseval_sum(re2, lead=rows.ndim - grid.dim)
+    if rows.ndim > grid.dim:
+        norms = np.sqrt(totals / grid.box_length ** grid.dim)
+        if not (totals.min() >= 1e-250 and totals.max() < np.inf):
+            for i in np.flatnonzero(~((totals >= 1e-250) & (totals < np.inf))):
+                norms[i] = _half_l2_rows(grid, rows[i], mult, (re2[i], im2[i]))
+        return norms
+    if not 1e-250 <= totals < math.inf:
+        row = rows if mult is None else mult * rows
+        peak = np.max(np.abs(row))
+        if 0 < peak < math.inf:
+            return float(peak * _half_l2_rows(grid, _by_peak(row, peak),
+                                              None, (re2, im2)))
+    return math.sqrt(totals / grid.box_length ** grid.dim)
 
 
 def _half_energy(grid: Grid, half: np.ndarray) -> tuple[float, np.ndarray]:
@@ -337,6 +337,7 @@ def _multiplier_l2(peak: float, kernel: np.ndarray, energy: np.ndarray,
     return float(peak * np.sqrt(_parseval_sum(sq)))
 
 
+@_QUIET
 def _lm_norm(grid: Grid, values: np.ndarray, m: float,
              out: np.ndarray | None = None) -> float | np.ndarray:
     """Discrete ``L^m`` norm ``(sum |f|^m (L/N)^n)^(1/m)`` of samples.
@@ -344,45 +345,47 @@ def _lm_norm(grid: Grid, values: np.ndarray, m: float,
     Rows as in ``_forward_half``: a block of fields gives one norm per
     row, from one ``|f|``, one power (none at ``m = 1``) and one row-sum
     pass over the block (a row sum has the bits of the sum of that field
-    alone).  A row is rescaled by its peak ``|f|`` under the same rule as
-    ``_half_l2_rows``; one mask over the rows' peaks picks them.
-    ``|f|`` and ``|f|^m`` are formed in ``out`` when it is given (a float
-    array of the samples' shape, ``values`` itself allowed), so a block
-    whose sums need no rescale allocates no field.
+    alone); one field gives a float from scalar arithmetic.  A sum that
+    leaves ``[1e-250, inf)`` is redone on the field scaled by its peak
+    ``|f|``, as in ``_half_l2_rows``.  The power pass overwrites ``|f|``,
+    so it waits for the peaks' powers to show which sums stay in range;
+    at ``m = 1`` one field's sum is its own test.  ``|f|`` and ``|f|^m``
+    are formed in ``out`` when it is given (a float array of the
+    samples' shape, ``values`` itself allowed), so sums that need no
+    rescale allocate no field.
     """
     a = np.abs(values, out=out)
-    rows = _rows(grid, a)
-    axes = tuple(range(1, rows.ndim))
     # The sum is at least its largest term and at most size times it, so
     # inside [2e-250, bound] the rule [1e-250, inf) keeps it unscaled.
     bound = 1e300 / math.prod(grid.shape)
-    norms = np.empty(len(rows))
-    with np.errstate(over="ignore", under="ignore"):
-        top = rows.max(axis=axes)
-        if m != 1:
-            top **= m
-        plain = (2e-250 <= top) & (top <= bound)
-        for i in np.flatnonzero(~plain):
-            norms[i] = _lm_rescaled(grid, rows[i], m)
-        # rows rescaled above may overflow here; their sums are unused
-        if m != 1:
-            rows **= m  # the same ufunc loop as ``a ** m``
-        totals = rows.sum(axis=axes) * grid.cell_volume
+    if a.ndim == grid.dim:
+        if m == 1:
+            total = a.sum()
+        elif 2e-250 <= a.max() ** m <= bound:
+            a **= m  # the same ufunc loop as ``a ** m``
+            total = a.sum()
+        else:
+            total = np.sum(a ** m)
+        if not 1e-250 <= total < math.inf:  # ``a`` still holds |f| here
+            peak = a.max()
+            if 0 < peak < math.inf:
+                return float(peak * _lm_norm(grid, a / peak, m))
+        return float((total * grid.cell_volume) ** (1.0 / m))
+    axes = tuple(range(1, a.ndim))
+    norms = np.empty(len(a))
+    top = a.max(axis=axes)
+    if m != 1:
+        top **= m
+    plain = (2e-250 <= top) & (top <= bound)
+    for i in np.flatnonzero(~plain):
+        norms[i] = _lm_norm(grid, a[i], m)
+    # rows rescaled above may overflow here; their sums are unused
+    if m != 1:
+        a **= m
+    totals = a.sum(axis=axes) * grid.cell_volume
     for i in np.flatnonzero(plain):
         norms[i] = totals[i] ** (1.0 / m)
-    return norms if a.ndim > grid.dim else float(norms[0])
-
-
-def _lm_rescaled(grid: Grid, a: np.ndarray, m: float) -> float:
-    """``_lm_norm`` of one field of samples ``a = |f|`` whose sum may leave
-    ``[1e-250, inf)``: such a sum is redone on ``a`` scaled by its peak."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(a ** m)
-    if not 1e-250 <= total < np.inf:
-        peak = np.max(a)
-        if 0 < peak < np.inf:
-            return float(peak * _lm_norm(grid, a / peak, m))
-    return float((total * grid.cell_volume) ** (1.0 / m))
+    return norms
 
 
 def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ runs as two halves of the leading grid axis, one per thread.  Every
 transform and every summing reduction stays whole on the calling
 thread, so the results are bitwise those of one thread, and a tracer
 with one span stack sees every transform.  Smaller grids run the same
-step code on the calling thread alone, each pass as one whole slice.
+step code on the calling thread alone, each pass as one call on the
+whole arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _chunk_rows, _forward_half, _half_l2_rows,
+                   _QUIET, _chunk_rows, _forward_half, _half_l2_rows,
                    _inverse_half, _lm_norm)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
@@ -233,14 +234,16 @@ class _Worker:
     ``both(a, b)`` runs ``a()`` on the helper while the calling thread
     runs ``b()``, and returns once both are done; an exception raised by
     ``a`` is raised again on the calling thread, after the helper has
-    finished.  ``halves(fn, n)`` runs ``fn(slice(0, n // 2))`` on the
-    calling thread and ``fn(slice(n // 2, n))`` on the helper, and
-    returns both results.  ``_Worker(threaded=False)`` starts no thread:
-    ``both`` runs ``a`` then ``b``, and ``halves`` makes the one call
-    ``fn(slice(None))``.  The helper runs in a copy of the caller's
-    context, so numpy's error state is the caller's there too; it is
-    joined when the block ends, and it is a daemon so that a handoff
-    defect cannot keep the interpreter alive.
+    finished.  ``halves(fn, axis, *arrays)`` cuts each array in two
+    along ``axis`` (at ``n // 2`` of the first array's ``n`` entries),
+    runs ``fn`` on the lower parts on the calling thread and on the
+    upper parts on the helper, and returns both results.
+    ``_Worker(threaded=False)`` starts no thread: ``both`` runs ``a``
+    then ``b``, and ``halves`` makes the one call ``fn(*arrays)``, so a
+    pass on one thread makes no views.  The helper runs in a copy of the
+    caller's context, so numpy's error state is the caller's there too;
+    it is joined when the block ends, and it is a daemon so that a
+    handoff defect cannot keep the interpreter alive.
     """
 
     def __init__(self, threaded: bool):
@@ -293,17 +296,17 @@ class _Worker:
         if error is not None:
             raise error
 
-    def halves(self, fn, n: int) -> list:
+    def halves(self, fn, axis: int, *arrays) -> list:
         if self._thread is None:
-            return [fn(slice(None))]
+            return [fn(*arrays)]
+        n = arrays[0].shape[axis]
+        lower, upper = ((slice(None),) * axis + (part,) for part in
+                        (slice(0, n // 2), slice(n // 2, n)))
         results = [None, None]
 
-        def upper():
-            results[1] = fn(slice(n // 2, n))
-
-        def lower():
-            results[0] = fn(slice(0, n // 2))
-        self.both(upper, lower)
+        def run(i, index):
+            results[i] = fn(*(x[index] for x in arrays))
+        self.both(lambda: run(1, upper), lambda: run(0, lower))
         return results
 
 
@@ -333,6 +336,7 @@ class _StepWork:
         self.squares = self.f1.reshape(-1).view(float).reshape((2,) + half)
 
 
+@_QUIET  # overflow is not an error here; it surfaces as a blow-up signal
 def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
                    ) -> np.ndarray:
     """``a <- a ** p`` in place, for samples ``a >= 0``.
@@ -344,19 +348,17 @@ def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
     ``ABS_FLOOR`` gives ``+0`` there, since its square underflows.  Other
     ``p`` go through ``np.power`` on ``max(a, ABS_FLOOR)``.
     """
-    # Overflow is not an error here; it surfaces as a blow-up signal.
-    with np.errstate(over="ignore"):
-        if p == int(p) and 2 <= p <= INT_POWER_MAX:
-            bits = bin(int(p))[3:]  # binary digits after the leading one
-            if "1" in bits:
-                np.copyto(scratch, a)
-            for bit in bits:
-                a *= a
-                if bit == "1":
-                    a *= scratch
-        else:
-            np.maximum(a, ABS_FLOOR, out=a)
-            np.power(a, p, out=a)
+    if p == int(p) and 2 <= p <= INT_POWER_MAX:
+        bits = bin(int(p))[3:]  # binary digits after the leading one
+        if "1" in bits:
+            np.copyto(scratch, a)
+        for bit in bits:
+            a *= a
+            if bit == "1":
+                a *= scratch
+    else:
+        np.maximum(a, ABS_FLOOR, out=a)
+        np.power(a, p, out=a)
     return a
 
 
@@ -367,6 +369,19 @@ def _finite_rows(a: np.ndarray, peaks) -> int:
     if all(map(math.isfinite, peaks)):
         return len(a)
     return int(np.argmin(np.isfinite(np.max(a, axis=tuple(range(1, a.ndim))))))
+
+
+def _magnitude(a: np.ndarray) -> float:
+    """``a <- |a|`` in place; returns the maximum (NaN if a sample is)."""
+    return np.abs(a, out=a).max(initial=0.0)
+
+
+def _smooth(rows: np.ndarray, mult: np.ndarray) -> None:
+    """``row *= mult[0]`` for each row of spectra: broadcast over a whole
+    block, numpy would copy the table into a temporary of the block's
+    size."""
+    for row in rows:
+        row *= mult[0]
 
 
 def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
@@ -384,42 +399,28 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
 
     ``|u|`` with its maximum, the power with its maximum, and the
     smoothing multiplier are elementwise passes that ``worker`` runs in
-    halves of the leading grid axis; the transform, and the search for
-    the failing row once a maximum is not finite, run whole on the
-    calling thread.
+    halves of the leading grid axis (inline, each is one call on the
+    whole rows); the transform, and the search for the failing row once
+    a maximum is not finite, run whole on the calling thread.
     """
-    grid = tables.grid
+    grid, p, a = tables.grid, tables.params.p, u_rows
     if out is None:
-        out = np.empty((len(u_rows),) + grid.xi_mag.shape, complex)
-    a = u_rows
-
-    def magnitude(s):
-        part = np.abs(a[:, s], out=a[:, s])
-        return part.max(initial=0.0)
-    n_state = _finite_rows(a, worker.halves(magnitude, a.shape[1]))
+        out = np.empty((len(a),) + grid.xi_mag.shape, complex)
+    n_state = _finite_rows(a, worker.halves(_magnitude, 1, a))
     powered = a[:n_state]
     # out holds 2 (N/2+1) N^(dim-1) >= N^dim floats per row, and the
     # power is done with its scratch before the transform fills out
     scratch = out.reshape(-1).view(float)[:powered.size].reshape(
         powered.shape)
-
-    def power(s):
-        part = _floored_power(powered[:, s], tables.params.p, scratch[:, s])
-        return part.max(initial=0.0)
-    n_power = _finite_rows(powered, worker.halves(power, a.shape[1]))
+    n_power = _finite_rows(powered, worker.halves(
+        lambda part, base: _floored_power(part, p, base).max(initial=0.0),
+        1, powered, scratch))
     if n_power < len(a):
         reason = ("non-finite state in nonlinearity" if n_power == n_state
                   else "overflow in pointwise power")
         raise BlowUpSignal(times[n_power], step + n_power, reason)
     f_hat = _forward_half(grid, a, out=out)
-
-    def smooth(s):
-        # row by row: broadcast over a whole block, numpy copies the
-        # table into a temporary of the block's size
-        mult = tables.riesz_mult[s]
-        for row in f_hat[:, s]:
-            row *= mult
-    worker.halves(smooth, f_hat.shape[1])
+    worker.halves(_smooth, 1, f_hat, tables.riesz_mult[np.newaxis])
     return f_hat
 
 
@@ -460,24 +461,28 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
                 lambda: _inverse_half(grid, u_hat, out=field[0]))
     f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0,
                            worker=worker)[0]
-    u_pred = scratch
-
-    def predict(s):
-        np.multiply(tables.IK1[s], f0[s], out=u_pred[s])
-        u_pred[s] += new_u[s]
-    worker.halves(predict, len(u_pred))
-    _inverse_half(grid, u_pred, out=field[0])
+    worker.halves(_predict, 0, scratch, tables.IK1, f0, new_u)
+    _inverse_half(grid, scratch, out=field[0])
     f1 = _nonlinearity_hat(field, tables, (t,), step, out=work.f1,
                            worker=worker)[0]
-
-    def correct(s):
-        favg, u, ut, part = f0[s], new_u[s], new_ut[s], f1[s]
-        favg += part
-        favg *= 0.5
-        u += np.multiply(tables.IK1[s], favg, out=part)
-        ut += np.multiply(tables.K1[s], favg, out=part)
-    worker.halves(correct, len(f0))
+    worker.halves(_correct, 0, f0, f1, new_u, new_ut, tables.IK1, tables.K1)
     return new_u, new_ut
+
+
+def _predict(u_pred, IK1, f0, new_u) -> None:
+    """The predictor ``u_pred <- IK1 f0 + new_u``."""
+    np.multiply(IK1, f0, out=u_pred)
+    u_pred += new_u
+
+
+def _correct(favg, f1, u, ut, IK1, K1) -> None:
+    """The corrector: ``favg <- (f0 + f1) / 2`` in ``f0``'s buffer, then
+    ``u += IK1 favg`` and ``ut += K1 favg``, each product formed in
+    ``f1``'s buffer."""
+    favg += f1
+    favg *= 0.5
+    u += np.multiply(IK1, favg, out=f1)
+    ut += np.multiply(K1, favg, out=f1)
 
 
 def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
@@ -508,6 +513,7 @@ class Trajectory:
     ``states`` when present, holds one entry per time; a mismatch raises
     ``ValueError``, and the fields cannot be reassigned afterwards.  A
     run cut by a ``BlowUpSignal`` keeps its time, step and reason.
+    ``helper_thread`` tells whether the run used a ``_Worker`` thread.
     """
 
     times: np.ndarray
@@ -523,6 +529,7 @@ class Trajectory:
     blowup_time: float | None = None
     blowup_step: int | None = None
     blowup_reason: str | None = None
+    helper_thread: bool = False
 
     def __post_init__(self):
         if len(self.times) == 0:
@@ -567,15 +574,17 @@ class Trajectory:
             raise ValueError(f"unknown quantity '{name}'") from None
 
 
+@_QUIET
 def _record_norms(tables: StepTables, work: _StepWork, u_hat, ut_hat):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
-    state, formed in the buffers of ``work``."""
-    grid, sq, field = tables.grid, work.squares, work.field
-    _inverse_half(grid, u_hat, out=field[0])
-    lm = _lm_norm(grid, field, tables.params.m, out=field)[0]
-    return (_half_l2_rows(grid, u_hat, None, sq),
-            _half_l2_rows(grid, ut_hat, None, sq),
-            _half_l2_rows(grid, u_hat, tables.xi_sigma, sq), float(lm))
+    state, formed in the buffers of ``work`` under one numpy error state:
+    the norms' bodies (``__wrapped__``) take the one-field route."""
+    grid, sq, field = tables.grid, work.squares, work.field[0]
+    l2, lm = _half_l2_rows.__wrapped__, _lm_norm.__wrapped__
+    return (l2(grid, u_hat, None, sq), l2(grid, ut_hat, None, sq),
+            l2(grid, u_hat, tables.xi_sigma, sq),
+            lm(grid, _inverse_half(grid, u_hat, out=field), tables.params.m,
+               out=field))
 
 
 def integrate(config: SolverConfig) -> Trajectory:
@@ -621,8 +630,9 @@ def integrate(config: SolverConfig) -> Trajectory:
     ref = max(max(records[0]), ABS_FLOOR)
 
     blowup = None
+    threaded = grid.xi_mag.size >= OVERLAP_MIN_MODES
     try:
-        with _Worker(grid.xi_mag.size >= OVERLAP_MIN_MODES) as worker:
+        with _Worker(threaded) as worker:
             for step in range(1, n_steps + 1):
                 t = step * config.dt
                 u_hat, ut_hat = _etd_step_arrays(
@@ -636,7 +646,7 @@ def integrate(config: SolverConfig) -> Trajectory:
                     if states is not None:
                         row = len(times) - 1
                         states[row, 0], states[row, 1] = u_hat, ut_hat
-                    if (not all(np.isfinite(rec))
+                    if (not all(map(math.isfinite, rec))
                             or max(rec) > BLOWUP_FACTOR * ref):
                         raise BlowUpSignal(t, step,
                                            "runaway or non-finite norms")
@@ -651,7 +661,7 @@ def integrate(config: SolverConfig) -> Trajectory:
     return Trajectory.from_records(times, records, params, grid,
                                    states=states,
                                    final_state=(u_hat.copy(), ut_hat.copy()),
-                                   **cut)
+                                   helper_thread=threaded, **cut)
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:

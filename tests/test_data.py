@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sigmaevo.data import (DIPOLE_SHIFT, PROFILES, _bump, _gaussian,
                            make_profile)
 from sigmaevo.grid import GridSpec, build_grid
+from sigmaevo.params import ModelParams
+from sigmaevo.solver import SolverConfig, make_data
 
 from full_layout import full_forward, full_inverse, full_xi_mag
 
@@ -55,3 +59,29 @@ def test_profiles_match_full_layout_reference(dim, points, mean_zero, profile):
                        n=dim, m=1.5).values
     ref = _reference_profile(grid, profile, 7, mean_zero, dim, 1.5)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_noise_data_memory_peak_is_its_inverse_transform(seed):
+    # 64^3 noise data peaks in its inverse transform, which holds the
+    # masked half spectrum, the two complex temporaries of numpy's
+    # irfftn and the field it fills: 3 complex half tables and 1 field.
+    # Measured about 5 KB above that.  The headroom is a quarter of a
+    # field (512 KiB): the |j| mesh kept through the inverse (half a
+    # field) or |field| formed for its peak (one field) each exceed it.
+    n = 64
+    cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
+                                          m=1.0),
+                       grid=GridSpec(3, n, 30.0), dt=0.05, t_end=0.5,
+                       data_amplitude=0.1, data_profile="noise_bandlimited",
+                       seed=seed)
+    grid = build_grid(cfg.grid)
+    make_data(cfg, grid)  # first-call imports are not the data's memory
+    tracemalloc.start()
+    try:
+        make_data(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field, table = 8 * n ** 3, 16 * n * n * (n // 2 + 1)
+    assert peak <= 3 * table + field + field // 4

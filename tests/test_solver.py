@@ -414,10 +414,22 @@ def test_stored_states_are_one_block_of_the_recorded_rows():
      GridSpec(1, 256, 100.0)),
 ])
 def test_integrate_matches_public_steps_bitwise(params, spec):
-    cfg = SolverConfig(params=params, grid=spec, dt=0.1, t_end=2.0,
-                       data_amplitude=0.1, snapshot_interval=0.1)
+    # At 1e-200 and 1e200 (nonlinearity off) the sums of the L2 squares,
+    # and of the L^1.5 powers, leave [1e-250, inf): those records take
+    # the rescue, one field at a time and as rows of a block.
+    for amplitude, nonlinear in ((0.1, True), (1e-200, False),
+                                 (1e200, False)):
+        cfg = SolverConfig(params=params, grid=spec, dt=0.1, t_end=2.0,
+                           data_amplitude=amplitude, snapshot_interval=0.1,
+                           nonlinearity_enabled=nonlinear, store_states=True)
+        _assert_records_are_the_state_norms(cfg)
+
+
+def _assert_records_are_the_state_norms(cfg):
+    """``integrate``'s records equal the one-field norms of states made by
+    public steps, and the block norms of its stored states, bitwise."""
     traj = integrate(cfg)
-    grid = traj.grid
+    grid, params, nonlinear = traj.grid, cfg.params, cfg.nonlinearity_enabled
     xi_sigma = grid.xi_mag ** params.sigma
 
     def norms(u, ut):
@@ -426,13 +438,21 @@ def test_integrate_matches_public_steps_bitwise(params, spec):
                 _lm_norm(grid, _inverse_half(grid, u), params.m))
 
     ut = transform_forward(make_data(cfg, grid))
+    with np.errstate(over="ignore", under="ignore"):
+        plain = np.sum(np.abs(ut.coeffs) ** 2)
+    assert (1e-250 <= plain < np.inf) == nonlinear
     state = (SpectralField(grid, np.zeros_like(ut.coeffs)), ut)
     want = [norms(state[0].coeffs, state[1].coeffs)]
     for _ in range(len(traj.times) - 1):
-        state = etd_step(state, cfg.dt, params)
+        state = etd_step(state, cfg.dt, params, nonlinear=nonlinear)
         want.append(norms(state[0].coeffs, state[1].coeffs))
     got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
     assert np.array_equal(got, np.array(want))
+    u, ut = traj.states[:, 0], traj.states[:, 1]
+    rows = np.stack([_half_l2_rows(grid, u), _half_l2_rows(grid, ut),
+                     _half_l2_rows(grid, u, xi_sigma),
+                     _lm_norm(grid, _inverse_half(grid, u), params.m)], axis=1)
+    assert np.array_equal(got, rows)
 
 
 def test_integrate_two_dimensional():
