@@ -332,8 +332,7 @@ def _run_subcommand(config: RunConfig, outputs: list[Path],
                     shape: dict) -> int:
     if config.subcommand in ("linear", "semilinear"):
         series = _run(config)
-        shape.update(records=len(series.times),
-                     helper_thread=series.helper_thread)
+        shape.update(records=len(series.times))
         _emit_series(series, config, outputs)
         if "fields" in config.emit:
             _emit_fields(series, config, outputs)
@@ -374,8 +373,7 @@ def dispatch(config: RunConfig) -> int:
     process's peak resident memory so far (``ru_maxrss``, which Linux
     reports in KiB) and ``minor_faults`` the minor page faults taken
     during this call.  A ``linear`` or ``semilinear`` run that returns
-    adds its shape: ``records`` (the rows of ``norms.csv``) and
-    ``helper_thread`` (whether it ran a helper thread).
+    adds its shape: ``records`` (the rows of ``norms.csv``).
     """
     usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()

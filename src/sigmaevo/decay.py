@@ -8,12 +8,12 @@ and ``E`` the data's mode energies, tabulated once per run on the data
 scaled by its coefficient peak (which keeps the norms linear in the
 amplitude over the whole float range).  The ``L^m`` norm takes one
 inverse transform per sample, into a buffer of the run.  These two
-halves of a sample overlap on two threads (``solver._Worker``), at
-every grid size: the kernel sums and the move of the kernel tables to
-the next sample run on a helper thread, while the calling thread makes
-the sample's transform (so a tracer with one span stack sees them
-all).  The calling thread forms the field from the tables before it
-hands them over, so the norms are bitwise those of the serial loop.
+halves of a sample overlap: the kernel sums and the move of the kernel
+tables to the next sample run on one pool thread, while the calling
+thread makes the sample's transform (so a tracer with one span stack
+sees them all).  The calling thread forms the field from the tables
+before it hands them over, so the norms are bitwise those of the serial
+loop.
 
 Norm time series from linear or semilinear runs are fitted by ordinary
 least squares of ``log(norm)`` against ``log(1 + t)``.  Verdicts are
@@ -26,6 +26,7 @@ point is resolved, run and judged exactly like a single run.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,7 @@ from .grid import (_half_energy, _inverse_half, _lm_norm, _multiplier_l2,
                    build_grid)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, velocity_kernels
-from .solver import (SolverConfig, Trajectory, _Worker, _check_horizon,
-                     _data_hat)
+from .solver import SolverConfig, Trajectory, _check_horizon, _data_hat
 
 __all__ = [
     "DecayFit",
@@ -99,16 +99,18 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     """Exact linear flow sampled at log-spaced times (no stepping error).
 
     For each sample the calling thread forms ``u_hat = K1 u1_hat``.  A
-    helper thread then takes the L2, ``u_t`` and ``H^sigma`` norms as
+    pool thread then takes the L2, ``u_t`` and ``H^sigma`` norms as
     kernel sums against the data's mode energies (``_half_energy``) and
-    moves the kernel tables to the next sample's time, while the calling
+    moves the kernel tables to the next sample's time, in a copy of the
+    caller's context (numpy's error state included), while the calling
     thread takes ``L^m`` from one inverse transform of ``u_hat`` into a
-    one-row buffer of the run; the next sample starts once both are
-    done.  So both threads share one set of tables and the norms are
-    bitwise those of the serial loop.  An exception on either thread
-    reaches the caller once both are done.  ``final_state`` is the
-    state at the last sample, ``t_end``.
+    buffer of the run; the next sample starts once both are done.  An
+    exception on either thread reaches the caller once both are done.
+    ``final_state`` is the state at the last sample, ``t_end``.
     """
+    # imported here: it loads logging, which no other path needs
+    from concurrent.futures import ThreadPoolExecutor
+
     if n_samples < 2:  # the series runs from 0 to t_end
         raise ValidationError(f"n_samples must be >= 2; got {n_samples}")
     _check_horizon(config)
@@ -123,30 +125,28 @@ def run_linear(config: SolverConfig, n_samples: int = 200) -> Trajectory:
     scratch = np.empty_like(k)
     norms = np.empty((n_samples, 4))
     times = _sample_times(config.t_end, n_samples)
-    # Every array is allocated here: the worker's would land in a new
-    # malloc arena and grow the peak memory.
+    # Every array is allocated here: the pool thread's would land in a
+    # malloc arena of its own and grow the peak memory.
     kernels = velocity_kernels(k, times)
     K1, dK1 = next(kernels)  # overwritten in place by each next()
-    with _Worker(threaded=True) as worker:
+
+    def spectral_half(i):
+        norms[i, :3] = (_multiplier_l2(peak, K1, energy, scratch),
+                        _multiplier_l2(peak, dK1, energy, scratch),
+                        _multiplier_l2(peak, K1, energy_sigma, scratch))
+        if i + 1 < n_samples:
+            next(kernels)
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(1) as pool:
         for i in range(n_samples):
             np.multiply(K1, u1_hat, out=u_hat)
-
-            def spectral_half():
-                norms[i, :3] = (_multiplier_l2(peak, K1, energy, scratch),
-                                _multiplier_l2(peak, dK1, energy, scratch),
-                                _multiplier_l2(peak, K1, energy_sigma,
-                                               scratch))
-                if i + 1 < n_samples:
-                    next(kernels)
-
-            def field_half():
-                _inverse_half(grid, u_hat, out=work)
-                norms[i, 3] = _lm_norm(grid, work, params.m, out=work)
-            worker.both(spectral_half, field_half)
+            sums = pool.submit(context.run, spectral_half, i)
+            _inverse_half(grid, u_hat, out=work)
+            norms[i, 3] = _lm_norm(grid, work, params.m, out=work)
+            sums.result()
     # the tables stay at t_end: nothing moves them past the last sample
     return Trajectory.from_records(times, norms, params, grid,
-                                   final_state=(u_hat, dK1 * u1_hat),
-                                   helper_thread=True)
+                                   final_state=(u_hat, dK1 * u1_hat))
 
 
 def fit_decay(series: Trajectory, quantity: str,

@@ -12,24 +12,11 @@ nonlinearity switched off every step is exact.
 Runaway growth is reported as a labeled blow-up signal, never as a
 crash: the model proves nothing about blow-up, so the solver only
 flags it.
-
-On a grid whose half spectrum has at least ``OVERLAP_MIN_MODES`` modes,
-``integrate`` runs each step on two threads (``_Worker``): a helper
-thread advances the free flow while the calling thread inverse-
-transforms the state, and every elementwise pass between transforms
-runs as two halves of the leading grid axis, one per thread.  Every
-transform and every summing reduction stays whole on the calling
-thread, so the results are bitwise those of one thread, and a tracer
-with one span stack sees every transform.  Smaller grids run the same
-step code on the calling thread alone, each pass as one call on the
-whole arrays.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +52,6 @@ BLOWUP_FACTOR = 1e6
 ABS_FLOOR = 1e-300
 # Integer powers p in [2, INT_POWER_MAX] are formed by multiplication.
 INT_POWER_MAX = 8
-# Half-spectrum modes from which ``integrate`` steps on two threads.  On
-# 2 vCPUs the threaded step lost 4-49 % up to 33,024 modes, was within
-# noise on 1-D grids of 65,537 and 131,073 modes, and gained about 12 %
-# on 2-D 512^2 and 3-D 64^3 (131,584 and 135,168 modes).  No
-# power-of-two grid has between 65,537 and 131,073 modes (README,
-# "Threads").
-OVERLAP_MIN_MODES = 2 ** 17
 
 
 class BlowUpSignal(Exception):
@@ -228,91 +208,6 @@ class StepTables(_ForcingTables):
         return new_u, new_ut
 
 
-class _Worker:
-    """A helper thread for one run, used as a context manager.
-
-    ``both(a, b)`` runs ``a()`` on the helper while the calling thread
-    runs ``b()``, and returns once both are done; an exception raised by
-    ``a`` is raised again on the calling thread, after the helper has
-    finished.  ``halves(fn, axis, *arrays)`` cuts each array in two
-    along ``axis`` (at ``n // 2`` of the first array's ``n`` entries),
-    runs ``fn`` on the lower parts on the calling thread and on the
-    upper parts on the helper, and returns both results.
-    ``_Worker(threaded=False)`` starts no thread: ``both`` runs ``a``
-    then ``b``, and ``halves`` makes the one call ``fn(*arrays)``, so a
-    pass on one thread makes no views.  The helper runs in a copy of the
-    caller's context, so numpy's error state is the caller's there too;
-    it is joined when the block ends, and it is a daemon so that a
-    handoff defect cannot keep the interpreter alive.
-    """
-
-    def __init__(self, threaded: bool):
-        self._thread = None
-        if threaded:
-            # two locks used as signals: each is released by the thread
-            # that did not acquire it
-            self._go, self._done = threading.Lock(), threading.Lock()
-            self._go.acquire()
-            self._done.acquire()
-            self._task, self._error = None, None
-            self._thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(self._serve,),
-                name="sigmaevo-worker", daemon=True)
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._task is None:
-                return
-            try:
-                self._task()
-            except BaseException as exc:  # handed to the calling thread
-                self._error = exc
-            self._done.release()
-
-    def __enter__(self) -> "_Worker":
-        if self._thread is not None:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._thread is not None:
-            self._task = None
-            self._go.release()
-            self._thread.join()
-
-    def both(self, a, b) -> None:
-        if self._thread is None:
-            a()
-            b()
-            return
-        self._task = a
-        self._go.release()
-        try:
-            b()
-        finally:
-            self._done.acquire()
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def halves(self, fn, axis: int, *arrays) -> list:
-        if self._thread is None:
-            return [fn(*arrays)]
-        n = arrays[0].shape[axis]
-        lower, upper = ((slice(None),) * axis + (part,) for part in
-                        (slice(0, n // 2), slice(n // 2, n)))
-        results = [None, None]
-
-        def run(i, index):
-            results[i] = fn(*(x[index] for x in arrays))
-        self.both(lambda: run(1, upper), lambda: run(0, lower))
-        return results
-
-
-_INLINE = _Worker(threaded=False)
-
-
 class _StepWork:
     """Work buffers of one stepping run on ``grid``.
 
@@ -321,10 +216,6 @@ class _StepWork:
     ``f1`` doubles as the step's scratch wherever it holds nothing
     (``_etd_step_arrays``), and ``squares``, the two float tables of the
     records' L2 squares, is a view of its memory.
-    The buffers are allocated on the calling thread (arrays a helper
-    thread allocates land in a malloc arena of its own), and a pass
-    split into halves touches disjoint halves of them on the two
-    threads.
     """
 
     def __init__(self, grid: Grid):
@@ -362,31 +253,18 @@ def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
     return a
 
 
-def _finite_rows(a: np.ndarray, peaks) -> int:
+def _finite_rows(a: np.ndarray, peak: float) -> int:
     """Number of leading rows of ``a`` whose samples are all finite,
-    given the maxima ``peaks`` of parts that cover ``a``."""
-    # np.max propagates NaN, so the peaks check every sample
-    if all(map(math.isfinite, peaks)):
+    given the maximum ``peak`` of ``a``."""
+    # np.max propagates NaN, so the peak checks every sample
+    if math.isfinite(peak):
         return len(a)
     return int(np.argmin(np.isfinite(np.max(a, axis=tuple(range(1, a.ndim))))))
 
 
-def _magnitude(a: np.ndarray) -> float:
-    """``a <- |a|`` in place; returns the maximum (NaN if a sample is)."""
-    return np.abs(a, out=a).max(initial=0.0)
-
-
-def _smooth(rows: np.ndarray, mult: np.ndarray) -> None:
-    """``row *= mult[0]`` for each row of spectra: broadcast over a whole
-    block, numpy would copy the table into a temporary of the block's
-    size."""
-    for row in rows:
-        row *= mult[0]
-
-
 def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
-                      times, step: int, out: np.ndarray | None = None,
-                      worker: _Worker = _INLINE) -> np.ndarray:
+                      times, step: int, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Half-spectrum coefficients of the smoothed pointwise power of each
     row of physical samples ``u_rows`` (shape ``(k,) + grid.shape``),
     written into ``out`` (``(k,) + half``) when it is given.
@@ -396,31 +274,27 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
     ``BlowUpSignal`` with its time and step, as if the rows had been
     taken one by one; within a row a non-finite state wins.  ``u_rows``
     is overwritten: it holds ``|u|^p`` on return.
-
-    ``|u|`` with its maximum, the power with its maximum, and the
-    smoothing multiplier are elementwise passes that ``worker`` runs in
-    halves of the leading grid axis (inline, each is one call on the
-    whole rows); the transform, and the search for the failing row once
-    a maximum is not finite, run whole on the calling thread.
     """
     grid, p, a = tables.grid, tables.params.p, u_rows
     if out is None:
         out = np.empty((len(a),) + grid.xi_mag.shape, complex)
-    n_state = _finite_rows(a, worker.halves(_magnitude, 1, a))
+    n_state = _finite_rows(a, np.abs(a, out=a).max(initial=0.0))
     powered = a[:n_state]
     # out holds 2 (N/2+1) N^(dim-1) >= N^dim floats per row, and the
     # power is done with its scratch before the transform fills out
     scratch = out.reshape(-1).view(float)[:powered.size].reshape(
         powered.shape)
-    n_power = _finite_rows(powered, worker.halves(
-        lambda part, base: _floored_power(part, p, base).max(initial=0.0),
-        1, powered, scratch))
+    n_power = _finite_rows(
+        powered, _floored_power(powered, p, scratch).max(initial=0.0))
     if n_power < len(a):
         reason = ("non-finite state in nonlinearity" if n_power == n_state
                   else "overflow in pointwise power")
         raise BlowUpSignal(times[n_power], step + n_power, reason)
     f_hat = _forward_half(grid, a, out=out)
-    worker.halves(_smooth, 1, f_hat, tables.riesz_mult[np.newaxis])
+    # row by row: broadcast over the whole block, numpy would copy the
+    # table into a temporary of the block's size
+    for row in f_hat:
+        row *= tables.riesz_mult
     return f_hat
 
 
@@ -439,8 +313,7 @@ def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
 def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
                      tables: StepTables, work: _StepWork, t: float,
                      step: int, nonlinear: bool,
-                     out: tuple[np.ndarray, np.ndarray],
-                     worker: _Worker = _INLINE
+                     out: tuple[np.ndarray, np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray]:
     """One step from ``(u_hat, ut_hat)``, written into the pair ``out``.
 
@@ -449,23 +322,19 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
     last completed state.  ``f1``'s buffer is the scratch of the free
     flow, holds the prediction until it is transformed back, and takes
     the corrector's products once ``f1`` is summed into ``f0``.
-    ``worker`` advances the free flow beside the first inverse
-    transform and runs the elementwise passes in halves.
     """
     scratch = work.f1[0]
     if not nonlinear:
         return tables.advance(u_hat, ut_hat, out, scratch)
     new_u, new_ut = out
     grid, field = tables.grid, work.field
-    worker.both(lambda: tables.advance(u_hat, ut_hat, out, scratch),
-                lambda: _inverse_half(grid, u_hat, out=field[0]))
-    f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0,
-                           worker=worker)[0]
-    worker.halves(_predict, 0, scratch, tables.IK1, f0, new_u)
+    tables.advance(u_hat, ut_hat, out, scratch)
+    _inverse_half(grid, u_hat, out=field[0])
+    f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0)[0]
+    _predict(scratch, tables.IK1, f0, new_u)
     _inverse_half(grid, scratch, out=field[0])
-    f1 = _nonlinearity_hat(field, tables, (t,), step, out=work.f1,
-                           worker=worker)[0]
-    worker.halves(_correct, 0, f0, f1, new_u, new_ut, tables.IK1, tables.K1)
+    f1 = _nonlinearity_hat(field, tables, (t,), step, out=work.f1)[0]
+    _correct(f0, f1, new_u, new_ut, tables.IK1, tables.K1)
     return new_u, new_ut
 
 
@@ -513,7 +382,6 @@ class Trajectory:
     ``states`` when present, holds one entry per time; a mismatch raises
     ``ValueError``, and the fields cannot be reassigned afterwards.  A
     run cut by a ``BlowUpSignal`` keeps its time, step and reason.
-    ``helper_thread`` tells whether the run used a ``_Worker`` thread.
     """
 
     times: np.ndarray
@@ -529,7 +397,6 @@ class Trajectory:
     blowup_time: float | None = None
     blowup_step: int | None = None
     blowup_reason: str | None = None
-    helper_thread: bool = False
 
     def __post_init__(self):
         if len(self.times) == 0:
@@ -594,9 +461,7 @@ def integrate(config: SolverConfig) -> Trajectory:
     steps ``dt`` (to 1e-9 relative).  Norms are recorded every
     ``snapshot_interval`` time units (default: every step up to 1200
     snapshots, then coarsened).  A blow-up signal truncates the
-    trajectory and labels it, which is a normal outcome.  Grids of at
-    least ``OVERLAP_MIN_MODES`` half-spectrum modes step on two threads
-    (module docstring), with the bits of one.  With
+    trajectory and labels it, which is a normal outcome.  With
     ``store_states`` every recorded state is copied into one block of
     rows, allocated for the whole run and cut to the recorded rows.
     """
@@ -630,26 +495,23 @@ def integrate(config: SolverConfig) -> Trajectory:
     ref = max(max(records[0]), ABS_FLOOR)
 
     blowup = None
-    threaded = grid.xi_mag.size >= OVERLAP_MIN_MODES
     try:
-        with _Worker(threaded) as worker:
-            for step in range(1, n_steps + 1):
-                t = step * config.dt
-                u_hat, ut_hat = _etd_step_arrays(
-                    u_hat, ut_hat, tables, work, t, step,
-                    nonlinear=config.nonlinearity_enabled,
-                    out=work.pairs[step % 2], worker=worker)
-                if step % every == 0 or step == n_steps:
-                    rec = _record_norms(tables, work, u_hat, ut_hat)
-                    times.append(t)
-                    records.append(rec)
-                    if states is not None:
-                        row = len(times) - 1
-                        states[row, 0], states[row, 1] = u_hat, ut_hat
-                    if (not all(map(math.isfinite, rec))
-                            or max(rec) > BLOWUP_FACTOR * ref):
-                        raise BlowUpSignal(t, step,
-                                           "runaway or non-finite norms")
+        for step in range(1, n_steps + 1):
+            t = step * config.dt
+            u_hat, ut_hat = _etd_step_arrays(
+                u_hat, ut_hat, tables, work, t, step,
+                nonlinear=config.nonlinearity_enabled,
+                out=work.pairs[step % 2])
+            if step % every == 0 or step == n_steps:
+                rec = _record_norms(tables, work, u_hat, ut_hat)
+                times.append(t)
+                records.append(rec)
+                if states is not None:
+                    row = len(times) - 1
+                    states[row, 0], states[row, 1] = u_hat, ut_hat
+                if (not all(map(math.isfinite, rec))
+                        or max(rec) > BLOWUP_FACTOR * ref):
+                    raise BlowUpSignal(t, step, "runaway or non-finite norms")
     except BlowUpSignal as sig:
         blowup = sig
 
@@ -661,7 +523,7 @@ def integrate(config: SolverConfig) -> Trajectory:
     return Trajectory.from_records(times, records, params, grid,
                                    states=states,
                                    final_state=(u_hat.copy(), ut_hat.copy()),
-                                   helper_thread=threaded, **cut)
+                                   **cut)
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:
@@ -723,7 +585,7 @@ def xt_distance(a: Trajectory, b: Trajectory) -> float:
     The snapshots go in chunks of rows (``grid._chunk_rows``): each
     component of a chunk's difference is one subtraction of state rows
     into one buffer, and the three norms are row sums with the bits of
-    one ``_half_l2`` per difference.
+    one ``_half_l2_rows`` call per difference.
     """
     if a.states is None or b.states is None:
         raise ValueError("both trajectories must store states")

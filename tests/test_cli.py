@@ -14,7 +14,6 @@ from sigmaevo.cli import (SCHEMA, SWEEPABLE, ValidationError,
                           _glue_dash_values, dispatch, main, parse_config)
 from sigmaevo.data import PROFILES
 from sigmaevo.fieldio import config_hash, fmt17
-import sigmaevo.solver as solver
 
 FAST_LINEAR = {"N": "256", "L": "150", "t_end": "50", "epsilon": "1.0",
                "n_samples": "80"}
@@ -173,31 +172,21 @@ def test_manifest_reports_memory_and_keeps_the_artifacts(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_manifest_reports_the_run_shape(tmp_path, monkeypatch):
-    # records: the rows of norms.csv; helper_thread: whether the run had
-    # a helper thread.  Semilinear runs step on two threads from
-    # OVERLAP_MIN_MODES modes on, with the bits of one thread.
-    outs = []
-    for threshold in (0, np.inf):
-        monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
-        out = tmp_path / f"semilinear-{threshold}"
-        assert main(["semilinear", "--N", "64", "--L", "60", "--t_end", "2",
-                     "--dt", "0.1", "--snapshot_interval", "0.2",
-                     "--output_dir", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        rows = (out / "norms.csv").read_text().splitlines()[1:]
-        assert manifest["records"] == len(rows) == 11
-        assert manifest["helper_thread"] is (threshold == 0)
-        outs.append([(out / f).read_bytes()
-                     for f in ("norms.csv", "verdicts.json")])
-    assert outs[0] == outs[1]
+def test_manifest_reports_the_run_shape(tmp_path):
+    # records: the rows of norms.csv
+    out = tmp_path / "semilinear"
+    assert main(["semilinear", "--N", "64", "--L", "60", "--t_end", "2",
+                 "--dt", "0.1", "--snapshot_interval", "0.2",
+                 "--output_dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = (out / "norms.csv").read_text().splitlines()[1:]
+    assert manifest["records"] == len(rows) == 11
     out = tmp_path / "linear"
     argv = [f"--{k}={v}" for k, v in FAST_LINEAR.items()]
     assert main(["linear", *argv, "--output_dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     rows = (out / "norms.csv").read_text().splitlines()[1:]
     assert manifest["records"] == len(rows) == 80
-    assert manifest["helper_thread"] is True
 
 
 def test_manifest_hash_ignores_output_dir(tmp_path, monkeypatch):

@@ -309,6 +309,14 @@ def test_run_linear_error_on_either_thread_reaches_the_caller(monkeypatch,
     assert threading.active_count() == before
 
 
+def test_run_linear_kernel_sums_keep_the_callers_error_state():
+    # The kernel sums run on the pool thread in a copy of the caller's
+    # context: the kernels' underflow raises there as it would inline.
+    # (The bump's own samples do not underflow, unlike the gaussian's.)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        run_linear(replace(FAST, data_profile="bump"), n_samples=40)
+
+
 def test_run_linear_makes_every_transform_on_the_calling_thread(monkeypatch):
     # perfbench's tracer keeps one span stack, and its FFT count pins
     # n_samples + 1 transforms per linear run (1-D grids call rfft and

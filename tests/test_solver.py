@@ -19,7 +19,7 @@ from sigmaevo.params import ModelParams, ValidationError
 from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import (ABS_FLOOR, INT_POWER_MAX, BlowUpSignal,
                              SolverConfig, StepTables, Trajectory,
-                             _Worker, _dealias_mask, _floored_power,
+                             _dealias_mask, _floored_power,
                              _nonlinearity_hat, etd_step, horizon_limit,
                              integrate, make_data, nonlinearity,
                              xt_distance, xt_norm, zero_trajectory)
@@ -178,8 +178,7 @@ def _signal_or_bytes(call):
 def test_nonlinearity_rows_are_the_rows_one_by_one(kinds, p, seed):
     # Each row is ordinary or carries NaN, inf or overflowing samples (some
     # rows several kinds): a block raises the first signal of the rows taken
-    # one by one, with its time and step, and otherwise gives their bits,
-    # also with its passes split into halves on two threads.
+    # one by one, with its time and step, and otherwise gives their bits.
     grid = build_grid(GridSpec(1, 64, 10.0))
     tables = StepTables(grid, replace(PARAMS, p=p), 0.05, True)
     rng = np.random.default_rng(seed)
@@ -197,10 +196,6 @@ def test_nonlinearity_rows_are_the_rows_one_by_one(kinds, p, seed):
     want = _signal_or_bytes(one_by_one)
     got = _signal_or_bytes(
         lambda: _nonlinearity_hat(rows.copy(), tables, times, 7))
-    assert got == want
-    with _Worker(threaded=True) as worker:
-        got = _signal_or_bytes(lambda: _nonlinearity_hat(
-            rows.copy(), tables, times, 7, worker=worker))
     assert got == want
 
 
@@ -465,21 +460,20 @@ def test_integrate_two_dimensional():
     assert traj.l2[-1] < traj.dt_l2[0]  # decays below the data norm
 
 
-# --- two threads ---------------------------------------------------------
+# --- concurrent callers --------------------------------------------------
 
-THREAD_GRIDS = [(GridSpec(1, 256, 100.0), 0.5),  # 129 modes: halves 64 + 65
+THREAD_GRIDS = [(GridSpec(1, 256, 100.0), 0.5),
                 (GridSpec(2, 32, 60.0), 0.5),
                 (GridSpec(3, 16, 40.0), 1.0)]
 
 
-def _both_paths(monkeypatch, cfg):
-    """``integrate(cfg)`` stepped on two threads, then on the calling
-    thread alone."""
-    runs = []
-    for threshold in (0, np.inf):
-        monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
-        runs.append(integrate(cfg))
-    return runs
+def _assert_alone_and_concurrent_agree(run):
+    """``run()`` on the calling thread has the bits of two calls of it at
+    once on two other threads; returns the first."""
+    alone = run()
+    for result in bounded(run, run):
+        _assert_same_run(result["value"], alone)
+    return alone
 
 
 def _assert_same_run(a, b):
@@ -499,16 +493,16 @@ def _assert_same_run(a, b):
     (3.0, True, True), (3.0, False, True), (4.0, True, True),
     (4.0, False, True), (2.5, True, True), (2.5, False, True),
     (3.0, True, False)])
-def test_two_thread_steps_keep_the_bits(monkeypatch, spec, alpha, p,
-                                        dealias, nonlinear):
+def test_two_thread_steps_keep_the_bits(spec, alpha, p, dealias, nonlinear):
+    # Two runs at once, on two threads, each keep the bits of a run
+    # alone: no step state lives at module level.
     params = ModelParams(n=spec.dim, sigma=1.0, alpha=alpha, p=p, m=1.0)
     cfg = SolverConfig(params=params, grid=spec, dt=0.1, t_end=2.0,
                        data_amplitude=0.5, dealias=dealias,
                        nonlinearity_enabled=nonlinear, store_states=True,
                        snapshot_interval=0.3)
-    threaded, inline = _both_paths(monkeypatch, cfg)
-    assert not inline.blew_up
-    _assert_same_run(threaded, inline)
+    assert not _assert_alone_and_concurrent_agree(
+        lambda: integrate(cfg)).blew_up
 
 
 @pytest.mark.parametrize("p, amplitude, N, L, t_end, reason", [
@@ -516,30 +510,30 @@ def test_two_thread_steps_keep_the_bits(monkeypatch, spec, alpha, p,
     (4.0, 1e80, 256, 100.0, 2.0, "overflow in pointwise power"),
     (2.0, 1e155, 64, 40.0, 2.0, "non-finite state in nonlinearity"),
 ])
-def test_two_thread_blowups_match_the_inline_run(monkeypatch, p, amplitude,
-                                                 N, L, t_end, reason):
-    # the overflows on the way to a non-finite state are silenced by the
-    # caller's errstate, which the helper thread shares
+def test_two_thread_blowups_match_the_inline_run(p, amplitude, N, L, t_end,
+                                                 reason):
+    # a blow-up on another thread is the same signal, at the same step
     params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=p, m=1.0)
     cfg = SolverConfig(params=params, grid=GridSpec(1, N, L), dt=0.1,
                        t_end=t_end, data_amplitude=amplitude,
                        store_states=True, snapshot_interval=0.5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        threaded, inline = _both_paths(monkeypatch, cfg)
-    assert inline.blowup_reason == reason
-    _assert_same_run(threaded, inline)
+
+    def run():
+        # np.errstate is per thread: each run silences its own overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate(cfg)
+    assert _assert_alone_and_concurrent_agree(run).blowup_reason == reason
 
 
-def test_two_thread_steps_keep_their_bits_under_thread_stress(monkeypatch):
-    # Three runs at once, six threads on a two-core machine, switching
-    # every 10 us: a lost handoff would change some norm or state.
+def test_two_thread_steps_keep_their_bits_under_thread_stress():
+    # Three runs at once, switching every 10 us: state shared between
+    # runs would change some norm or state.
     spec, alpha = THREAD_GRIDS[2]
     params = ModelParams(n=3, sigma=1.0, alpha=alpha, p=3.0, m=1.0)
     configs = [SolverConfig(params=params, grid=spec, dt=0.1, t_end=1.0,
                             data_amplitude=a, snapshot_interval=0.1)
                for a in (0.5, 1.0, 1.5)]
     want = [integrate(cfg) for cfg in configs]
-    monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -553,7 +547,7 @@ def test_two_thread_steps_keep_their_bits_under_thread_stress(monkeypatch):
 
 @pytest.mark.parametrize("case", ["normal", "blow-up", "advance", "power"])
 def test_two_thread_steps_leave_no_thread_running(monkeypatch, case):
-    # advance runs only on the helper thread; _floored_power on both
+    # a run starts no thread, and an error in mid-step reaches the caller
     cfg = small_config(t_end=1.0)
     if case == "blow-up":
         cfg = small_config(data_amplitude=1e80)
@@ -563,7 +557,6 @@ def test_two_thread_steps_leave_no_thread_running(monkeypatch, case):
     elif case == "power":
         monkeypatch.setattr(solver, "_floored_power",
                             raise_on_call(solver._floored_power, 5))
-    monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", 0)
     before = threading.active_count()
     [result] = bounded(lambda: integrate(cfg))
     if case in ("advance", "power"):
@@ -573,10 +566,8 @@ def test_two_thread_steps_leave_no_thread_running(monkeypatch, case):
     assert threading.active_count() == before
 
 
-def test_two_thread_steps_make_every_transform_on_the_calling_thread(
-        monkeypatch):
-    # perfbench's tracer keeps one span stack, and pins the transforms
-    # per run
+def test_integrate_transform_count(monkeypatch):
+    # perfbench pins the transforms per run
     cfg = SolverConfig(params=ModelParams(n=2, sigma=1.0, alpha=0.5, p=3.0,
                                           m=1.0),
                        grid=GridSpec(2, 32, 60.0), dt=0.1, t_end=1.0,
@@ -584,41 +575,23 @@ def test_two_thread_steps_make_every_transform_on_the_calling_thread(
     calls = []
     for name in ("rfft", "irfft", "rfftn", "irfftn"):
         def wrapped(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(threading.current_thread())
+            calls.append(name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, wrapped)
-    advanced = []
-
-    def advance(*args, _fn=StepTables.advance, **kwargs):
-        advanced.append(threading.current_thread())
-        return _fn(*args, **kwargs)
-    monkeypatch.setattr(StepTables, "advance", advance)
-    counts = []
-    for threshold in (np.inf, 0):
-        monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
-        calls.clear()
-        advanced.clear()
-        integrate(cfg)
-        counts.append(len(calls))
-        assert set(calls) == {threading.current_thread()}
+    integrate(cfg)
     # 10 steps of 4 transforms, 5 records and the data's transform
-    assert counts == [46, 46]
-    assert threading.current_thread() not in advanced
+    assert len(calls) == 46
 
 
-@pytest.mark.parametrize("threshold", [np.inf, 0])
-def test_integrate_memory_peak_is_its_live_set(monkeypatch, threshold):
+def test_integrate_memory_peak_is_its_live_set():
     # A 3-D run holds its tables (xi_mag, riesz_mult, A, K1, dA, dK1, IK1,
     # xi_sigma: 8 float half tables), two state pairs, f0 and f1 (6
     # complex tables), one field of samples, and at the peak the two
     # complex temporaries of one irfftn.  Measured about 13 KB above
-    # that inline, and up to about 150 KB on two threads, where the
-    # helper's float-to-complex products hold numpy's 128 KiB cast
-    # buffer during the irfftn.  The headroom is half a float table
-    # (540 KiB): a separate scratch and squares (2 complex tables), the
-    # data's temporaries alive beside the step buffers, or a stored
-    # phase table (1 float table) each exceed it.
-    monkeypatch.setattr(solver, "OVERLAP_MIN_MODES", threshold)
+    # that.  The headroom is half a float table (540 KiB): a separate
+    # scratch and squares (2 complex tables), the data's temporaries
+    # alive beside the step buffers, or a stored phase table (1 float
+    # table) each exceed it.
     n = 64
     cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
                                           m=1.0),

@@ -1,4 +1,4 @@
-"""Helpers for the tests of code that runs on a helper thread.
+"""Helpers for the tests that call the package from other threads.
 
 ``bounded`` runs calls on daemon threads under one deadline, so that a
 deadlock fails a test instead of hanging the suite; ``raise_on_call``
