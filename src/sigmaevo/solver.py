@@ -227,6 +227,29 @@ class _StepWork:
         self.squares = self.f1.reshape(-1).view(float).reshape((2,) + half)
 
 
+def _power_bits(p: float) -> str | None:
+    """The binary digits after the leading one of an integer ``p`` in
+    ``[2, INT_POWER_MAX]``, or None for a ``p`` raised by ``np.power``."""
+    if p == int(p) and 2 <= p <= INT_POWER_MAX:
+        return bin(int(p))[3:]
+    return None
+
+
+def _scalar_power(x: float, bits: str) -> float:
+    """``_floored_power``'s products for an integer power, on one sample.
+
+    The products round monotonically, so for the maximum ``x`` of an
+    array of samples ``>= 0`` this is bitwise the maximum of the
+    array's power.  Python floats overflow to ``inf`` silently.
+    """
+    base = x
+    for bit in bits:
+        x *= x
+        if bit == "1":
+            x *= base
+    return x
+
+
 @_QUIET  # overflow is not an error here; it surfaces as a blow-up signal
 def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
                    ) -> np.ndarray:
@@ -239,8 +262,8 @@ def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
     ``ABS_FLOOR`` gives ``+0`` there, since its square underflows.  Other
     ``p`` go through ``np.power`` on ``max(a, ABS_FLOOR)``.
     """
-    if p == int(p) and 2 <= p <= INT_POWER_MAX:
-        bits = bin(int(p))[3:]  # binary digits after the leading one
+    bits = _power_bits(p)
+    if bits is not None:
         if "1" in bits:
             np.copyto(scratch, a)
         for bit in bits:
@@ -278,14 +301,20 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
     grid, p, a = tables.grid, tables.params.p, u_rows
     if out is None:
         out = np.empty((len(a),) + grid.xi_mag.shape, complex)
-    n_state = _finite_rows(a, np.abs(a, out=a).max(initial=0.0))
+    peak = float(np.abs(a, out=a).max(initial=0.0))
+    n_state = _finite_rows(a, peak)
     powered = a[:n_state]
     # out holds 2 (N/2+1) N^(dim-1) >= N^dim floats per row, and the
     # power is done with its scratch before the transform fills out
     scratch = out.reshape(-1).view(float)[:powered.size].reshape(
         powered.shape)
-    n_power = _finite_rows(
-        powered, _floored_power(powered, p, scratch).max(initial=0.0))
+    _floored_power(powered, p, scratch)
+    bits = _power_bits(p)
+    if n_state == len(a) and bits is not None:
+        peak = _scalar_power(peak, bits)  # the power's peak, without a pass
+    else:
+        peak = powered.max(initial=0.0)
+    n_power = _finite_rows(powered, peak)
     if n_power < len(a):
         reason = ("non-finite state in nonlinearity" if n_power == n_state
                   else "overflow in pointwise power")

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -10,13 +11,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmaevo.cli import (SCHEMA, SWEEPABLE, ValidationError,
-                          _glue_dash_values, dispatch, main, parse_config)
+from sigmaevo.cli import (MALLOC_THRESHOLDS, SCHEMA, SWEEPABLE,
+                          ValidationError, _glue_dash_values, dispatch, main,
+                          parse_config)
 from sigmaevo.data import PROFILES
 from sigmaevo.fieldio import config_hash, fmt17
 
 FAST_LINEAR = {"N": "256", "L": "150", "t_end": "50", "epsilon": "1.0",
                "n_samples": "80"}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# what main sets: glibc has mallopt, other C libraries may not
+WANT_THRESHOLDS = ({name: value
+                    for name, (_, value) in MALLOC_THRESHOLDS.items()}
+                   if platform.libc_ver()[0] == "glibc" else None)
+
+
+def subprocess_env(**extra):
+    """This environment with sigmaevo's sources importable."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def write_config(tmp_path, lines):
@@ -124,12 +140,9 @@ def test_linear_norms_do_not_depend_on_blas_threads(tmp_path):
     # A BLAS dot product splits a vector of 16385 entries (the half
     # spectrum of 2^15 points) across threads and so reorders its sum;
     # norms.csv must not depend on the thread count.
-    src = Path(__file__).resolve().parents[1] / "src"
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         out = tmp_path / threads
         subprocess.run([sys.executable, "-m", "sigmaevo.cli", "linear",
                         "--N", "32768", "--L", "16000", "--t_end", "500",
@@ -167,9 +180,56 @@ def test_manifest_reports_memory_and_keeps_the_artifacts(tmp_path):
         for key in ("peak_rss_mib", "minor_faults"):
             value = manifest[key]
             assert type(value) in (int, float) and value >= 0, key
+        assert manifest["malloc_thresholds"] == WANT_THRESHOLDS
         outs.append([(out / f).read_bytes()
                      for f in ("norms.csv", "verdicts.json")])
     assert outs[0] == outs[1]
+    assert not any(b"malloc" in text for text in outs[0])
+
+
+def test_linear_run_keeps_transform_scratch_resident(tmp_path):
+    # pocketfft allocates fresh scratch on every 2^16-point irfft; with
+    # glibc's default thresholds it faults in again on every sample
+    # (about 245 faults a sample), with main's about 19
+    if WANT_THRESHOLDS is None:
+        pytest.skip("main sets malloc thresholds on glibc only")
+    n_samples = 100
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "sigmaevo.cli", "linear",
+                    "--N", "65536", "--L", "32000", "--profile", "gaussian",
+                    "--n_samples", str(n_samples), "--output_dir", str(out)],
+                   env=subprocess_env(), capture_output=True, timeout=300,
+                   check=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["malloc_thresholds"] == WANT_THRESHOLDS
+    assert manifest["minor_faults"] / n_samples < 60
+
+
+def test_importing_the_library_leaves_malloc_alone(tmp_path):
+    # only main sets the thresholds; a library caller keeps its allocator
+    script = f"""
+import ctypes, json
+calls = []
+
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        calls.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Spy
+import sigmaevo, sigmaevo.cli
+imported = list(calls)
+sigmaevo.cli.main(["admissible", "--output_dir", {str(tmp_path)!r}])
+print(json.dumps([imported, calls]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    imported, called = json.loads(proc.stdout.splitlines()[-1])
+    assert "mallopt" not in imported
+    assert called.count("mallopt") == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["malloc_thresholds"] == WANT_THRESHOLDS
 
 
 def test_manifest_reports_the_run_shape(tmp_path):

@@ -20,8 +20,9 @@ from sigmaevo.propagator import propagate_linear
 from sigmaevo.solver import (ABS_FLOOR, INT_POWER_MAX, BlowUpSignal,
                              SolverConfig, StepTables, Trajectory,
                              _dealias_mask, _floored_power,
-                             _nonlinearity_hat, etd_step, horizon_limit,
-                             integrate, make_data, nonlinearity,
+                             _nonlinearity_hat, _power_bits, _scalar_power,
+                             etd_step, horizon_limit, integrate, make_data,
+                             nonlinearity,
                              xt_distance, xt_norm, zero_trajectory)
 import sigmaevo.solver as solver
 
@@ -255,6 +256,19 @@ def test_integer_power_overflow_is_silent_inf(p):
         warnings.simplefilter("error")
         _floored_power(a, float(p), np.empty_like(a))
     assert a[0] == np.inf and a[1] == 1.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, INT_POWER_MAX), st.floats(-200, 150),
+       hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(0.0, 10.0)))
+def test_scalar_power_of_the_peak_is_the_peak_of_the_power(p, exponent, x):
+    # rounding is monotone, so the products on the largest sample give
+    # bitwise the largest power, overflow to inf and underflow included
+    x = x * 10.0 ** exponent
+    want = _floored_power(x.copy(), float(p), np.empty_like(x)).max()
+    got = _scalar_power(float(x.max()), _power_bits(float(p)))
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 # --- stepping ------------------------------------------------------------
