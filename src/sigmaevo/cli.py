@@ -360,10 +360,11 @@ def _run_subcommand(config: RunConfig, outputs: list[Path],
 
     if config.subcommand == "oracle-test":
         from . import checks  # scipy.integrate: off every other path
-        kernel = checks.kernel_oracle_suite()
-        riesz = checks.riesz_oracle_suite()
-        payload = {"kernel": kernel, "riesz": riesz,
-                   "passed": kernel["passed"] and riesz["passed"]}
+        suites = {"kernel": checks.kernel_oracle_suite(),
+                  "riesz": checks.riesz_oracle_suite(),
+                  "picard": checks.picard_cross_suite()}
+        payload = {**suites, "passed": all(suite["passed"]
+                                           for suite in suites.values())}
         path = config.output_dir / "oracle_test.json"
         path.write_text(json.dumps(payload, indent=2, default=repr) + "\n")
         outputs.append(path)

@@ -9,6 +9,14 @@ the forcing at the step start with the closed-form response weight
 the forcing at the start and at the predicted end state.  With the
 nonlinearity switched off every step is exact.
 
+A step runs in five complex half-spectrum buffers and one field of real
+samples (``_StepWork``): the state ``(u, u_t)`` in one of two pairs,
+the new state in the other, and the first forcing.  The step needs
+``new_u`` before the second forcing but ``new_u_t`` only in the
+corrector, so ``new_u_t``'s buffer holds the scratch, the prediction and
+the second forcing first (Cox & Matthews, *J. Comput. Phys.* 176, 2002,
+for the predictor-corrector).
+
 Runaway growth is reported as a labeled blow-up signal, never as a
 crash: the model proves nothing about blow-up, so the solver only
 flags it.
@@ -185,46 +193,58 @@ class StepTables(_ForcingTables):
         k = grid.xi_mag ** (2.0 * params.sigma)
         self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
         self.IK1 = duhamel_weight(k, dt)
-        self.xi_sigma = grid.xi_mag ** params.sigma
+        # x ** 1.0 is x: at sigma = 1 the table is xi_mag itself
+        self.xi_sigma = (grid.xi_mag if params.sigma == 1.0
+                         else grid.xi_mag ** params.sigma)
 
     def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray,
                 out: tuple[np.ndarray, np.ndarray], scratch: np.ndarray,
                 matrix: tuple[np.ndarray, ...] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Free flow over one step: ``M(dt) (u, u_t)`` per mode, written
-        into the pair ``out`` (not the input's arrays).
+        into the pair ``out`` (not the input's arrays), one row of ``M``
+        at a time (``flow``).
 
         Leading axes of the inputs index rows that all advance at once;
         ``scratch`` is a complex array of the inputs' shape.  ``matrix``
         stands in for ``(A, K1, dA, dK1)``: complex copies give the same
         bits without numpy casting each float table in every product.
         """
-        A, K1, dA, dK1 = matrix or (self.A, self.K1, self.dA, self.dK1)
         new_u, new_ut = out
-        np.multiply(A, u_hat, out=new_u)
-        new_u += np.multiply(K1, ut_hat, out=scratch)
-        np.multiply(dA, u_hat, out=new_ut)
-        new_ut += np.multiply(dK1, ut_hat, out=scratch)
+        self.flow(0, u_hat, ut_hat, new_u, scratch, matrix)
+        self.flow(1, u_hat, ut_hat, new_ut, scratch, matrix)
         return new_u, new_ut
+
+    def flow(self, row: int, u_hat: np.ndarray, ut_hat: np.ndarray,
+             out: np.ndarray, scratch: np.ndarray,
+             matrix: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+        """Row ``row`` of the free flow: ``out <- A u + K1 u_t`` (row 0)
+        or ``dA u + dK1 u_t`` (row 1) per mode, the second product formed
+        in ``scratch``, which may be ``u_hat`` itself."""
+        table = matrix or (self.A, self.K1, self.dA, self.dK1)
+        np.multiply(table[2 * row], u_hat, out=out)
+        out += np.multiply(table[2 * row + 1], ut_hat, out=scratch)
+        return out
 
 
 class _StepWork:
-    """Work buffers of one stepping run on ``grid``.
+    """Work buffers of one stepping run on ``grid``: five complex half
+    tables and one row of real samples ``field``.
 
-    Two ``(u, u_t)`` state ``pairs`` that the steps write in turn, the
-    forcing rows ``f0`` and ``f1`` and one row of real samples ``field``.
-    ``f1`` doubles as the step's scratch wherever it holds nothing
-    (``_etd_step_arrays``), and ``squares``, the two float tables of the
-    records' L2 squares, is a view of its memory.
+    The state ``(u, u_t)`` lives in one of the two ``pairs`` and each
+    step writes the other (``_etd_step_arrays``); ``f0`` holds the
+    step's first forcing row.  Between steps ``f0`` holds nothing, and
+    ``squares``, the two float tables of the records' L2 squares, is a
+    view of its memory.
     """
 
     def __init__(self, grid: Grid):
         half = grid.xi_mag.shape
         self.pairs = tuple((np.empty(half, complex), np.empty(half, complex))
                            for _ in range(2))
-        self.f0, self.f1 = (np.empty((1,) + half, complex) for _ in range(2))
+        self.f0 = np.empty((1,) + half, complex)
         self.field = np.empty((1,) + grid.shape)
-        self.squares = self.f1.reshape(-1).view(float).reshape((2,) + half)
+        self.squares = self.f0.reshape(-1).view(float).reshape((2,) + half)
 
 
 def _power_bits(p: float) -> str | None:
@@ -346,41 +366,35 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """One step from ``(u_hat, ut_hat)``, written into the pair ``out``.
 
-    The inputs are only read and every temporary is a buffer of
-    ``work``, so a blow-up signal in mid-step leaves the inputs as the
-    last completed state.  ``f1``'s buffer is the scratch of the free
-    flow, holds the prediction until it is transformed back, and takes
-    the corrector's products once ``f1`` is summed into ``f0``.
+    The inputs are only read until both forcings are formed, and every
+    temporary is a buffer of ``work`` or of ``out``, so a blow-up signal
+    in mid-step leaves the inputs as the last completed state.  The
+    free flow of ``u`` goes into ``new_u``.  ``new_ut``'s buffer is the
+    scratch of that flow, holds the prediction until it is transformed
+    back, then ``f1``, and takes the corrector's product ``IK1 favg``.
+    The corrector forms ``new_ut = dA u + dK1 u_t + K1 favg`` last, with
+    ``u_hat``'s buffer as the scratch of its products once ``u`` is
+    read: a nonlinear step overwrites ``u_hat``.
     """
-    scratch = work.f1[0]
-    if not nonlinear:
-        return tables.advance(u_hat, ut_hat, out, scratch)
     new_u, new_ut = out
+    if not nonlinear:
+        return tables.advance(u_hat, ut_hat, out, work.f0[0])
     grid, field = tables.grid, work.field
-    tables.advance(u_hat, ut_hat, out, scratch)
+    tables.flow(0, u_hat, ut_hat, new_u, scratch=new_ut)
     _inverse_half(grid, u_hat, out=field[0])
     f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0)[0]
-    _predict(scratch, tables.IK1, f0, new_u)
-    _inverse_half(grid, scratch, out=field[0])
-    f1 = _nonlinearity_hat(field, tables, (t,), step, out=work.f1)[0]
-    _correct(f0, f1, new_u, new_ut, tables.IK1, tables.K1)
-    return new_u, new_ut
-
-
-def _predict(u_pred, IK1, f0, new_u) -> None:
-    """The predictor ``u_pred <- IK1 f0 + new_u``."""
-    np.multiply(IK1, f0, out=u_pred)
-    u_pred += new_u
-
-
-def _correct(favg, f1, u, ut, IK1, K1) -> None:
-    """The corrector: ``favg <- (f0 + f1) / 2`` in ``f0``'s buffer, then
-    ``u += IK1 favg`` and ``ut += K1 favg``, each product formed in
-    ``f1``'s buffer."""
+    np.multiply(tables.IK1, f0, out=new_ut)  # the prediction IK1 f0 + new_u
+    new_ut += new_u
+    _inverse_half(grid, new_ut, out=field[0])
+    f1 = _nonlinearity_hat(field, tables, (t,), step,
+                           out=new_ut[np.newaxis])[0]
+    favg = f0
     favg += f1
     favg *= 0.5
-    u += np.multiply(IK1, favg, out=f1)
-    ut += np.multiply(K1, favg, out=f1)
+    new_u += np.multiply(tables.IK1, favg, out=f1)
+    tables.flow(1, u_hat, ut_hat, new_ut, scratch=u_hat)
+    new_ut += np.multiply(tables.K1, favg, out=u_hat)
+    return new_u, new_ut
 
 
 def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
@@ -392,8 +406,11 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
     grid = state[0].grid
     tables = StepTables(grid, params, dt, dealias)
     work = _StepWork(grid)
-    new = _etd_step_arrays(state[0].coeffs, state[1].coeffs, tables, work,
-                           0.0, 0, nonlinear, out=work.pairs[0])
+    # the step overwrites its input u, so it runs from copies
+    for buf, field in zip(work.pairs[1], state):
+        np.copyto(buf, field.coeffs)
+    new = _etd_step_arrays(*work.pairs[1], tables, work, 0.0, 0, nonlinear,
+                           out=work.pairs[0])
     return tuple(SpectralField(grid, c) for c in new)
 
 

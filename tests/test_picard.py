@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from sigmaevo.checks import picard_gap
 from sigmaevo.grid import (GridSpec, _chunk_rows, _forward_half,
                            _half_l2_rows, _inverse_half, build_grid,
                            full_from_half, transform_forward)
@@ -97,22 +98,7 @@ def test_integrate_nonlinear_part_matches_the_picard_fixed_point(p, bounds):
     # Measured gaps 5.72e-6, 1.43e-6 (p = 4) and 3.39e-5, 8.47e-6 (p = 2.5,
     # the np.power route) at dt = 0.04, 0.02: order 2.00.  A stepper
     # whose Duhamel increment is 10 % off reads 0.1.
-    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=p, m=1.0)
-    gaps = []
-    for dt in (0.04, 0.02):
-        cfg = SolverConfig(params=params, grid=GridSpec(1, 2048, 400.0),
-                           dt=dt, t_end=5.0, data_amplitude=0.1,
-                           store_states=True, snapshot_interval=dt)
-        u_lin = integrate(replace(cfg, nonlinearity_enabled=False))
-        d_step = integrate(cfg).final_state[0] - u_lin.final_state[0]
-        iterate = zero_trajectory(cfg)
-        u1 = make_data(cfg, iterate.grid)
-        for _ in range(8):
-            iterate = picard_apply(iterate, u1, cfg)
-        d_picard = iterate.states[-1, 0] - u_lin.final_state[0]
-        grid = iterate.grid
-        gaps.append(_half_l2_rows(grid, d_step - d_picard)
-                    / _half_l2_rows(grid, d_picard))
+    gaps = [picard_gap(p, dt) for dt in (0.04, 0.02)]
     assert gaps[0] <= bounds[0] and gaps[1] <= bounds[1], gaps
     assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
 

@@ -387,6 +387,34 @@ def test_step_cut_in_mid_step_keeps_the_last_completed_state():
                for a, b in zip(traj.final_state, one_step.final_state))
 
 
+@pytest.mark.parametrize("spec, alpha", [(GridSpec(1, 256, 100.0), 0.5),
+                                         (GridSpec(3, 16, 40.0), 1.0)])
+@pytest.mark.parametrize("forcing", ["predictor", "corrector"])
+def test_blowup_in_either_forcing_keeps_the_last_completed_state(
+        monkeypatch, spec, alpha, forcing):
+    # The step reads its input state until both forcings are formed and
+    # writes into it only afterwards, so a signal from either forcing of
+    # step 3 leaves the state after step 2, bit for bit.
+    params = ModelParams(n=spec.dim, sigma=1.0, alpha=alpha, p=3.0, m=1.0)
+    cfg = SolverConfig(params=params, grid=spec, dt=0.1, t_end=1.0,
+                       data_amplitude=0.5, snapshot_interval=0.5)
+    two_steps = integrate(replace(cfg, t_end=0.2))
+    fail_at = {"predictor": 5, "corrector": 6}[forcing]  # step 3's calls
+    calls = []
+
+    def forcing_then_signal(*args, **kwargs):
+        out = _nonlinearity_hat(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise BlowUpSignal(0.3, 3, "injected")
+        return out
+    monkeypatch.setattr(solver, "_nonlinearity_hat", forcing_then_signal)
+    traj = integrate(cfg)
+    assert (traj.blowup_step, traj.blowup_reason) == (3, "injected")
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(traj.final_state, two_steps.final_state))
+
+
 def test_stored_states_are_separate_and_stay_put():
     cfg = small_config(t_end=1.0, store_states=True, snapshot_interval=0.1)
     traj = integrate(cfg)
@@ -566,8 +594,10 @@ def test_two_thread_steps_leave_no_thread_running(monkeypatch, case):
     if case == "blow-up":
         cfg = small_config(data_amplitude=1e80)
     elif case == "advance":
-        monkeypatch.setattr(StepTables, "advance",
-                            raise_on_call(StepTables.advance, 4))
+        # the step's free flow, one row of M(dt) per call: the 4th call is
+        # step 2's u_t row, in the corrector
+        monkeypatch.setattr(StepTables, "flow",
+                            raise_on_call(StepTables.flow, 4))
     elif case == "power":
         monkeypatch.setattr(solver, "_floored_power",
                             raise_on_call(solver._floored_power, 5))
@@ -598,14 +628,14 @@ def test_integrate_transform_count(monkeypatch):
 
 
 def test_integrate_memory_peak_is_its_live_set():
-    # A 3-D run holds its tables (xi_mag, riesz_mult, A, K1, dA, dK1, IK1,
-    # xi_sigma: 8 float half tables), two state pairs, f0 and f1 (6
-    # complex tables), one field of samples, and at the peak the two
-    # complex temporaries of one irfftn.  Measured about 13 KB above
-    # that.  The headroom is half a float table (540 KiB): a separate
-    # scratch and squares (2 complex tables), the data's temporaries
-    # alive beside the step buffers, or a stored phase table (1 float
-    # table) each exceed it.
+    # A 3-D run holds its tables (xi_mag, riesz_mult, A, K1, dA, dK1, IK1:
+    # 7 float half tables; at sigma = 1 xi_sigma is xi_mag), two state
+    # pairs and f0 (5 complex tables), one field of samples, and at the
+    # peak the two complex temporaries of one irfftn.  Measured about
+    # 12 KB above that.  The headroom is half a float table (540 KiB): a
+    # sixth step buffer (1 complex table), a separate xi_sigma or a
+    # stored phase table (1 float table each), or the data's temporaries
+    # alive beside the step buffers exceed it.
     n = 64
     cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
                                           m=1.0),
@@ -620,7 +650,7 @@ def test_integrate_memory_peak_is_its_live_set():
     finally:
         tracemalloc.stop()
     table = 8 * n * n * (n // 2 + 1)
-    live = 8 * table + (6 + 2) * 2 * table + 8 * n ** 3
+    live = 7 * table + (5 + 2) * 2 * table + 8 * n ** 3
     assert peak <= live + table // 2
 
 
