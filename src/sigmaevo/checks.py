@@ -46,11 +46,15 @@ KERNEL_T_GRID = (0.1, 1.0, 10.0)
 KERNEL_TOL = 1e-8
 RIESZ_TOL = 0.02
 
-# Steps of the integrate-vs-Picard check, and for each power p the bound
-# on the gap at each step (measured 5.72e-6, 1.43e-6 at p = 4 and
-# 3.39e-5, 8.47e-6 at p = 2.5, the np.power route) and on its order.
+# Grids and steps of the integrate-vs-Picard check, and for each
+# (dimension, power p) the bound on the gap at each step and on its
+# order.  Measured 5.72e-6, 1.43e-6 (1-D, p = 4), 3.39e-5, 8.47e-6 (1-D,
+# p = 2.5, the np.power route), 1.446e-5, 3.615e-6 (2-D, p = 4) and
+# 5.785e-6, 1.446e-6 (2-D, p = 2.5); each bound is about 1.75x its gap.
+PICARD_GRIDS = {1: GridSpec(1, 2048, 400.0), 2: GridSpec(2, 32, 50.0)}
 PICARD_DTS = (0.04, 0.02)
-PICARD_BOUNDS = {4.0: (1e-5, 2.5e-6), 2.5: (6e-5, 1.5e-5)}
+PICARD_BOUNDS = {(1, 4.0): (1e-5, 2.5e-6), (1, 2.5): (6e-5, 1.5e-5),
+                 (2, 4.0): (2.5e-5, 6.3e-6), (2, 2.5): (1e-5, 2.5e-6)}
 PICARD_MIN_ORDER = 1.8
 PICARD_ITERATIONS = 8
 
@@ -203,17 +207,20 @@ def riesz_oracle_suite(alphas=(0.25, 0.5, 0.75)) -> dict:
             "tol": RIESZ_TOL, "passed": worst <= RIESZ_TOL}
 
 
-def picard_gap(p: float, dt: float) -> float:
+def picard_gap(p: float, dt: float,
+               spec: GridSpec = PICARD_GRIDS[1]) -> float:
     """Relative L2 gap at ``T = 5`` between the Duhamel parts
     ``D = u - u_lin`` of ``integrate`` and of the Picard fixed point.
 
     ``u_lin`` is ``integrate`` with the nonlinearity off; the Picard side
     takes ``PICARD_ITERATIONS`` iterates of ``picard_apply`` from zero.
-    The config is n = 1, sigma = 1, alpha = 0.5, m = 1, epsilon = 0.1,
-    N = 2048, L = 400.  A Duhamel increment 10 % off reads about 0.1.
+    The config is n = ``spec.dim``, sigma = 1, alpha = 0.5, m = 1,
+    epsilon = 0.1 on the grid ``spec`` (1-D: N = 2048, L = 400; 2-D:
+    N = 32, L = 50, on the n-d transform path).  A Duhamel increment
+    10 % off reads about 0.1.
     """
-    params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=p, m=1.0)
-    cfg = SolverConfig(params=params, grid=GridSpec(1, 2048, 400.0), dt=dt,
+    params = ModelParams(n=spec.dim, sigma=1.0, alpha=0.5, p=p, m=1.0)
+    cfg = SolverConfig(params=params, grid=spec, dt=dt,
                        t_end=5.0, data_amplitude=0.1, snapshot_interval=dt)
     u_lin = integrate(replace(cfg, nonlinearity_enabled=False)).final_state[0]
     d_step = integrate(cfg).final_state[0] - u_lin
@@ -228,16 +235,16 @@ def picard_gap(p: float, dt: float) -> float:
 
 
 def picard_cross_suite() -> dict:
-    """``picard_gap`` at each step of ``PICARD_DTS`` for each power of
-    ``PICARD_BOUNDS``: every gap within its bound, and the order ``log2``
-    of the gaps' ratio at least ``PICARD_MIN_ORDER``."""
+    """``picard_gap`` at each step of ``PICARD_DTS`` for each dimension
+    and power of ``PICARD_BOUNDS``: every gap within its bound, and the
+    order ``log2`` of the gaps' ratio at least ``PICARD_MIN_ORDER``."""
     cases = []
-    for p, bounds in PICARD_BOUNDS.items():
-        gaps = [picard_gap(p, dt) for dt in PICARD_DTS]
+    for (n, p), bounds in PICARD_BOUNDS.items():
+        gaps = [picard_gap(p, dt, PICARD_GRIDS[n]) for dt in PICARD_DTS]
         order = math.log2(gaps[0] / gaps[1])
         passed = (all(g <= b for g, b in zip(gaps, bounds))
                   and order >= PICARD_MIN_ORDER)
-        cases.append({"p": p, "dt": list(PICARD_DTS), "gaps": gaps,
+        cases.append({"n": n, "p": p, "dt": list(PICARD_DTS), "gaps": gaps,
                       "bounds": list(bounds), "order": order,
                       "passed": passed})
     return {"cases": cases, "min_order": PICARD_MIN_ORDER,

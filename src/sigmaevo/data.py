@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, RealField, _forward_half, _inverse_half
+from .grid import Grid, RealField, _forward_half, _half_axes, _inverse_half
 
 __all__ = ["PROFILES", "make_profile"]
 
@@ -39,10 +39,8 @@ def _noise_bandlimited(grid: Grid, seed: int) -> np.ndarray:
     n = grid.spec.points_per_axis
     rng = np.random.default_rng(seed)
     coeffs = _forward_half(grid, rng.standard_normal(grid.shape))
-    j2 = [idx * idx for idx in grid.indices]
-    j2[-1] = j2[-1][:n // 2 + 1]
-    coeffs[np.sqrt(sum(np.meshgrid(*j2, indexing="ij", sparse=True)))
-           > n / 8.0] = 0.0
+    j = grid.indices[0]
+    coeffs[np.sqrt(sum(_half_axes(j * j, grid.dim))) > n / 8.0] = 0.0
     field = _inverse_half(grid, coeffs)
     peak = max(field.max(), -field.min())
     return np.divide(field, peak if peak > 0 else 1.0, out=field)

@@ -10,8 +10,9 @@ Conventions used throughout the package:
   ``j in [-N/2, N/2)`` along the leading axes (storage order
   ``0, 1, ..., N/2-1, -N/2, ..., -1``) and ``j = 0..N/2`` along the last
   axis, shape ``N^(dim-1) x (N/2+1)``, with physical wavenumber
-  ``xi = 2*pi*j/L``.  ``Grid.xi_mag`` is a stored table on this layout;
-  ``Grid.phase`` is built on this layout each time it is read.
+  ``xi = 2*pi*j/L``.  ``Grid.xi_mag`` is the one table a grid stores;
+  ``Grid.phase`` (on this layout) and the per-axis arrays ``coords``,
+  ``indices`` and ``wavenumbers`` are built each time they are read.
 * The forward transform carries the quadrature weight ``(L/N)^dim`` but
   not the lattice phase ``(-1)^(j_1+...+j_dim)``, which would cancel
   between forward and inverse around real multipliers.  The transform
@@ -100,17 +101,15 @@ class GridSpec:
 class Grid:
     """Lattice coordinates and the wavenumber table for a :class:`GridSpec`.
 
-    ``coords``, ``indices`` and ``wavenumbers`` hold one full 1-D array
-    per axis; ``xi_mag`` (wavevector magnitudes) is a half-spectrum
-    table, and ``phase`` (the lattice phase) one built when read.
-    ``shape``, ``dim``, ``box_length`` and ``cell_volume`` are the
-    spec's.
+    Only ``xi_mag`` (wavevector magnitudes, a half-spectrum table) is
+    stored.  ``coords``, ``indices`` and ``wavenumbers`` (one 1-D array
+    per axis, the same array object on every axis) and ``phase`` (the
+    lattice phase) are built each time they are read, so callers read
+    them once per run or per table.  ``shape``, ``dim``, ``box_length``
+    and ``cell_volume`` are the spec's.
     """
 
     spec: GridSpec
-    coords: tuple[np.ndarray, ...]
-    indices: tuple[np.ndarray, ...]
-    wavenumbers: tuple[np.ndarray, ...]
     xi_mag: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -119,41 +118,58 @@ class Grid:
             object.__setattr__(self, name, getattr(self.spec, name))
 
     @property
+    def indices(self) -> tuple[np.ndarray, ...]:
+        """Integer indices ``0..N/2-1, -N/2..-1`` along each axis."""
+        n = self.spec.points_per_axis
+        return (np.fft.fftfreq(n, d=1.0 / n),) * self.dim
+
+    @property
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Lattice coordinates ``x_j = j*L/N - L/2`` along each axis."""
+        n, length = self.spec.points_per_axis, self.box_length
+        return (np.arange(n) * (length / n) - length / 2.0,) * self.dim
+
+    @property
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """Physical wavenumbers ``2*pi*j/L`` along each axis."""
+        return (_wavenumbers(self.spec),) * self.dim
+
+    @property
     def phase(self) -> np.ndarray:
         """``(-1)^(j_1+...+j_dim)`` on the half spectrum: it relates
         samples on ``[-L/2, L/2)`` to the FFT origin."""
-        last = self.indices[-1][:self.xi_mag.shape[-1]]
-        jsum = sum(np.meshgrid(*self.indices[:-1], last, indexing="ij",
-                               sparse=True))
+        jsum = sum(_half_axes(self.indices[0], self.dim))
         return np.where(jsum % 2 == 0, 1.0, -1.0)
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.coords, indexing="ij")
 
 
+def _wavenumbers(spec: GridSpec) -> np.ndarray:
+    """``2*pi*j/L`` along one axis, in FFT storage order."""
+    n = spec.points_per_axis
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / spec.box_length
+
+
+def _half_axes(a: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Views of one per-axis array ``a`` along each of ``dim`` axes of the
+    half spectrum (its first ``N/2+1`` entries on the last axis), shaped
+    to broadcast against each other."""
+    return np.meshgrid(*(a,) * (dim - 1), a[:a.size // 2 + 1],
+                       indexing="ij", sparse=True, copy=False)
+
+
 def build_grid(spec: GridSpec) -> Grid:
-    """Build lattice coordinates and the half-spectrum tables.
+    """Build the grid and its table of wavevector magnitudes.
 
     Wavenumbers follow FFT storage order, e.g. ``N=8, L=2*pi`` gives
-    ``{0, 1, 2, 3, -4, -3, -2, -1}`` along each axis; the tables keep
+    ``{0, 1, 2, 3, -4, -3, -2, -1}`` along each axis; the table keeps
     the first ``N/2+1`` of them on the last axis (``-4`` stands for
-    ``+4`` there, and both enter only through even functions).
+    ``+4`` there, and both enter only through even functions).  It is
+    formed from one wavenumber array, viewed along each axis.
     """
-    n = spec.points_per_axis
-    length = spec.box_length
-    j = np.fft.fftfreq(n, d=1.0 / n)  # integer indices 0..N/2-1, -N/2..-1
-    x = np.arange(n) * (length / n) - length / 2.0
-    xi = 2.0 * np.pi * j / length
-
-    axes_j = tuple(j.copy() for _ in range(spec.dim))
-    axes_x = tuple(x.copy() for _ in range(spec.dim))
-    axes_xi = tuple(xi.copy() for _ in range(spec.dim))
-
-    half = (slice(None),) * (spec.dim - 1) + (slice(0, n // 2 + 1),)
-    mags = np.meshgrid(*axes_xi, indexing="ij", sparse=True)
-    xi_mag = np.sqrt(sum(m[half] * m[half] for m in mags))
-    return Grid(spec=spec, coords=axes_x, indices=axes_j,
-                wavenumbers=axes_xi, xi_mag=xi_mag)
+    mags = _half_axes(_wavenumbers(spec), spec.dim)
+    return Grid(spec=spec, xi_mag=np.sqrt(sum(m * m for m in mags)))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ flags it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _QUIET, _chunk_rows, _forward_half, _half_l2_rows,
-                   _inverse_half, _lm_norm)
+                   _QUIET, _chunk_rows, _forward_half, _half_axes,
+                   _half_l2_rows, _inverse_half, _lm_norm)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
 from .operators import riesz_multiplier
@@ -159,14 +160,8 @@ def _data_hat(config: SolverConfig, grid: Grid) -> np.ndarray:
 
 def _dealias_mask(grid: Grid) -> np.ndarray:
     """Two-thirds rule on the half spectrum: keep ``|j| <= N/3`` on every axis."""
-    n = grid.spec.points_per_axis
-    keep = np.ones(grid.xi_mag.shape, dtype=bool)
-    for axis, idx in enumerate(grid.indices):
-        idx = idx[:keep.shape[axis]]
-        shape = [1] * grid.dim
-        shape[axis] = idx.size
-        keep &= (np.abs(idx) <= n / 3.0).reshape(shape)
-    return keep
+    keep = np.abs(grid.indices[0]) <= grid.spec.points_per_axis / 3.0
+    return functools.reduce(np.logical_and, _half_axes(keep, grid.dim))
 
 
 class _ForcingTables:

@@ -334,11 +334,13 @@ def test_oracle_test_subcommand(tmp_path):
 
 def test_oracle_test_reports_the_picard_cross_check(tmp_path):
     # integrate's nonlinear part against the Picard fixed point, at two
-    # steps and two powers, with the gap bounds and a second order
+    # steps, in 1-D and 2-D and two powers each, with the gap bounds and a
+    # second order
     assert main(["oracle-test", "--output_dir", str(tmp_path)]) == 0
     suite = json.loads((tmp_path / "oracle_test.json").read_text())["picard"]
     assert suite["passed"] is True and suite["min_order"] == 1.8
-    assert [case["p"] for case in suite["cases"]] == [4.0, 2.5]
+    assert [(case["n"], case["p"]) for case in suite["cases"]] == [
+        (1, 4.0), (1, 2.5), (2, 4.0), (2, 2.5)]
     for case in suite["cases"]:
         assert case["passed"] is True and case["dt"] == [0.04, 0.02]
         assert all(isinstance(g, float) and 0 < g <= b

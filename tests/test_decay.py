@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +331,31 @@ def test_run_linear_makes_every_transform_on_the_calling_thread(monkeypatch):
     run_linear(FAST, n_samples=40)
     assert len(threads) == 41
     assert set(threads) == {threading.current_thread()}
+
+
+def test_run_linear_memory_peak_is_its_live_set():
+    # A linear-1d run (N = 2^16, L = 32000) holds two complex half tables
+    # (u1_hat, u_hat), one field (work), nine float half tables (xi_mag,
+    # k, energy, energy_sigma, scratch and the four of velocity_kernels)
+    # and at the end the final u_t (one complex table).  Its peak adds
+    # numpy's cast buffer of one float-times-complex product (bufsize
+    # complex values, 128 KiB).  Measured 10.7 KB above that.  The
+    # headroom is half a float table (128 KiB): a stored per-axis array
+    # of the grid (two float tables) or a stored phase table (one)
+    # exceeds it.
+    n = 2 ** 16
+    cfg = SolverConfig(params=PARAMS, grid=GridSpec(1, n, 32000.0), dt=0.1,
+                       t_end=1000.0, data_amplitude=1.0)
+    run_linear(cfg, n_samples=8)  # first-call imports are not the run's
+    tracemalloc.start()
+    try:
+        run_linear(cfg, n_samples=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 * (n // 2 + 1)
+    live = 9 * table + 3 * 2 * table + 8 * n + 16 * np.getbufsize()
+    assert peak <= live + table // 2
 
 
 def test_linear_label_sees_ramp_before_turnover():

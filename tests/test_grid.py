@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,47 @@ def test_wavevector_table_2d():
     assert grid.xi_mag.shape == grid.phase.shape == (8, 5)
     assert max(np.max(np.abs(xi)) for xi in grid.wavenumbers) == 4.0
     assert grid.xi_mag[4, 4] == np.sqrt(32.0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 1024), (1, 2 ** 16), (2, 8),
+                                    (2, 64), (3, 8), (3, 32)])
+@pytest.mark.parametrize("length", [2 * np.pi, 50.0, 32000.0])
+def test_axis_arrays_are_the_stored_formulas_bitwise(dim, n, length):
+    # coords, indices and wavenumbers are built when read; they keep the
+    # bits of the arrays build_grid once stored, one per axis, and xi_mag
+    # those of the table formed from one copy of them per axis.
+    grid = build_grid(GridSpec(dim, n, length))
+    j = np.fft.fftfreq(n, d=1.0 / n)
+    x = np.arange(n) * (length / n) - length / 2.0
+    xi = 2.0 * np.pi * j / length
+    for got, want in ((grid.indices, j), (grid.coords, x),
+                      (grid.wavenumbers, xi)):
+        assert len(got) == dim
+        for axis in got:
+            assert axis.dtype == want.dtype
+            assert axis.tobytes() == want.tobytes()
+    half = (slice(None),) * (dim - 1) + (slice(0, n // 2 + 1),)
+    mags = np.meshgrid(*(xi.copy() for _ in range(dim)), indexing="ij",
+                       sparse=True)
+    want = np.sqrt(sum(m[half] * m[half] for m in mags))
+    assert grid.xi_mag.shape == want.shape
+    assert grid.xi_mag.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 2 ** 16, 32000.0),
+                                  GridSpec(2, 256, 50.0)])
+def test_build_grid_retains_only_its_magnitude_table(spec):
+    # The per-axis arrays are built when read, so a grid holds xi_mag and
+    # a few hundred bytes of objects (measured 696 B in 1-D).  Stored
+    # per-axis arrays exceed the headroom: 1.5 MiB at N = 2^16 in 1-D.
+    build_grid(spec)  # first-call imports are not the grid's memory
+    tracemalloc.start()
+    try:
+        grid = build_grid(spec)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= grid.xi_mag.nbytes + 4096
 
 
 @pytest.mark.parametrize("n", [4, 12, 100])

@@ -103,6 +103,19 @@ def test_integrate_nonlinear_part_matches_the_picard_fixed_point(p, bounds):
     assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
 
 
+@pytest.mark.parametrize("p, bounds", [(4.0, (2.5e-5, 6.3e-6)),
+                                       (2.5, (1e-5, 2.5e-6))])
+def test_integrate_nonlinear_part_matches_the_picard_fixed_point_in_2d(
+        p, bounds):
+    # The same gap in 2-D (N = 32, L = 50), where both sides take the n-d
+    # transform path (rfftn, irfftn).  Measured gaps 1.446e-5, 3.615e-6
+    # (p = 4) and 5.785e-6, 1.446e-6 (p = 2.5) at dt = 0.04, 0.02: order
+    # 2.00.  Each bound is about 1.75x its gap, as in 1-D.
+    gaps = [picard_gap(p, dt, GridSpec(2, 32, 50.0)) for dt in (0.04, 0.02)]
+    assert gaps[0] <= bounds[0] and gaps[1] <= bounds[1], gaps
+    assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
+
+
 def test_density_and_horizon_preconditions():
     coarse = SolverConfig(params=PARAMS, grid=GridSpec(1, 256, 100.0), dt=0.1,
                           t_end=4.0, data_amplitude=0.01, store_states=True,

@@ -567,7 +567,7 @@ def test_two_thread_blowups_match_the_inline_run(p, amplitude, N, L, t_end,
     assert _assert_alone_and_concurrent_agree(run).blowup_reason == reason
 
 
-def test_two_thread_steps_keep_their_bits_under_thread_stress():
+def test_concurrent_integrate_callers_keep_their_bits_under_thread_stress():
     # Three runs at once, switching every 10 us: state shared between
     # runs would change some norm or state.
     spec, alpha = THREAD_GRIDS[2]
