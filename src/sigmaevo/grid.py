@@ -106,11 +106,12 @@ class Grid:
     per axis, the same array object on every axis) and ``phase`` (the
     lattice phase) are built each time they are read, so callers read
     them once per run or per table.  ``shape``, ``dim``, ``box_length``
-    and ``cell_volume`` are the spec's.
+    and ``cell_volume`` are the spec's.  Grids compare and hash by their
+    spec, which determines ``xi_mag``.
     """
 
     spec: GridSpec
-    xi_mag: np.ndarray = field(repr=False)
+    xi_mag: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         # read on every transform and norm, so kept as plain attributes

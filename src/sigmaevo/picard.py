@@ -36,9 +36,10 @@ recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
    one real block of samples; the weights, ``|.|``, both finiteness
    checks, the power and ``(dt/2) f_i`` are each one pass over the
    block.  The first offending snapshot raises ``BlowUpSignal``, as it
-   would alone.  The forcing rows are written into the chunk's ``u``
-   rows of the output block, where they stay until phase 2 writes
-   ``u_i`` over them.
+   would alone.  The forcings are formed as band rows
+   (``solver._band``) in the chunk's ``u_t`` rows of the output block
+   and spread onto its ``u`` rows, zero outside the band, where they
+   stay until phase 2 writes ``u_i`` over them.
 2. Recurrence, per snapshot.  ``F`` and ``S`` are the two rows of one
    ``(2, 2) + half`` buffer per parity, so one ``M(dt)`` advance moves
    both; two adds write the snapshot's ``u_t`` and ``u``.  The advance
@@ -126,6 +127,7 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     n_snap = len(times)
     half = grid.xi_mag.shape
     chunk = _chunk_rows(grid)
+    n_band = tables.riesz_mult.size
 
     block = np.empty((2, n_snap) + half, complex)
     # flows[c] = (F, S), each a (u, u_t) pair; snapshot i writes
@@ -147,11 +149,14 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
         rows = slice(lo, min(lo + chunk, n_snap))
         k = rows.stop - lo
         # 1. forcing rows (dt/2) f_i, held in the chunk's u rows of the
-        #    block until the recurrence writes u over them
+        #    block until the recurrence writes u over them; their band
+        #    rows take the chunk's u_t rows until it writes u_t
         u_phys = _inverse_half(grid, traj_in.states[rows, 0],
                                out=samples[:k])
-        g = _nonlinearity_hat(u_phys, tables, times[rows], lo,
-                              out=block[0, rows])
+        band = block[1, rows].reshape(-1)[:k * n_band].reshape(k, n_band)
+        g = tables.spread(_nonlinearity_hat(u_phys, tables, times[rows], lo,
+                                            block[0, rows], band),
+                          out=block[0, rows])
         g *= half_dt
         # 2. the recurrence; after its output, S_i takes the (dt/2) f_i
         #    that the next advance starts from

@@ -9,13 +9,19 @@ the forcing at the step start with the closed-form response weight
 the forcing at the start and at the predicted end state.  With the
 nonlinearity switched off every step is exact.
 
-A step runs in five complex half-spectrum buffers and one field of real
-samples (``_StepWork``): the state ``(u, u_t)`` in one of two pairs,
-the new state in the other, and the first forcing.  The step needs
-``new_u`` before the second forcing but ``new_u_t`` only in the
-corrector, so ``new_u_t``'s buffer holds the scratch, the prediction and
-the second forcing first (Cox & Matthews, *J. Comput. Phys.* 176, 2002,
-for the predictor-corrector).
+The forcing lives on the band (``_band``): the rectangular blocks of
+the half spectrum that the two-thirds dealias rule keeps, where the
+smoothing symbol times the mask is not zero (Orszag, *J. Atmos. Sci.*
+28, 1971).  The Riesz and Duhamel tables are stored there only, and
+every forcing product and add runs on the band's views of the state.
+
+A step runs in four complex half-spectrum buffers, two band rows and
+one field of real samples (``_StepWork``): the state ``(u, u_t)`` in
+one of two pairs, the new state in the other, and the two forcings.
+The step needs ``new_u`` before the second forcing but ``new_u_t`` only
+in the corrector, so ``new_u_t``'s buffer holds the scratch, the
+transforms of both forcings and the prediction first (Cox & Matthews,
+*J. Comput. Phys.* 176, 2002, for the predictor-corrector).
 
 Runaway growth is reported as a labeled blow-up signal, never as a
 crash: the model proves nothing about blow-up, so the solver only
@@ -24,7 +30,7 @@ flags it.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +38,7 @@ import numpy as np
 
 from .data import PROFILES, make_profile
 from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
-                   _QUIET, _chunk_rows, _forward_half, _half_axes,
+                   _QUIET, _chunk_rows, _forward_half,
                    _half_l2_rows, _inverse_half, _lm_norm)
 from .params import ModelParams, ValidationError
 from .propagator import decay_exponent, duhamel_weight, kernel_arrays
@@ -158,25 +164,76 @@ def _data_hat(config: SolverConfig, grid: Grid) -> np.ndarray:
     return u1_hat
 
 
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    """Two-thirds rule on the half spectrum: keep ``|j| <= N/3`` on every axis."""
-    keep = np.abs(grid.indices[0]) <= grid.spec.points_per_axis / 3.0
-    return functools.reduce(np.logical_and, _half_axes(keep, grid.dim))
+def _band(spec: GridSpec, dealias: bool) -> tuple[tuple[slice, ...], ...]:
+    """The modes the forcing keeps, as rectangular blocks of the half
+    spectrum (one slice per axis).
+
+    With ``dealias`` it is the two-thirds rule, ``|j| <= N/3`` on every
+    axis: ``j = 0..N//3`` on the last axis and ``|j| <= N//3`` on each
+    leading one, which storage order splits into a low and a high slice,
+    so one block in 1-D, two in 2-D and four in 3-D.  Without it the
+    band is the whole half spectrum.
+    """
+    if not dealias:
+        return ((slice(None),) * spec.dim,)
+    n, c = spec.points_per_axis, spec.points_per_axis // 3  # N/3 not whole
+    lead = (slice(0, c + 1), slice(n - c, n))
+    return tuple(b + (slice(0, c + 1),)
+                 for b in itertools.product(lead, repeat=spec.dim - 1))
 
 
 class _ForcingTables:
-    """Smoothing symbol on the half spectrum, times the dealias mask."""
+    """The band of the forcing and the smoothing symbol on it.
+
+    A table on the band is a band row: its blocks flattened, one after
+    the other (``band_row``); rows of several forcings stack along
+    leading axes.  ``band_views`` gives the blocks of band rows back as
+    views, and ``blocks`` the band's views of half-spectrum arrays.
+    ``riesz_mult`` is the symbol on the band: the dealias mask is zero
+    everywhere else.
+    """
 
     def __init__(self, grid: Grid, params: ModelParams, dealias: bool):
         self.grid = grid
         self.params = params
-        self.riesz_mult = riesz_multiplier(grid.xi_mag, params.alpha)
-        if dealias:
-            self.riesz_mult *= _dealias_mask(grid)
+        self.band = _band(grid.spec, dealias)
+        self.shapes = [grid.xi_mag[b].shape for b in self.band]
+        ends = list(itertools.accumulate(math.prod(s) for s in self.shapes))
+        self.spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        # formed on the full table, whose entry (0, ...) is the zero mode
+        # that riesz_multiplier sets to 0, then cut to the band
+        self.riesz_mult = self.band_row(
+            riesz_multiplier(grid.xi_mag, params.alpha))
+
+    def blocks(self, a: np.ndarray) -> list[np.ndarray]:
+        """The band's views of half-spectrum array(s) ``a``."""
+        return [a[(...,) + b] for b in self.band]
+
+    def band_row(self, table: np.ndarray) -> np.ndarray:
+        """A new band row of a half-spectrum table."""
+        return np.concatenate([v.ravel() for v in self.blocks(table)])
+
+    def band_views(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Views of band rows shaped like the blocks of the band."""
+        lead = rows.shape[:-1]
+        return [rows[..., span].reshape(lead + s)
+                for span, s in zip(self.spans, self.shapes)]
+
+    def spread(self, rows: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """Band rows on the full half-spectrum layout, written into
+        ``out`` when it is given: zero outside the band, then the blocks."""
+        if out is None:
+            out = np.empty(rows.shape[:-1] + self.grid.xi_mag.shape, complex)
+        out.fill(0.0)
+        for dest, block in zip(self.blocks(out), self.band_views(rows)):
+            dest[...] = block
+        return out
 
 
 class StepTables(_ForcingTables):
-    """Per-mode half-spectrum tables of one time step ``dt``.
+    """Per-mode half-spectrum tables of one time step ``dt``; the Duhamel
+    weight ``IK1`` is kept on the band only, as a band row.
 
     They hold no work buffers: each loop that steps or records owns
     its own (``_StepWork`` for ``integrate``).
@@ -186,8 +243,10 @@ class StepTables(_ForcingTables):
                  dealias: bool):
         super().__init__(grid, params, dealias)
         k = grid.xi_mag ** (2.0 * params.sigma)
+        # the band row first: the full weight's freed memory then takes
+        # the kernel tables instead of leaving a hole in the heap
+        self.IK1 = self.band_row(duhamel_weight(k, dt))
         self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
-        self.IK1 = duhamel_weight(k, dt)
         # x ** 1.0 is x: at sigma = 1 the table is xi_mag itself
         self.xi_sigma = (grid.xi_mag if params.sigma == 1.0
                          else grid.xi_mag ** params.sigma)
@@ -223,23 +282,27 @@ class StepTables(_ForcingTables):
 
 
 class _StepWork:
-    """Work buffers of one stepping run on ``grid``: five complex half
-    tables and one row of real samples ``field``.
+    """Work buffers of one stepping run with ``tables``: four complex half
+    tables, two band rows ``forcing`` and one row of real samples
+    ``field``.
 
     The state ``(u, u_t)`` lives in one of the two ``pairs`` and each
-    step writes the other (``_etd_step_arrays``); ``f0`` holds the
-    step's first forcing row.  Between steps ``f0`` holds nothing, and
-    ``squares``, the two float tables of the records' L2 squares, is a
-    view of its memory.
+    step writes the other (``_etd_step_arrays``); ``forcing`` holds the
+    step's two forcings.  Between steps the pair that does not hold the
+    state holds nothing, and ``squares[i]``, the two float tables of the
+    records' L2 squares, is a view of the memory of ``pairs[i]``'s u.
     """
 
-    def __init__(self, grid: Grid):
-        half = grid.xi_mag.shape
+    def __init__(self, tables: _ForcingTables):
+        half = tables.grid.xi_mag.shape
         self.pairs = tuple((np.empty(half, complex), np.empty(half, complex))
                            for _ in range(2))
-        self.f0 = np.empty((1,) + half, complex)
-        self.field = np.empty((1,) + grid.shape)
-        self.squares = self.f0.reshape(-1).view(float).reshape((2,) + half)
+        # the field before the smaller forcing rows, which would split a
+        # free block of the heap that the field fits
+        self.field = np.empty((1,) + tables.grid.shape)
+        self.forcing = np.empty((2, tables.riesz_mult.size), complex)
+        self.squares = tuple(u.reshape(-1).view(float).reshape((2,) + half)
+                             for u, _ in self.pairs)
 
 
 def _power_bits(p: float) -> str | None:
@@ -301,27 +364,33 @@ def _finite_rows(a: np.ndarray, peak: float) -> int:
 
 
 def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
-                      times, step: int, out: np.ndarray | None = None
-                      ) -> np.ndarray:
-    """Half-spectrum coefficients of the smoothed pointwise power of each
-    row of physical samples ``u_rows`` (shape ``(k,) + grid.shape``),
-    written into ``out`` (``(k,) + half``) when it is given.
+                      times, step: int, spectrum: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Band rows of the smoothed pointwise power of each row of physical
+    samples ``u_rows`` (shape ``(k,) + grid.shape``), written into
+    ``out`` (``(k, band size)``) when it is given.
 
-    Row ``j`` is the state at ``times[j]``, step ``step + j``.  The first
-    row that is not finite, or whose power overflows, raises
-    ``BlowUpSignal`` with its time and step, as if the rows had been
-    taken one by one; within a row a non-finite state wins.  ``u_rows``
-    is overwritten: it holds ``|u|^p`` on return.
+    The power is formed with the float memory of ``spectrum`` (a
+    contiguous ``(k,) + half`` complex array) as its scratch, and its
+    transform is written into ``spectrum``; the smoothing symbol then
+    takes the band of it into ``out``.  Row ``j`` is the state at
+    ``times[j]``, step ``step + j``.  The first row that is not finite,
+    or whose power overflows, raises ``BlowUpSignal`` with its time and
+    step, as if the rows had been taken one by one; within a row a
+    non-finite state wins.  ``u_rows`` is overwritten: it holds
+    ``|u|^p`` on return.
     """
     grid, p, a = tables.grid, tables.params.p, u_rows
+    if spectrum is None:
+        spectrum = np.empty((len(a),) + grid.xi_mag.shape, complex)
     if out is None:
-        out = np.empty((len(a),) + grid.xi_mag.shape, complex)
+        out = np.empty((len(a), tables.riesz_mult.size), complex)
     peak = float(np.abs(a, out=a).max(initial=0.0))
     n_state = _finite_rows(a, peak)
     powered = a[:n_state]
-    # out holds 2 (N/2+1) N^(dim-1) >= N^dim floats per row, and the
-    # power is done with its scratch before the transform fills out
-    scratch = out.reshape(-1).view(float)[:powered.size].reshape(
+    # spectrum holds 2 (N/2+1) N^(dim-1) >= N^dim floats per row, and the
+    # power is done with its scratch before the transform fills it
+    scratch = spectrum.reshape(-1).view(float)[:powered.size].reshape(
         powered.shape)
     _floored_power(powered, p, scratch)
     bits = _power_bits(p)
@@ -334,12 +403,15 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
         reason = ("non-finite state in nonlinearity" if n_power == n_state
                   else "overflow in pointwise power")
         raise BlowUpSignal(times[n_power], step + n_power, reason)
-    f_hat = _forward_half(grid, a, out=out)
+    f_hat = _forward_half(grid, a, out=spectrum)
     # row by row: broadcast over the whole block, numpy would copy the
     # table into a temporary of the block's size
-    for row in f_hat:
-        row *= tables.riesz_mult
-    return f_hat
+    for src, mult, dest in zip(tables.blocks(f_hat),
+                               tables.band_views(tables.riesz_mult),
+                               tables.band_views(out)):
+        for src_row, dest_row in zip(src, dest):
+            np.multiply(src_row, mult, out=dest_row)
+    return out
 
 
 def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
@@ -350,7 +422,8 @@ def nonlinearity(u: RealField, params: ModelParams, dealias: bool = True
     the pointwise power before smoothing.
     """
     tables = _ForcingTables(u.grid, params, dealias)
-    f_hat = _nonlinearity_hat(u.values[np.newaxis].copy(), tables, (0.0,), 0)
+    f_hat = tables.spread(
+        _nonlinearity_hat(u.values[np.newaxis].copy(), tables, (0.0,), 0))
     return RealField(u.grid, _inverse_half(u.grid, f_hat[0]))
 
 
@@ -365,30 +438,41 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
     temporary is a buffer of ``work`` or of ``out``, so a blow-up signal
     in mid-step leaves the inputs as the last completed state.  The
     free flow of ``u`` goes into ``new_u``.  ``new_ut``'s buffer is the
-    scratch of that flow, holds the prediction until it is transformed
-    back, then ``f1``, and takes the corrector's product ``IK1 favg``.
+    scratch of that flow, takes the transform of each forcing and holds
+    the prediction until it is transformed back.  The forcings ``f0``
+    and ``f1`` are the band rows of ``work.forcing``; ``f1``'s row is
+    the scratch of the products with ``IK1`` and ``K1``, and outside the
+    band those products are zero, so the adds run on the band's views.
     The corrector forms ``new_ut = dA u + dK1 u_t + K1 favg`` last, with
-    ``u_hat``'s buffer as the scratch of its products once ``u`` is
-    read: a nonlinear step overwrites ``u_hat``.
+    ``u_hat``'s buffer as the scratch of its free flow once ``u`` is
+    read: every step overwrites ``u_hat``.
     """
     new_u, new_ut = out
-    if not nonlinear:
-        return tables.advance(u_hat, ut_hat, out, work.f0[0])
-    grid, field = tables.grid, work.field
     tables.flow(0, u_hat, ut_hat, new_u, scratch=new_ut)
-    _inverse_half(grid, u_hat, out=field[0])
-    f0 = _nonlinearity_hat(field, tables, (t,), step, out=work.f0)[0]
-    np.multiply(tables.IK1, f0, out=new_ut)  # the prediction IK1 f0 + new_u
-    new_ut += new_u
-    _inverse_half(grid, new_ut, out=field[0])
-    f1 = _nonlinearity_hat(field, tables, (t,), step,
-                           out=new_ut[np.newaxis])[0]
-    favg = f0
-    favg += f1
-    favg *= 0.5
-    new_u += np.multiply(tables.IK1, favg, out=f1)
+    if nonlinear:
+        grid, field, (f0, f1) = tables.grid, work.field, work.forcing
+        spectrum, views = new_ut[np.newaxis], tables.band_views
+        _inverse_half(grid, u_hat, out=field[0])
+        _nonlinearity_hat(field, tables, (t,), step, spectrum, f0[np.newaxis])
+        np.multiply(tables.IK1, f0, out=f1)  # the prediction IK1 f0 + new_u
+        np.copyto(new_ut, new_u)
+        for pred, free, g in zip(tables.blocks(new_ut), tables.blocks(new_u),
+                                 views(f1)):
+            np.add(g, free, out=pred)
+        _inverse_half(grid, new_ut, out=field[0])
+        _nonlinearity_hat(field, tables, (t,), step, spectrum, f1[np.newaxis])
+        favg = f0
+        favg += f1
+        favg *= 0.5
+        np.multiply(tables.IK1, favg, out=f1)
+        for dest, g in zip(tables.blocks(new_u), views(f1)):
+            dest += g
     tables.flow(1, u_hat, ut_hat, new_ut, scratch=u_hat)
-    new_ut += np.multiply(tables.K1, favg, out=u_hat)
+    if nonlinear:
+        for dest, k1, fa, g in zip(tables.blocks(new_ut),
+                                   tables.blocks(tables.K1), views(favg),
+                                   views(f1)):
+            dest += np.multiply(k1, fa, out=g)
     return new_u, new_ut
 
 
@@ -400,7 +484,7 @@ def etd_step(state: tuple[SpectralField, SpectralField], dt: float,
         raise ValidationError(f"dt must lie in (0, 0.5]; got {dt}")
     grid = state[0].grid
     tables = StepTables(grid, params, dt, dealias)
-    work = _StepWork(grid)
+    work = _StepWork(tables)
     # the step overwrites its input u, so it runs from copies
     for buf, field in zip(work.pairs[1], state):
         np.copyto(buf, field.coeffs)
@@ -483,11 +567,13 @@ class Trajectory:
 
 
 @_QUIET
-def _record_norms(tables: StepTables, work: _StepWork, u_hat, ut_hat):
+def _record_norms(tables: StepTables, work: _StepWork, u_hat, ut_hat,
+                  squares: np.ndarray):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
-    state, formed in the buffers of ``work`` under one numpy error state:
-    the norms' bodies (``__wrapped__``) take the one-field route."""
-    grid, sq, field = tables.grid, work.squares, work.field[0]
+    state, formed in ``squares`` (one of ``work.squares``, of a pair that
+    does not hold the state) and ``work.field`` under one numpy error
+    state: the norms' bodies (``__wrapped__``) take the one-field route."""
+    grid, sq, field = tables.grid, squares, work.field[0]
     l2, lm = _half_l2_rows.__wrapped__, _lm_norm.__wrapped__
     return (l2(grid, u_hat, None, sq), l2(grid, ut_hat, None, sq),
             l2(grid, u_hat, tables.xi_sigma, sq),
@@ -519,7 +605,7 @@ def integrate(config: SolverConfig) -> Trajectory:
     tables = StepTables(grid, params, config.dt, config.dealias)
     # the data's temporaries are freed before the step buffers exist
     data_hat = _data_hat(config, grid)
-    work = _StepWork(grid)
+    work = _StepWork(tables)
 
     u_hat, ut_hat = work.pairs[0]
     u_hat.fill(0.0)
@@ -527,7 +613,7 @@ def integrate(config: SolverConfig) -> Trajectory:
     del data_hat
 
     times = [0.0]
-    records = [_record_norms(tables, work, u_hat, ut_hat)]
+    records = [_record_norms(tables, work, u_hat, ut_hat, work.squares[1])]
     states = None
     if config.store_states:
         n_rec = n_steps // every + 1 + (n_steps % every != 0)
@@ -544,7 +630,8 @@ def integrate(config: SolverConfig) -> Trajectory:
                 nonlinear=config.nonlinearity_enabled,
                 out=work.pairs[step % 2])
             if step % every == 0 or step == n_steps:
-                rec = _record_norms(tables, work, u_hat, ut_hat)
+                rec = _record_norms(tables, work, u_hat, ut_hat,
+                                    work.squares[1 - step % 2])
                 times.append(t)
                 records.append(rec)
                 if states is not None:

@@ -77,6 +77,16 @@ def test_build_grid_retains_only_its_magnitude_table(spec):
     assert kept <= grid.xi_mag.nbytes + 4096
 
 
+def test_grids_compare_and_hash_by_their_spec():
+    # == once compared the xi_mag arrays too and raised; hash raised
+    spec = GridSpec(2, 16, 3.0)
+    a, b = build_grid(spec), build_grid(spec)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    other = build_grid(GridSpec(2, 16, 4.0))
+    assert a != other and a != spec
+    assert {a: 1}[b] == 1
+
+
 @pytest.mark.parametrize("n", [4, 12, 100])
 def test_rejects_bad_point_count(n):
     with pytest.raises(ValueError):

@@ -169,9 +169,9 @@ def _double_sum_states(traj_in, u1, config):
     dt = config.dt
     tables = StepTables(grid, params, dt, config.dealias)
     u1_hat = full_forward(grid, u1.values)
-    f_hats = [full_from_half(grid, _nonlinearity_hat(
+    f_hats = [full_from_half(grid, tables.spread(_nonlinearity_hat(
                   _inverse_half(grid, state[0])[np.newaxis], tables, (t,),
-                  i)[0])
+                  i))[0])
               for i, (t, state) in enumerate(zip(traj_in.times, traj_in.states))]
     k = full_xi_mag(grid) ** (2.0 * params.sigma)
     n_snap = len(traj_in.times)
@@ -257,9 +257,9 @@ def test_picard_norms_are_the_record_norms_of_its_states(case):
     cfg = ROW_CASES[case]
     iters = _iterates(cfg)
     tables = StepTables(iters[0].grid, cfg.params, cfg.dt, cfg.dealias)
-    work = _StepWork(iters[0].grid)
+    work = _StepWork(tables)
     for traj in iters[1:]:
-        want = np.array([_record_norms(tables, work, u, ut)
+        want = np.array([_record_norms(tables, work, u, ut, work.squares[0])
                          for u, ut in traj.states])
         got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
         assert got.tobytes() == want.tobytes()
@@ -275,8 +275,9 @@ def _float_table_states(traj_in, u1, cfg):
     flows = [(zero, _forward_half(grid, u1.values)), (zero, zero)]
     states = []
     for i, (t, (u, _)) in enumerate(zip(traj_in.times, traj_in.states)):
-        g = _nonlinearity_hat(_inverse_half(grid, u)[np.newaxis], tables,
-                              (t,), i)[0] * (0.5 * cfg.dt)
+        g = tables.spread(_nonlinearity_hat(
+            _inverse_half(grid, u)[np.newaxis], tables, (t,), i))[0] \
+            * (0.5 * cfg.dt)
         if i > 0:
             flows = [tables.advance(*flow, out=(np.empty_like(zero),
                                                 np.empty_like(zero)),

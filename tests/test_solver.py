@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 import sys
@@ -12,15 +13,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sigmaevo.grid import (GridSpec, SpectralField, build_grid,
-                           transform_forward, _half_l2_rows, _inverse_half,
-                           _lm_norm)
-from sigmaevo.operators import lebesgue_norm
+                           transform_forward, _forward_half, _half_l2_rows,
+                           _inverse_half, _lm_norm)
+from sigmaevo.operators import lebesgue_norm, riesz_multiplier
 from sigmaevo.params import ModelParams, ValidationError
-from sigmaevo.propagator import propagate_linear
+from sigmaevo.propagator import (duhamel_weight, kernel_arrays,
+                                 propagate_linear)
 from sigmaevo.solver import (ABS_FLOOR, INT_POWER_MAX, BlowUpSignal,
                              SolverConfig, StepTables, Trajectory,
-                             _dealias_mask, _floored_power,
-                             _nonlinearity_hat, _power_bits, _scalar_power,
+                             _StepWork, _band, _etd_step_arrays,
+                             _floored_power, _nonlinearity_hat, _power_bits,
+                             _scalar_power,
                              etd_step, horizon_limit, integrate, make_data,
                              nonlinearity,
                              xt_distance, xt_norm, zero_trajectory)
@@ -128,20 +131,45 @@ def test_nonlinearity_homogeneity():
         <= 1e-12 * np.max(np.abs(scaled))
 
 
+def two_thirds_mask(grid):
+    """The two-thirds rule on the half spectrum: ``|j| <= N/3`` on every
+    axis, as the leading ``N/2+1`` last-axis columns of the full mask."""
+    n = grid.spec.points_per_axis
+    j = np.meshgrid(*grid.indices, indexing="ij", sparse=True)
+    full = functools.reduce(np.logical_and, [np.abs(a) <= n / 3.0 for a in j])
+    return full[..., :n // 2 + 1]
+
+
+def band_mask(spec, dealias=True):
+    """How many blocks of the band hold each mode of the half spectrum."""
+    count = np.zeros(build_grid(spec).xi_mag.shape, np.uint8)
+    for block in _band(spec, dealias):
+        count[block] += 1
+    return count
+
+
 def test_dealias_mask_idempotent():
-    grid = build_grid(GridSpec(2, 16, 3.0))
-    mask = _dealias_mask(grid)
+    spec = GridSpec(2, 16, 3.0)
+    mask = band_mask(spec) == 1
+    assert np.array_equal(mask, two_thirds_mask(build_grid(spec)))
     rng = np.random.default_rng(3)
-    # the half-spectrum mask is the leading N/2+1 columns of the full one
-    j = np.meshgrid(*grid.indices, indexing="ij")
-    full = np.all([np.abs(a) <= 16 / 3.0 for a in j], axis=0)
-    assert np.array_equal(mask, full[:, :9])
     coeffs = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
     once = coeffs.copy()
     once[~mask] = 0.0
     twice = once.copy()
     twice[~mask] = 0.0
     assert np.array_equal(once, twice)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.sampled_from([8, 16, 32, 64, 128, 256]))
+def test_band_blocks_are_disjoint_and_make_the_two_thirds_mask(dim, n):
+    spec = GridSpec(dim, n, 10.0)
+    count = band_mask(spec)
+    assert count.max() == 1  # disjoint
+    assert np.array_equal(count == 1, two_thirds_mask(build_grid(spec)))
+    assert len(_band(spec, True)) == 2 ** (dim - 1)
+    assert np.all(band_mask(spec, dealias=False) == 1)
 
 
 def test_nonlinearity_overflow_raises_blowup():
@@ -502,6 +530,63 @@ def test_integrate_two_dimensional():
     assert traj.l2[-1] < traj.dt_l2[0]  # decays below the data norm
 
 
+def _full_layout_step(u_hat, ut_hat, grid, params, dt, dealias, t, step):
+    """Reference: one step on full half-spectrum tables, with the Riesz
+    symbol times a boolean two-thirds mask and every product over the
+    whole half spectrum, in the order of the module docstring."""
+    k = grid.xi_mag ** (2.0 * params.sigma)
+    A, K1, dA, dK1 = kernel_arrays(k, dt)
+    IK1 = duhamel_weight(k, dt)
+    riesz = riesz_multiplier(grid.xi_mag, params.alpha)
+    if dealias:
+        riesz = riesz * two_thirds_mask(grid)
+
+    def forcing(v):
+        a = np.abs(_inverse_half(grid, v))
+        if not np.all(np.isfinite(a)):
+            raise BlowUpSignal(t, step, "non-finite state in nonlinearity")
+        a = _floored_power(a, params.p, np.empty_like(a))
+        if not np.all(np.isfinite(a)):
+            raise BlowUpSignal(t, step, "overflow in pointwise power")
+        return _forward_half(grid, a) * riesz
+
+    new_u = A * u_hat + K1 * ut_hat
+    f0 = forcing(u_hat)
+    f1 = forcing(IK1 * f0 + new_u)
+    favg = (f0 + f1) * 0.5
+    return (new_u + IK1 * favg,
+            dA * u_hat + dK1 * ut_hat + K1 * favg)
+
+
+@pytest.mark.parametrize("spec, p, amplitude", [
+    (GridSpec(1, 64, 20.0), 3.0, 0.5),
+    (GridSpec(1, 64, 20.0), 2.5, 0.5),
+    (GridSpec(2, 16, 20.0), 3.0, 0.5),
+    (GridSpec(3, 16, 20.0), 3.0, 0.5),
+    (GridSpec(3, 8, 20.0), 4.0, 1e80),    # the power overflows
+])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_band_step_is_the_full_layout_step_bitwise(spec, p, amplitude,
+                                                   dealias):
+    params = ModelParams(n=spec.dim, sigma=1.0, alpha=0.5, p=p, m=1.0)
+    grid = build_grid(spec)
+    rng = np.random.default_rng(spec.dim + 7)
+    state = [amplitude * (rng.standard_normal(grid.xi_mag.shape)
+                          + 1j * rng.standard_normal(grid.xi_mag.shape))
+             for _ in range(2)]
+    tables = StepTables(grid, params, 0.1, dealias)
+    work = _StepWork(tables)
+    for buf, c in zip(work.pairs[0], state):
+        np.copyto(buf, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _signal_or_bytes(lambda: np.stack(_full_layout_step(
+            *state, grid, params, 0.1, dealias, 0.7, 7)))
+        got = _signal_or_bytes(lambda: np.stack(_etd_step_arrays(
+            *work.pairs[0], tables, work, 0.7, 7, True, out=work.pairs[1])))
+    assert got == want
+    assert isinstance(want, tuple) == (amplitude > 1)
+
+
 # --- concurrent callers --------------------------------------------------
 
 THREAD_GRIDS = [(GridSpec(1, 256, 100.0), 0.5),
@@ -552,8 +637,8 @@ def test_two_thread_steps_keep_the_bits(spec, alpha, p, dealias, nonlinear):
     (4.0, 1e80, 256, 100.0, 2.0, "overflow in pointwise power"),
     (2.0, 1e155, 64, 40.0, 2.0, "non-finite state in nonlinearity"),
 ])
-def test_two_thread_blowups_match_the_inline_run(p, amplitude, N, L, t_end,
-                                                 reason):
+def test_concurrent_integrate_blowups_match_the_inline_run(p, amplitude, N, L,
+                                                          t_end, reason):
     # a blow-up on another thread is the same signal, at the same step
     params = ModelParams(n=1, sigma=1.0, alpha=0.5, p=p, m=1.0)
     cfg = SolverConfig(params=params, grid=GridSpec(1, N, L), dt=0.1,
@@ -628,14 +713,17 @@ def test_integrate_transform_count(monkeypatch):
 
 
 def test_integrate_memory_peak_is_its_live_set():
-    # A 3-D run holds its tables (xi_mag, riesz_mult, A, K1, dA, dK1, IK1:
-    # 7 float half tables; at sigma = 1 xi_sigma is xi_mag), two state
-    # pairs and f0 (5 complex tables), one field of samples, and at the
-    # peak the two complex temporaries of one irfftn.  Measured about
+    # A 3-D run holds its tables (xi_mag, A, K1, dA, dK1: 5 float half
+    # tables, at sigma = 1 xi_sigma is xi_mag; riesz_mult and IK1 on the
+    # band: 2 float band rows), two state pairs (4 complex tables), the
+    # two forcings (2 complex band rows), one field of samples, and at
+    # the peak the two complex temporaries of one irfftn.  The band is
+    # 43 x 43 x 22 of the 64 x 64 x 33 half spectrum.  Measured about
     # 12 KB above that.  The headroom is half a float table (540 KiB): a
-    # sixth step buffer (1 complex table), a separate xi_sigma or a
-    # stored phase table (1 float table each), or the data's temporaries
-    # alive beside the step buffers exceed it.
+    # full riesz_mult or IK1 kept beside its band row, a fifth step
+    # buffer (1 complex table), a separate xi_sigma or a stored phase
+    # table (1 float table each), or the data's temporaries alive beside
+    # the step buffers exceed it.
     n = 64
     cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
                                           m=1.0),
@@ -650,7 +738,9 @@ def test_integrate_memory_peak_is_its_live_set():
     finally:
         tracemalloc.stop()
     table = 8 * n * n * (n // 2 + 1)
-    live = 7 * table + (5 + 2) * 2 * table + 8 * n ** 3
+    band = 8 * (2 * (n // 3) + 1) ** 2 * (n // 3 + 1)
+    live = 5 * table + 2 * band + (4 + 2) * 2 * table + 2 * 2 * band \
+        + 8 * n ** 3
     assert peak <= live + table // 2
 
 
