@@ -10,7 +10,8 @@ memory, minor page faults and the allocator thresholds set by ``main``,
 output list, exit status, and the error of a failed run) into the output
 directory.
 Exit status: 0 success, 2 input refused before the run starts (a
-``ValidationError``), 3 labeled blow-up termination, 1 any other failure.
+``ValidationError``, or an output directory that cannot be created), 3
+labeled blow-up termination, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -377,18 +378,25 @@ def dispatch(config: RunConfig, malloc_thresholds: dict | None = None
              ) -> int:
     """Run one subcommand, writing artifacts and a manifest under output_dir.
 
-    The manifest is written on every exit; a failed run adds ``error``
-    (exception class and message) to it.  ``peak_rss_mib`` is the
-    process's peak resident memory so far (``ru_maxrss``, which Linux
-    reports in KiB) and ``minor_faults`` the minor page faults taken
-    during this call.  ``malloc_thresholds`` echoes the allocator
-    thresholds the caller set for this process (``main`` passes what it
-    set), null where none were set.  A ``linear`` or ``semilinear`` run
-    that returns adds its shape: ``records`` (the rows of ``norms.csv``).
+    The manifest is written on every exit but one; a failed run adds
+    ``error`` (exception class and message) to it.  An output_dir that
+    cannot be created is refused with status 2 and no manifest.
+    ``peak_rss_mib`` is the process's peak resident memory so far
+    (``ru_maxrss``, which Linux reports in KiB) and ``minor_faults`` the
+    minor page faults taken during this call.  ``malloc_thresholds``
+    echoes the allocator thresholds the caller set for this process
+    (``main`` passes what it set), null where none were set.  A
+    ``linear`` or ``semilinear`` run that returns adds its shape:
+    ``records`` (the rows of ``norms.csv``).
     """
     usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # bad input, and nowhere to write a manifest
+        print(f"error: key 'output_dir': cannot create "
+              f"'{config.output_dir}': {exc.strerror or exc}", file=sys.stderr)
+        return 2
     outputs: list[Path] = []
     shape: dict = {}
     error = None

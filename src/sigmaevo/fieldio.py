@@ -10,7 +10,6 @@ row-major float64 samples.  All floats in text outputs are printed with
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -21,6 +20,15 @@ import numpy as np
 from .grid import GridSpec, RealField, build_grid
 from .solver import Trajectory, xt_weighted_sums
 from .theory import AdmissibilityReport
+
+# not hashlib, which loads OpenSSL's libcrypto for one digest per run
+try:  # 3.12+
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:  # 3.10-3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "fmt17",
@@ -134,7 +142,13 @@ def report_to_json(report: AdmissibilityReport, path: str | Path | None = None
 
 
 def config_hash(mapping: dict) -> str:
-    """SHA-256 over the canonical sorted key=value rendering."""
+    """SHA-256 over the canonical sorted key=value rendering.
+
+    The digest comes from CPython's built-in module: ``_sha2.sha256`` on
+    3.12+, ``_sha256.sha256`` on 3.10-3.11, and ``hashlib.sha256`` only
+    on an interpreter built without either.  The bits are the same on every
+    route; only hashlib loads OpenSSL into the process.
+    """
     lines = []
     for key in sorted(mapping):
         value = mapping[key]
@@ -147,4 +161,4 @@ def config_hash(mapping: dict) -> str:
         else:
             text = str(value)
         lines.append(f"{key}={text}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return _sha256("\n".join(lines).encode()).hexdigest()

@@ -282,6 +282,22 @@ def test_manifest_written_on_failure(tmp_path):
     assert "error" not in json.loads((out / "manifest.json").read_text())
 
 
+def test_uncreatable_output_dir_is_refused(tmp_path, capsys, monkeypatch):
+    # a directory under a regular file: one error line, status 2, and no
+    # run work, so nothing but the file exists afterwards
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr("sigmaevo.cli._run_subcommand", None)
+    args = ["linear", "--output_dir", str(blocker / "out")]
+    for key, value in FAST_LINEAR.items():
+        args += [f"--{key}", value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: key 'output_dir': ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_runtime_failure_exits_1(tmp_path, monkeypatch):
     # a ValueError raised once the run has started is a failure, not bad input
     def broken_run(*args, **kwargs):

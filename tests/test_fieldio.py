@@ -1,10 +1,13 @@
 import csv
+import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaevo.decay import run_linear
-from sigmaevo.cli import dispatch, parse_config
+from sigmaevo.cli import dispatch, main, parse_config
 from sigmaevo.fieldio import (config_hash, fmt17, load_field, save_field,
                               write_norms_csv, write_sweep_csv)
 from sigmaevo.grid import GridSpec, RealField, build_grid
@@ -126,3 +129,40 @@ def test_config_hash_sensitivity():
     assert effective_hash(dt="0.2") != base
     assert effective_hash(p="4.5") != base
 
+
+def _canonical_text(mapping: dict) -> str:
+    # the rendering config_hash promises, built independently of fmt17
+    def render(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if isinstance(value, (frozenset, set, tuple, list)):
+            return ",".join(sorted(map(str, value)))
+        return str(value)
+
+    return "\n".join(f"{key}={render(mapping[key])}"
+                     for key in sorted(mapping))
+
+
+SCALARS = st.one_of(st.booleans(), st.floats(), st.integers(), st.text())
+COLLECTIONS = st.one_of(st.frozensets(SCALARS), st.sets(SCALARS),
+                        st.tuples(SCALARS, SCALARS), st.lists(SCALARS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), st.one_of(SCALARS, COLLECTIONS)))
+def test_config_hash_is_sha256_of_the_canonical_text(mapping):
+    want = hashlib.sha256(_canonical_text(mapping).encode()).hexdigest()
+    assert config_hash(mapping) == want
+
+
+def test_manifest_config_hash_is_pinned(tmp_path):
+    # the criterion-5 dense config's manifest hash as hashlib wrote it;
+    # the built-in SHA-256 must keep the bits
+    assert main(["admissible", "--N", "16384", "--L", "2000", "--dt", "0.25",
+                 "--t_end", "200", "--snapshot_interval", "0.25",
+                 "--output_dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config_hash"] == (
+        "ac9d763edc04076b4d619876787e2e3d9c71269a0b7981530d4c60cb5e286bec")

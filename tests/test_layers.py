@@ -1,9 +1,11 @@
 """Module layers run one way: no module imports one ranked above it.
 Every exported name exists.  There is one transform path and one
-validation error.  The CLI starts without the slow scipy submodules."""
+validation error.  The CLI starts, and runs in 1-D, without the slow
+scipy submodules and without OpenSSL."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -99,18 +101,27 @@ SLOW_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.special",
 # numpy.polynomial adds 1.4 MiB of memory; duhamel_weight holds its
 # Gauss-Legendre nodes as literals instead.
 UNUSED = SLOW_SCIPY + ("numpy.polynomial",)
+# hashlib loads _hashlib and with it OpenSSL's libcrypto, about 3.4 MiB;
+# config_hash takes CPython's built-in SHA-256 where the interpreter has it.
+if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+    UNUSED += ("hashlib", "_hashlib")
 
 
-def test_cli_starts_without_slow_scipy_modules():
-    # the CLI's import, then the step tables of a toy grid
+def test_cli_starts_without_slow_scipy_modules(tmp_path):
+    # the CLI's import, the step tables of a toy grid, then a toy 1-D
+    # linear and semilinear run
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    toy = ["--N", "64", "--L", "60", "--t_end", "4"]
     code = ("import sys, sigmaevo.cli\n"
             "from sigmaevo import GridSpec, ModelParams, build_grid\n"
             "from sigmaevo.solver import StepTables\n"
             "StepTables(build_grid(GridSpec(1, 16, 6.0)), ModelParams(n=1, "
             "sigma=1.0, alpha=0.5, p=4.0, m=1.0), 0.1, dealias=True)\n"
+            "for sub in ('linear', 'semilinear'):\n"
+            f"    assert sigmaevo.cli.main([sub, *{toy!r}, '--output_dir', "
+            f"{str(tmp_path)!r} + '/' + sub]) == 0\n"
             f"print([m for m in {UNUSED!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)

@@ -673,7 +673,7 @@ def test_concurrent_integrate_callers_keep_their_bits_under_thread_stress():
 
 
 @pytest.mark.parametrize("case", ["normal", "blow-up", "advance", "power"])
-def test_two_thread_steps_leave_no_thread_running(monkeypatch, case):
+def test_concurrent_integrate_leaves_no_thread_running(monkeypatch, case):
     # a run starts no thread, and an error in mid-step reaches the caller
     cfg = small_config(t_end=1.0)
     if case == "blow-up":
