@@ -15,13 +15,15 @@ smoothing symbol times the mask is not zero (Orszag, *J. Atmos. Sci.*
 28, 1971).  The Riesz and Duhamel tables are stored there only, and
 every forcing product and add runs on the band's views of the state.
 
-A step runs in four complex half-spectrum buffers, two band rows and
+A step runs in four complex half-spectrum buffers, one band row and
 one field of real samples (``_StepWork``): the state ``(u, u_t)`` in
-one of two pairs, the new state in the other, and the two forcings.
+one of two pairs, the new state in the other, and the first forcing.
 The step needs ``new_u`` before the second forcing but ``new_u_t`` only
 in the corrector, so ``new_u_t``'s buffer holds the scratch, the
-transforms of both forcings and the prediction first (Cox & Matthews,
-*J. Comput. Phys.* 176, 2002, for the predictor-corrector).
+transforms of both forcings and the prediction first, and the second
+forcing takes the field's memory once its samples are transformed
+(Cox & Matthews, *J. Comput. Phys.* 176, 2002, for the
+predictor-corrector).
 
 Runaway growth is reported as a labeled blow-up signal, never as a
 crash: the model proves nothing about blow-up, so the solver only
@@ -283,24 +285,30 @@ class StepTables(_ForcingTables):
 
 class _StepWork:
     """Work buffers of one stepping run with ``tables``: four complex half
-    tables, two band rows ``forcing`` and one row of real samples
-    ``field``.
+    tables, one complex band row and one row of real samples ``field``.
 
     The state ``(u, u_t)`` lives in one of the two ``pairs`` and each
-    step writes the other (``_etd_step_arrays``); ``forcing`` holds the
-    step's two forcings.  Between steps the pair that does not hold the
-    state holds nothing, and ``squares[i]``, the two float tables of the
-    records' L2 squares, is a view of the memory of ``pairs[i]``'s u.
+    step writes the other (``_etd_step_arrays``).  ``forcing`` holds the
+    step's two forcings ``(f0, f1)``: ``f0`` is the band row and ``f1``
+    a band row on the memory of ``field``, which is allocated to fit
+    both (the band is the whole half spectrum without dealiasing), since
+    the step never needs the samples and ``f1`` at once.  Between steps
+    the pair that does not hold the state holds nothing, and
+    ``squares[i]``, the two float tables of the records' L2 squares, is
+    a view of the memory of ``pairs[i]``'s u.
     """
 
     def __init__(self, tables: _ForcingTables):
-        half = tables.grid.xi_mag.shape
+        half, shape = tables.grid.xi_mag.shape, tables.grid.shape
+        band = tables.riesz_mult.size
         self.pairs = tuple((np.empty(half, complex), np.empty(half, complex))
                            for _ in range(2))
-        # the field before the smaller forcing rows, which would split a
+        # the field before the smaller forcing row, which would split a
         # free block of the heap that the field fits
-        self.field = np.empty((1,) + tables.grid.shape)
-        self.forcing = np.empty((2, tables.riesz_mult.size), complex)
+        floats = np.empty(max(math.prod(shape), 2 * band))
+        self.field = floats[:math.prod(shape)].reshape((1,) + shape)
+        self.forcing = (np.empty(band, complex),
+                        floats[:2 * band].view(complex))
         self.squares = tuple(u.reshape(-1).view(float).reshape((2,) + half)
                              for u, _ in self.pairs)
 
@@ -378,7 +386,8 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
     or whose power overflows, raises ``BlowUpSignal`` with its time and
     step, as if the rows had been taken one by one; within a row a
     non-finite state wins.  ``u_rows`` is overwritten: it holds
-    ``|u|^p`` on return.
+    ``|u|^p`` on return, unless ``out`` shares its memory, which the
+    transform has read by the time ``out`` is written.
     """
     grid, p, a = tables.grid, tables.params.p, u_rows
     if spectrum is None:
@@ -443,9 +452,12 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
     and ``f1`` are the band rows of ``work.forcing``; ``f1``'s row is
     the scratch of the products with ``IK1`` and ``K1``, and outside the
     band those products are zero, so the adds run on the band's views.
-    The corrector forms ``new_ut = dA u + dK1 u_t + K1 favg`` last, with
-    ``u_hat``'s buffer as the scratch of its free flow once ``u`` is
-    read: every step overwrites ``u_hat``.
+    ``f1``'s row is the memory of ``work.field``: each forcing's
+    transform has consumed the samples before the row is written, and
+    ``IK1 f0`` is in the prediction before its inverse transform writes
+    the samples.  The corrector forms ``new_ut = dA u + dK1 u_t + K1
+    favg`` last, with ``u_hat``'s buffer as the scratch of its free flow
+    once ``u`` is read: every step overwrites ``u_hat``.
     """
     new_u, new_ut = out
     tables.flow(0, u_hat, ut_hat, new_u, scratch=new_ut)

@@ -587,6 +587,42 @@ def test_band_step_is_the_full_layout_step_bitwise(spec, p, amplitude,
     assert isinstance(want, tuple) == (amplitude > 1)
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.sampled_from([8, 16, 32, 64, 128][:6 - dim]))),
+       st.booleans(), st.sampled_from([2.5, 3.0]), st.integers(0, 2 ** 32 - 1))
+def test_second_forcing_row_lives_in_the_field(dim_n, dealias, p, seed):
+    # f1's band row is the memory of the field of samples, which is made to
+    # fit it also when the band is the whole half spectrum; it shares none
+    # with the state pairs or f0, and the step keeps the reference's bits
+    dim, n = dim_n
+    spec = GridSpec(dim, n, 20.0)
+    params = ModelParams(n=dim, sigma=1.0, alpha=0.5, p=p, m=1.0)
+    grid = build_grid(spec)
+    tables = StepTables(grid, params, 0.1, dealias)
+    work = _StepWork(tables)
+    f0, f1 = work.forcing
+    memory = work.field.base
+    assert f1.size == f0.size == tables.riesz_mult.size
+    assert np.shares_memory(f1, work.field)
+    lo, hi = np.lib.array_utils.byte_bounds(memory)
+    f1_lo, f1_hi = np.lib.array_utils.byte_bounds(f1)
+    assert lo <= f1_lo and f1_hi <= hi
+    assert not any(np.shares_memory(f1, a)
+                   for a in (f0,) + work.pairs[0] + work.pairs[1])
+    rng = np.random.default_rng(seed)
+    state = [0.5 * (rng.standard_normal(grid.xi_mag.shape)
+                    + 1j * rng.standard_normal(grid.xi_mag.shape))
+             for _ in range(2)]
+    for buf, c in zip(work.pairs[0], state):
+        np.copyto(buf, c)
+    want = np.stack(_full_layout_step(*state, grid, params, 0.1, dealias,
+                                      0.7, 7))
+    got = np.stack(_etd_step_arrays(*work.pairs[0], tables, work, 0.7, 7,
+                                    True, out=work.pairs[1]))
+    assert got.tobytes() == want.tobytes()
+
+
 # --- concurrent callers --------------------------------------------------
 
 THREAD_GRIDS = [(GridSpec(1, 256, 100.0), 0.5),
@@ -620,7 +656,8 @@ def _assert_same_run(a, b):
     (3.0, True, True), (3.0, False, True), (4.0, True, True),
     (4.0, False, True), (2.5, True, True), (2.5, False, True),
     (3.0, True, False)])
-def test_two_thread_steps_keep_the_bits(spec, alpha, p, dealias, nonlinear):
+def test_concurrent_integrate_keeps_the_bits(spec, alpha, p, dealias,
+                                              nonlinear):
     # Two runs at once, on two threads, each keep the bits of a run
     # alone: no step state lives at module level.
     params = ModelParams(n=spec.dim, sigma=1.0, alpha=alpha, p=p, m=1.0)
@@ -716,14 +753,15 @@ def test_integrate_memory_peak_is_its_live_set():
     # A 3-D run holds its tables (xi_mag, A, K1, dA, dK1: 5 float half
     # tables, at sigma = 1 xi_sigma is xi_mag; riesz_mult and IK1 on the
     # band: 2 float band rows), two state pairs (4 complex tables), the
-    # two forcings (2 complex band rows), one field of samples, and at
-    # the peak the two complex temporaries of one irfftn.  The band is
-    # 43 x 43 x 22 of the 64 x 64 x 33 half spectrum.  Measured about
-    # 12 KB above that.  The headroom is half a float table (540 KiB): a
-    # full riesz_mult or IK1 kept beside its band row, a fifth step
-    # buffer (1 complex table), a separate xi_sigma or a stored phase
-    # table (1 float table each), or the data's temporaries alive beside
-    # the step buffers exceed it.
+    # first forcing (1 complex band row), one field of samples, whose
+    # memory the second forcing's band row shares, and at the peak the
+    # two complex temporaries of one irfftn.  The band is 43 x 43 x 22 of
+    # the 64 x 64 x 33 half spectrum.  Measured about 8 KB above that.
+    # The headroom is half a float table (540 KiB): a full riesz_mult or
+    # IK1 kept beside its band row, a second forcing row of its own
+    # (0.62 MiB), a fifth step buffer (1 complex table), a separate
+    # xi_sigma or a stored phase table (1 float table each), or the
+    # data's temporaries alive beside the step buffers exceed it.
     n = 64
     cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
                                           m=1.0),
@@ -739,7 +777,7 @@ def test_integrate_memory_peak_is_its_live_set():
         tracemalloc.stop()
     table = 8 * n * n * (n // 2 + 1)
     band = 8 * (2 * (n // 3) + 1) ** 2 * (n // 3 + 1)
-    live = 5 * table + 2 * band + (4 + 2) * 2 * table + 2 * 2 * band \
+    live = 5 * table + 2 * band + (4 + 2) * 2 * table + 2 * band \
         + 8 * n ** 3
     assert peak <= live + table // 2
 
