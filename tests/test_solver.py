@@ -656,8 +656,7 @@ def _assert_same_run(a, b):
     (3.0, True, True), (3.0, False, True), (4.0, True, True),
     (4.0, False, True), (2.5, True, True), (2.5, False, True),
     (3.0, True, False)])
-def test_concurrent_integrate_keeps_the_bits(spec, alpha, p, dealias,
-                                              nonlinear):
+def test_two_thread_steps_keep_the_bits(spec, alpha, p, dealias, nonlinear):
     # Two runs at once, on two threads, each keep the bits of a run
     # alone: no step state lives at module level.
     params = ModelParams(n=spec.dim, sigma=1.0, alpha=alpha, p=p, m=1.0)
