@@ -3,8 +3,8 @@
 Runs a perfbench CLI workload (``linear-1d``, ``semilinear-1d-dense`` or
 ``semilinear-3d-sparse``; ``picard-1d`` has no subcommand) as fresh
 ``sigmaevo`` processes, alternating between checkout A and checkout B:
-for each repetition and seed, even repetitions run A first and odd ones
-B first, one process at a time.  Each process imports ``sigmaevo`` from
+for each of ``RUNS`` repetitions and each seed in ``SEEDS``, even
+repetitions run A first and odd ones B first, one process at a time.  Each process imports ``sigmaevo`` from
 its checkout's ``src`` and writes into its own output directory.
 
 For each side it prints the medians of the manifest's ``peak_rss_mib``,
@@ -12,8 +12,7 @@ For each side it prints the medians of the manifest's ``peak_rss_mib``,
 of both sides wrote the same ``norms.csv`` and ``verdicts.json`` bytes.
 The last line is one JSON object with the per-run manifest values.
 
-    python3 tools/rss_pairs.py A_DIR B_DIR [--workload W] [--seeds 0 5]
-                               [--runs 2]
+    python3 tools/rss_pairs.py A_DIR B_DIR [--workload W]
 
 The workload's config comes from ``perfbench/workloads.py`` next to this
 script, which is read, never written.  Outputs go to a temporary
@@ -35,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("norms.csv", "verdicts.json")
 MANIFEST_KEYS = ("peak_rss_mib", "minor_faults", "wall_time_s")
+SEEDS = (0, 5)
+RUNS = 2
 RUN_CLI = ("import sys; from sigmaevo.cli import main; "
            "sys.exit(main(sys.argv[1:]))")
 
@@ -64,9 +65,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("a", type=Path, help="first checkout (the parent)")
     parser.add_argument("b", type=Path, help="second checkout (the change)")
     parser.add_argument("--workload", default="semilinear-3d-sparse")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 5])
-    parser.add_argument("--runs", type=int, default=2,
-                        help="repetitions per seed and side")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -77,8 +75,8 @@ def main(argv: list[str]) -> int:
     work = Path(tempfile.mkdtemp(prefix="rss_pairs_"))
     runs = {side: [] for side in sides}
     try:
-        for rep in range(args.runs):
-            for seed in args.seeds:
+        for rep in range(RUNS):
+            for seed in SEEDS:
                 wl = workloads.get(args.workload, seed)
                 config = work / f"{args.workload}-seed{seed}.cfg"
                 config.write_text(workloads.config_text(wl.keys))
@@ -98,7 +96,7 @@ def main(argv: list[str]) -> int:
             f"{key} {value:.6g}" for key, value in medians.items())
             + f" (median of {len(runs[side])}; exit statuses "
             f"{sorted({r['exit_status'] for r in runs[side]})})")
-    for seed in args.seeds:
+    for seed in SEEDS:
         for name in OUTPUTS:
             found = {r["outputs"].get(name) for side in sides
                      for r in runs[side] if r["seed"] == seed}
