@@ -207,21 +207,25 @@ class SpectralField:
 
 
 def _forward_half(grid: Grid, values: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, weigh: bool = True
+                  ) -> np.ndarray:
     """Half-spectrum coefficients of ``values``, written into ``out`` when
     it is given.
 
     ``values`` is one field or a block of fields along one leading row
     axis: each field is one library call (``rfft`` in 1-D, which skips
     the n-d wrapper with the same bits), and the weight is one pass over
-    the block.
+    the block.  With ``weigh=False`` the weight ``cell_volume`` is left
+    to the caller, who multiplies by it first where it reads the
+    coefficients, for the same bits there.
     """
     if out is None:
         out = np.empty(values.shape[:-grid.dim] + grid.xi_mag.shape, complex)
     transform = np.fft.rfft if grid.dim == 1 else np.fft.rfftn
     for row, dest in _fields(grid, values, out):
         transform(row, out=dest)
-    out *= grid.cell_volume
+    if weigh:
+        out *= grid.cell_volume
     return out
 
 

@@ -1,4 +1,5 @@
-"""Fourier-multiplier operators, discrete norms, and a quadrature oracle.
+"""Fourier-multiplier operators, the pointwise power, discrete norms, and
+a quadrature oracle.
 
 The model's fractional Laplacian has the symbol ``|xi|^(2*sigma)``,
 which the propagator turns into per-mode kernels.  Its smoothing
@@ -21,8 +22,8 @@ import math
 
 import numpy as np
 
-from .grid import (RealField, _forward_half, _half_l2_rows, _inverse_half,
-                   _lm_norm)
+from .grid import (RealField, _QUIET, _forward_half, _half_l2_rows,
+                   _inverse_half, _lm_norm)
 
 __all__ = [
     "riesz_multiplier",
@@ -35,6 +36,11 @@ __all__ = [
 
 # Brute-force guard for the direct-quadrature oracle.
 ORACLE_MAX_POINTS = 2 ** 16
+# Floor applied to |u| before ``np.power``, so that |0|^p underflows
+# back to 0 instead of tripping log(0).
+ABS_FLOOR = 1e-300
+# Integer powers p in [2, INT_POWER_MAX] are formed by multiplication.
+INT_POWER_MAX = 8
 
 
 def riesz_multiplier(xi_mag: np.ndarray, alpha: float) -> np.ndarray:
@@ -113,6 +119,63 @@ def riesz_oracle(f: RealField, alpha: float) -> RealField:
     out *= c * weight
     out += c * vals * _self_cell_integral(dim, alpha, h)
     return RealField(grid, out.reshape(grid.shape))
+
+
+def _power_bits(p: float) -> str | None:
+    """The binary digits after the leading one of an integer ``p`` in
+    ``[2, INT_POWER_MAX]``, or None for a ``p`` raised by ``np.power``."""
+    if p == int(p) and 2 <= p <= INT_POWER_MAX:
+        return bin(int(p))[3:]
+    return None
+
+
+def _scalar_power(x: float, bits: str) -> float:
+    """``_floored_power``'s products for an integer power, on one sample.
+
+    The products round monotonically, so for the maximum ``x`` of an
+    array of samples ``>= 0`` this is bitwise the maximum of the
+    array's power.  Python floats overflow to ``inf`` silently.
+    """
+    base = x
+    for bit in bits:
+        x *= x
+        if bit == "1":
+            x *= base
+    return x
+
+
+@_QUIET  # overflow is not an error here; it surfaces as a blow-up signal
+def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
+                   ) -> np.ndarray:
+    """``a <- a ** p`` in place, for samples ``a >= 0``.
+
+    An integer ``p`` in ``[2, INT_POWER_MAX]`` is raised by left-to-right
+    binary powering: a few multiplications instead of one libm ``pow`` per
+    sample, within ``(p - 1) eps`` relative of it.  The base stays in
+    ``a``: the running power is formed in ``scratch`` (a float array of
+    ``a``'s shape) up to the last ``'1'`` bit, whose product with the
+    base goes into ``a``, and the squares after it are taken in ``a``.
+    No pass copies the base, and the products, so the bits, are those of
+    powering in place from a copy of it.  A base below ``ABS_FLOOR``
+    gives ``+0`` there, since its square underflows.  Other ``p`` go
+    through ``np.power`` on ``max(a, ABS_FLOOR)``.
+    """
+    bits = _power_bits(p)
+    if bits is not None:
+        head, one, tail = bits.rpartition("1")
+        if one:
+            np.multiply(a, a, out=scratch)
+            for bit in head:
+                if bit == "1":
+                    scratch *= a
+                scratch *= scratch
+            a *= scratch
+        for _ in tail:
+            a *= a
+    else:
+        np.maximum(a, ABS_FLOOR, out=a)
+        np.power(a, p, out=a)
+    return a
 
 
 def lebesgue_norm(f: RealField, r: float) -> float:

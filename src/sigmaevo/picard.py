@@ -137,8 +137,8 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
     pairs = [(f[:, 0], f[:, 1]) for f in flows]
     parts = [(f[0, 0], f[0, 1], f[1, 0], f[1, 1]) for f in flows]
     scratch = np.empty((2,) + half, complex)
-    matrix = tuple(t.astype(complex)
-                   for t in (tables.A, tables.K1, tables.dA, tables.dK1))
+    matrix = tuple(t.astype(complex) for t in (
+        tables.K1 + tables.decay, tables.K1, tables.dA, tables.dK1))
     # one chunk of real samples; the L2 squares take the same memory
     real = np.empty(2 * chunk * grid.xi_mag.size)
     samples = real[:chunk * math.prod(grid.shape)].reshape(

@@ -15,9 +15,12 @@ smoothing symbol times the mask is not zero (Orszag, *J. Atmos. Sci.*
 28, 1971).  The Riesz and Duhamel tables are stored there only, and
 every forcing product and add runs on the band's views of the state.
 
-A step runs in four complex half-spectrum buffers, one band row and
-one field of real samples (``_StepWork``): the state ``(u, u_t)`` in
-one of two pairs, the new state in the other, and the first forcing.
+The kernel matrix is stored as three float tables, ``K1``, ``dA`` and
+``dK1`` (``StepTables``): ``A = K1 + exp(-dt)`` is formed in the step's
+scratch just before its product.  A step runs in four complex
+half-spectrum buffers, one band row and one field of real samples
+(``_StepWork``): the state ``(u, u_t)`` in one of two pairs, the new
+state in the other, and the first forcing.
 The step needs ``new_u`` before the second forcing but ``new_u_t`` only
 in the corrector, so ``new_u_t``'s buffer holds the scratch, the
 transforms of both forcings and the prediction first, and the second
@@ -43,8 +46,9 @@ from .grid import (Grid, GridSpec, RealField, SpectralField, build_grid,
                    _QUIET, _chunk_rows, _forward_half,
                    _half_l2_rows, _inverse_half, _lm_norm)
 from .params import ModelParams, ValidationError
-from .propagator import decay_exponent, duhamel_weight, kernel_arrays
-from .operators import riesz_multiplier
+from .propagator import decay_exponent, duhamel_weight, velocity_kernels
+from .operators import (ABS_FLOOR, INT_POWER_MAX, riesz_multiplier,
+                        _floored_power, _power_bits, _scalar_power)
 
 __all__ = [
     "SolverConfig",
@@ -64,11 +68,6 @@ __all__ = [
 
 # Growth factor over the initial data norms that triggers the blow-up label.
 BLOWUP_FACTOR = 1e6
-# Floor applied to |u| before ``np.power``, so that |0|^p underflows
-# back to 0 instead of tripping log(0).
-ABS_FLOOR = 1e-300
-# Integer powers p in [2, INT_POWER_MAX] are formed by multiplication.
-INT_POWER_MAX = 8
 
 
 class BlowUpSignal(Exception):
@@ -234,11 +233,15 @@ class _ForcingTables:
 
 
 class StepTables(_ForcingTables):
-    """Per-mode half-spectrum tables of one time step ``dt``; the Duhamel
-    weight ``IK1`` is kept on the band only, as a band row.
+    """Per-mode half-spectrum tables of one time step ``dt``: three float
+    tables ``K1``, ``dA`` and ``dK1`` of the kernel matrix, and the
+    Duhamel weight ``IK1`` on the band only, as a band row.
 
-    They hold no work buffers: each loop that steps or records owns
-    its own (``_StepWork`` for ``integrate``).
+    ``A = K1 + decay``, ``decay = exp(-dt)``, is not stored: ``flow``
+    forms it in its scratch, with the bits of ``kernel_arrays``' ``A``.
+    ``dA = -k K1`` is formed in the memory of ``k``.  The tables hold no
+    work buffers: each loop that steps or records owns its own
+    (``_StepWork`` for ``integrate``).
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float,
@@ -248,7 +251,9 @@ class StepTables(_ForcingTables):
         # the band row first: the full weight's freed memory then takes
         # the kernel tables instead of leaving a hole in the heap
         self.IK1 = self.band_row(duhamel_weight(k, dt))
-        self.A, self.K1, self.dA, self.dK1 = kernel_arrays(k, dt)
+        self.K1, self.dK1 = next(velocity_kernels(k, (dt,)))
+        self.dA = np.multiply(np.negative(k, out=k), self.K1, out=k)  # -k K1
+        self.decay = np.exp(-dt)
         # x ** 1.0 is x: at sigma = 1 the table is xi_mag itself
         self.xi_sigma = (grid.xi_mag if params.sigma == 1.0
                          else grid.xi_mag ** params.sigma)
@@ -262,9 +267,10 @@ class StepTables(_ForcingTables):
         at a time (``flow``).
 
         Leading axes of the inputs index rows that all advance at once;
-        ``scratch`` is a complex array of the inputs' shape.  ``matrix``
-        stands in for ``(A, K1, dA, dK1)``: complex copies give the same
-        bits without numpy casting each float table in every product.
+        ``scratch`` is a complex array of the inputs' shape, and no
+        input's.  ``matrix`` stands in for ``(A, K1, dA, dK1)``: complex
+        copies give the same bits without numpy casting each float table
+        in every product.
         """
         new_u, new_ut = out
         self.flow(0, u_hat, ut_hat, new_u, scratch, matrix)
@@ -276,10 +282,20 @@ class StepTables(_ForcingTables):
              matrix: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
         """Row ``row`` of the free flow: ``out <- A u + K1 u_t`` (row 0)
         or ``dA u + dK1 u_t`` (row 1) per mode, the second product formed
-        in ``scratch``, which may be ``u_hat`` itself."""
-        table = matrix or (self.A, self.K1, self.dA, self.dK1)
-        np.multiply(table[2 * row], u_hat, out=out)
-        out += np.multiply(table[2 * row + 1], ut_hat, out=scratch)
+        in ``scratch`` (a contiguous complex array).
+
+        Without ``matrix``, row 0 first forms ``A`` in the float memory
+        of ``scratch``, which the second product overwrites once ``A u``
+        is formed; so row 0's ``scratch`` is no input, while row 1's may
+        be ``u_hat`` itself.
+        """
+        first, second = (matrix or (None, self.K1, self.dA, self.dK1))[
+            2 * row:2 * row + 2]
+        if first is None:  # A, formed in the float memory of scratch
+            first = np.add(second, self.decay, out=scratch.reshape(-1).view(
+                float)[:second.size].reshape(second.shape))
+        np.multiply(first, u_hat, out=out)
+        out += np.multiply(second, ut_hat, out=scratch)
         return out
 
 
@@ -313,55 +329,6 @@ class _StepWork:
                              for u, _ in self.pairs)
 
 
-def _power_bits(p: float) -> str | None:
-    """The binary digits after the leading one of an integer ``p`` in
-    ``[2, INT_POWER_MAX]``, or None for a ``p`` raised by ``np.power``."""
-    if p == int(p) and 2 <= p <= INT_POWER_MAX:
-        return bin(int(p))[3:]
-    return None
-
-
-def _scalar_power(x: float, bits: str) -> float:
-    """``_floored_power``'s products for an integer power, on one sample.
-
-    The products round monotonically, so for the maximum ``x`` of an
-    array of samples ``>= 0`` this is bitwise the maximum of the
-    array's power.  Python floats overflow to ``inf`` silently.
-    """
-    base = x
-    for bit in bits:
-        x *= x
-        if bit == "1":
-            x *= base
-    return x
-
-
-@_QUIET  # overflow is not an error here; it surfaces as a blow-up signal
-def _floored_power(a: np.ndarray, p: float, scratch: np.ndarray
-                   ) -> np.ndarray:
-    """``a <- a ** p`` in place, for samples ``a >= 0``.
-
-    An integer ``p`` in ``[2, INT_POWER_MAX]`` is raised by left-to-right
-    binary powering, with the base kept in ``scratch`` (a float array of
-    ``a``'s shape): a few multiplications instead of one libm ``pow`` per
-    sample, within ``(p - 1) eps`` relative of it.  A base below
-    ``ABS_FLOOR`` gives ``+0`` there, since its square underflows.  Other
-    ``p`` go through ``np.power`` on ``max(a, ABS_FLOOR)``.
-    """
-    bits = _power_bits(p)
-    if bits is not None:
-        if "1" in bits:
-            np.copyto(scratch, a)
-        for bit in bits:
-            a *= a
-            if bit == "1":
-                a *= scratch
-    else:
-        np.maximum(a, ABS_FLOOR, out=a)
-        np.power(a, p, out=a)
-    return a
-
-
 def _finite_rows(a: np.ndarray, peak: float) -> int:
     """Number of leading rows of ``a`` whose samples are all finite,
     given the maximum ``peak`` of ``a``."""
@@ -380,8 +347,11 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
 
     The power is formed with the float memory of ``spectrum`` (a
     contiguous ``(k,) + half`` complex array) as its scratch, and its
-    transform is written into ``spectrum``; the smoothing symbol then
-    takes the band of it into ``out``.  Row ``j`` is the state at
+    transform is written into ``spectrum`` without the quadrature weight
+    ``cell_volume``.  Only the band is read: ``(x * cell_volume) *
+    riesz_mult`` goes into ``out``, with the bits of the weighted
+    transform times the symbol, and no pass weighs the modes outside the
+    band.  Row ``j`` is the state at
     ``times[j]``, step ``step + j``.  The first row that is not finite,
     or whose power overflows, raises ``BlowUpSignal`` with its time and
     step, as if the rows had been taken one by one; within a row a
@@ -412,14 +382,15 @@ def _nonlinearity_hat(u_rows: np.ndarray, tables: _ForcingTables,
         reason = ("non-finite state in nonlinearity" if n_power == n_state
                   else "overflow in pointwise power")
         raise BlowUpSignal(times[n_power], step + n_power, reason)
-    f_hat = _forward_half(grid, a, out=spectrum)
+    f_hat = _forward_half(grid, a, out=spectrum, weigh=False)
     # row by row: broadcast over the whole block, numpy would copy the
     # table into a temporary of the block's size
     for src, mult, dest in zip(tables.blocks(f_hat),
                                tables.band_views(tables.riesz_mult),
                                tables.band_views(out)):
         for src_row, dest_row in zip(src, dest):
-            np.multiply(src_row, mult, out=dest_row)
+            np.multiply(src_row, grid.cell_volume, out=dest_row)
+            dest_row *= mult
     return out
 
 
@@ -447,7 +418,8 @@ def _etd_step_arrays(u_hat: np.ndarray, ut_hat: np.ndarray,
     temporary is a buffer of ``work`` or of ``out``, so a blow-up signal
     in mid-step leaves the inputs as the last completed state.  The
     free flow of ``u`` goes into ``new_u``.  ``new_ut``'s buffer is the
-    scratch of that flow, takes the transform of each forcing and holds
+    scratch of that flow (``A``, then ``K1 u_t``: ``StepTables.flow``),
+    takes the transform of each forcing and holds
     the prediction until it is transformed back.  The forcings ``f0``
     and ``f1`` are the band rows of ``work.forcing``; ``f1``'s row is
     the scratch of the products with ``IK1`` and ``K1``, and outside the

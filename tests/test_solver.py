@@ -286,6 +286,31 @@ def test_integer_power_overflow_is_silent_inf(p):
     assert a[0] == np.inf and a[1] == 1.0
 
 
+def _base_copy_power(a, bits):
+    """Left-to-right binary powering in ``a`` from a copy of the base."""
+    base = a.copy()
+    for bit in bits:
+        a *= a
+        if bit == "1":
+            a *= base
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, INT_POWER_MAX),
+       hnp.arrays(np.float64, st.integers(1, 32), elements=st.one_of(
+           st.just(0.0), st.floats(5e-324, 2.2e-308),
+           st.floats(0.0, 1e300))))
+def test_power_without_a_base_copy_is_the_base_copy_power_bitwise(p, x):
+    # the running power kept in scratch up to the last '1' bit has the
+    # products of powering in place from a copy of the base: zeros,
+    # subnormals and bases whose power overflows to inf included
+    got = _floored_power(x.copy(), float(p), np.empty_like(x))
+    with np.errstate(over="ignore", under="ignore"):
+        want = _base_copy_power(x.copy(), _power_bits(float(p)))
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.integers(2, INT_POWER_MAX), st.floats(-200, 150),
        hnp.arrays(np.float64, st.integers(1, 64),
@@ -564,6 +589,10 @@ def _full_layout_step(u_hat, ut_hat, grid, params, dt, dealias, t, step):
     (GridSpec(2, 16, 20.0), 3.0, 0.5),
     (GridSpec(3, 16, 20.0), 3.0, 0.5),
     (GridSpec(3, 8, 20.0), 4.0, 1e80),    # the power overflows
+    (GridSpec(1, 64, 20.0), 5.0, 0.5),    # power bits '01'
+    (GridSpec(1, 64, 20.0), 7.0, 0.5),    # power bits '11'
+    (GridSpec(3, 16, 20.0), 5.0, 0.5),
+    (GridSpec(3, 16, 20.0), 7.0, 0.5),
 ])
 @pytest.mark.parametrize("dealias", [True, False])
 def test_band_step_is_the_full_layout_step_bitwise(spec, p, amplitude,
@@ -639,12 +668,26 @@ def _assert_same_run(a, b):
         == (b.blew_up, b.blowup_time, b.blowup_step, b.blowup_reason)
 
 
-@pytest.mark.parametrize("spec, alpha", THREAD_GRIDS)
-@pytest.mark.parametrize("p, dealias, nonlinear", [
+CONCURRENT_RUNS = pytest.mark.parametrize("p, dealias, nonlinear", [
     (3.0, True, True), (3.0, False, True), (4.0, True, True),
     (4.0, False, True), (2.5, True, True), (2.5, False, True),
     (3.0, True, False)])
+
+
+@pytest.mark.parametrize("spec, alpha", THREAD_GRIDS[:2])
+@CONCURRENT_RUNS
 def test_two_thread_steps_keep_the_bits(spec, alpha, p, dealias, nonlinear):
+    _assert_concurrent_run_keeps_the_bits(spec, alpha, p, dealias, nonlinear)
+
+
+@pytest.mark.parametrize("spec, alpha", THREAD_GRIDS[2:])
+@CONCURRENT_RUNS
+def test_concurrent_integrate_keeps_the_bits(spec, alpha, p, dealias,
+                                             nonlinear):
+    _assert_concurrent_run_keeps_the_bits(spec, alpha, p, dealias, nonlinear)
+
+
+def _assert_concurrent_run_keeps_the_bits(spec, alpha, p, dealias, nonlinear):
     # Two runs at once, on two threads, each keep the bits of a run
     # alone: no step state lives at module level.
     params = ModelParams(n=spec.dim, sigma=1.0, alpha=alpha, p=p, m=1.0)
@@ -737,18 +780,19 @@ def test_integrate_transform_count(monkeypatch):
 
 
 def test_integrate_memory_peak_is_its_live_set():
-    # A 3-D run holds its tables (xi_mag, A, K1, dA, dK1: 5 float half
-    # tables, at sigma = 1 xi_sigma is xi_mag; riesz_mult and IK1 on the
-    # band: 2 float band rows), two state pairs (4 complex tables), the
-    # first forcing (1 complex band row), one field of samples, whose
-    # memory the second forcing's band row shares, and at the peak the
-    # two complex temporaries of one irfftn.  The band is 43 x 43 x 22 of
-    # the 64 x 64 x 33 half spectrum.  Measured about 8 KB above that.
-    # The headroom is half a float table (540 KiB): a full riesz_mult or
-    # IK1 kept beside its band row, a second forcing row of its own
-    # (0.62 MiB), a fifth step buffer (1 complex table), a separate
-    # xi_sigma or a stored phase table (1 float table each), or the
-    # data's temporaries alive beside the step buffers exceed it.
+    # A 3-D run holds its tables (xi_mag, K1, dA, dK1: 4 float half
+    # tables, at sigma = 1 xi_sigma is xi_mag, and A is formed in the
+    # step's scratch; riesz_mult and IK1 on the band: 2 float band rows),
+    # two state pairs (4 complex tables), the first forcing (1 complex
+    # band row), one field of samples, whose memory the second forcing's
+    # band row shares, and at the peak the two complex temporaries of one
+    # irfftn.  The band is 43 x 43 x 22 of the 64 x 64 x 33 half spectrum.
+    # Measured about 8 KB above that (20,708,354 B).  The headroom is half
+    # a float table (540 KiB): a stored A, a full riesz_mult or IK1 kept
+    # beside its band row, a second forcing row of its own (0.62 MiB), a
+    # fifth step buffer (1 complex table), a separate xi_sigma or a
+    # stored phase table (1 float table each), or the data's temporaries
+    # alive beside the step buffers exceed it.
     n = 64
     cfg = SolverConfig(params=ModelParams(n=3, sigma=1.0, alpha=1.0, p=3.0,
                                           m=1.0),
@@ -764,7 +808,7 @@ def test_integrate_memory_peak_is_its_live_set():
         tracemalloc.stop()
     table = 8 * n * n * (n // 2 + 1)
     band = 8 * (2 * (n // 3) + 1) ** 2 * (n // 3 + 1)
-    live = 5 * table + 2 * band + (4 + 2) * 2 * table + 2 * band \
+    live = 4 * table + 2 * band + (4 + 2) * 2 * table + 2 * band \
         + 8 * n ** 3
     assert peak <= live + table // 2
 
