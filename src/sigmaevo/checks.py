@@ -45,6 +45,13 @@ KERNEL_T_GRID = (0.1, 1.0, 10.0)
 
 KERNEL_TOL = 1e-8
 RIESZ_TOL = 0.02
+# local tolerances of the adaptive integration of the mode ODE
+ODE_RTOL = 1e-12
+ODE_ATOL = 1e-20
+# the Riesz oracle's 1-D box and lattice, and the orders it checks
+RIESZ_BOX_LENGTH = 200.0
+RIESZ_POINTS = 4096
+RIESZ_ALPHAS = (0.25, 0.5, 0.75)
 
 # Grids and steps of the integrate-vs-Picard check, and for each
 # (dimension, power p) the bound on the gap at each step and on its
@@ -59,10 +66,10 @@ PICARD_MIN_ORDER = 1.8
 PICARD_ITERATIONS = 8
 
 
-def _ode_kernels(k: float, times, rtol: float = 1e-12,
-                 atol: float = 1e-20) -> list[tuple[float, ...]]:
+def _ode_kernels(k: float, times) -> list[tuple[float, ...]]:
     """Kernels ``(A, K1, dA, dK1)`` at each of the sorted ``times`` from
-    one adaptive integration of the mode ODE.
+    one adaptive integration of the mode ODE, at local tolerances
+    ``ODE_RTOL`` and ``ODE_ATOL``.
 
     The ODE is autonomous, so each segment restarts from the end state
     of the one before.  A stiff method takes over for large k, where the
@@ -90,7 +97,7 @@ def _ode_kernels(k: float, times, rtol: float = 1e-12,
         if t < start:
             raise ValueError(f"times must be sorted; got {tuple(times)}")
         if t > start:
-            sol = solve_ivp(rhs, (start, t), y, rtol=rtol, atol=atol,
+            sol = solve_ivp(rhs, (start, t), y, rtol=ODE_RTOL, atol=ODE_ATOL,
                             dense_output=False, **options)
             if not sol.success:
                 raise RuntimeError(
@@ -101,19 +108,19 @@ def _ode_kernels(k: float, times, rtol: float = 1e-12,
     return found
 
 
-def ode_oracle(k: float, t: float, rtol: float = 1e-12,
-               atol: float = 1e-20) -> tuple[float, ...]:
+def ode_oracle(k: float, t: float) -> tuple[float, ...]:
     """Independent kernels ``(A, K1, dA, dK1)`` from adaptive integration
     of the mode ODE.
 
     Integrates both initial-condition columns of ``v'' + (1+k)v' + kv = 0``
-    up to ``t <= 100`` with local tolerance ``1e-12``.
+    up to ``t <= 100`` with local tolerances ``ODE_RTOL`` (1e-12) and
+    ``ODE_ATOL`` (1e-20).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative; got {k}")
     if not 0 <= t <= 100:
         raise ValueError(f"t must lie in [0, 100]; got {t}")
-    return _ode_kernels(k, (t,), rtol, atol)[0]
+    return _ode_kernels(k, (t,))[0]
 
 
 def integral_inequality_check(a: float, b: float, t_grid) -> float:
@@ -168,11 +175,12 @@ def kernel_oracle_suite() -> dict:
             "tol": KERNEL_TOL, "passed": bool(worst <= KERNEL_TOL)}
 
 
-def riesz_cross_check(alpha: float, box_length: float = 200.0,
-                      points: int = 4096) -> float:
+def riesz_cross_check(alpha: float) -> float:
     """Relative L2 gap between the multiplier and quadrature routes.
 
-    Both routes see the same unit-mass Gaussian.  The comparison is
+    Both routes see the same unit-mass Gaussian, sampled at
+    ``RIESZ_POINTS`` (4096) points of the 1-D box of side
+    ``RIESZ_BOX_LENGTH`` (200).  The comparison is
     restricted to the central half-box, where periodic truncation of
     the slowly decaying kernel is mild, and it quotients out the
     additive constant on which the two regularizations legitimately
@@ -182,8 +190,8 @@ def riesz_cross_check(alpha: float, box_length: float = 200.0,
     The restricted outputs therefore have their means removed before
     the relative L2 error is taken.
     """
-    grid = build_grid(GridSpec(dim=1, points_per_axis=points,
-                               box_length=box_length))
+    grid = build_grid(GridSpec(dim=1, points_per_axis=RIESZ_POINTS,
+                               box_length=RIESZ_BOX_LENGTH))
     x = grid.coords[0]
     values = np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
     f = RealField(grid, values)
@@ -191,7 +199,7 @@ def riesz_cross_check(alpha: float, box_length: float = 200.0,
     via_multiplier = riesz_potential(f, alpha).values
     via_quadrature = riesz_oracle(f, alpha).values
 
-    central = np.abs(x) <= box_length / 4.0
+    central = np.abs(x) <= RIESZ_BOX_LENGTH / 4.0
     a = via_multiplier[central]
     b = via_quadrature[central]
     a = a - np.mean(a)
@@ -199,9 +207,10 @@ def riesz_cross_check(alpha: float, box_length: float = 200.0,
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def riesz_oracle_suite(alphas=(0.25, 0.5, 0.75)) -> dict:
-    """Cross-validate the smoothing operator for several orders."""
-    errors = {alpha: riesz_cross_check(alpha) for alpha in alphas}
+def riesz_oracle_suite() -> dict:
+    """Cross-validate the smoothing operator at each order of
+    ``RIESZ_ALPHAS``."""
+    errors = {alpha: riesz_cross_check(alpha) for alpha in RIESZ_ALPHAS}
     worst = max(errors.values())
     return {"errors": errors, "max_rel_error": worst,
             "tol": RIESZ_TOL, "passed": worst <= RIESZ_TOL}

@@ -46,11 +46,11 @@ def _noise_bandlimited(grid: Grid, seed: int) -> np.ndarray:
     return np.divide(field, peak if peak > 0 else 1.0, out=field)
 
 
-def _spectral_tail(grid: Grid, n: int, m: float) -> np.ndarray:
+def _spectral_tail(grid: Grid, m: float) -> np.ndarray:
     # Data saturating the L^m estimates: transform ~ |xi|^(-n(1-1/m)) at the
     # origin (floored at the first nonzero mode), with a smooth taper; the
     # lattice phase centres it at x = 0.
-    gam = n * (1.0 - 1.0 / m)
+    gam = grid.dim * (1.0 - 1.0 / m)
     xi_floor = 2.0 * np.pi / grid.box_length
     xi = grid.xi_mag
     q = np.maximum(xi, xi_floor)
@@ -75,15 +75,16 @@ def _dipole(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _inverse_half(grid, coeffs * (-2j * sine).reshape(shape))
 
 
-def make_profile(grid: Grid, profile: str, amplitude: float,
-                 seed: int = 0, mean_zero: bool = False,
-                 n: int | None = None, m: float | None = None) -> RealField:
+def make_profile(grid: Grid, profile: str, amplitude: float, *, seed: int,
+                 mean_zero: bool, m: float) -> RealField:
     """Build an initial-velocity field on ``grid``.
 
     ``gaussian`` and ``bump`` peak at ``amplitude``;
     ``noise_bandlimited`` is seeded noise restricted to modes
     ``|j| <= N/8`` with unit peak; ``spectral_tail`` has unit L2 norm
-    and a transform tailored to the integrability exponent ``m``.
+    and a transform tailored to the integrability exponent ``m`` in
+    dimension ``grid.dim``.  ``mean_zero`` takes the dipole of the
+    profile.
     """
     if profile == "gaussian":
         values = _gaussian(grid)
@@ -92,9 +93,7 @@ def make_profile(grid: Grid, profile: str, amplitude: float,
     elif profile == "noise_bandlimited":
         values = _noise_bandlimited(grid, seed)
     elif profile == "spectral_tail":
-        if n is None or m is None:
-            raise ValueError("spectral_tail profile needs n and m")
-        values = _spectral_tail(grid, n, m)
+        values = _spectral_tail(grid, m)
     else:
         raise ValueError(f"unknown data profile '{profile}'")
     if mean_zero:

@@ -34,11 +34,12 @@ Conventions used throughout the package:
   (``__wrapped__``).  ``_half_energy`` tabulates the
   mode energies of a field once, so that the norm of ``K * field`` for
   a real multiplier ``K`` costs one weighted sum (``_multiplier_l2``).
-* ``full_from_half`` gives the full ``N^dim`` layout times the phase,
-  whose coefficients approximate the continuum integral
-  ``F(xi) = int f(x) exp(-i xi.x) dx`` over the box.  Coefficients built
-  in spectral space (the ``spectral_tail`` profile) carry the phase,
-  which centres them at ``x = 0``.
+* Half-spectrum coefficients times ``Grid.phase`` approximate the
+  continuum integral ``F(xi) = int f(x) exp(-i xi.x) dx`` over the box;
+  the tests' ``full_layout.full_from_half`` fills the full ``N^dim``
+  layout from them.  Coefficients built in spectral space (the
+  ``spectral_tail`` profile) carry the phase, which centres them at
+  ``x = 0``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "build_grid",
     "transform_forward",
     "transform_inverse",
-    "full_from_half",
 ]
 
 # Bytes of complex coefficients per chunk of rows in the row-wise norms.
@@ -407,17 +407,6 @@ def _lm_norm(grid: Grid, values: np.ndarray, m: float,
     for i in np.flatnonzero(plain):
         norms[i] = totals[i] ** (1.0 / m)
     return norms
-
-
-def full_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full ``N^dim`` spectrum times the lattice phase, columns ``j > N/2``
-    filled by conjugate symmetry ``F(-j) = conj(F(j))``; its entries
-    approximate the continuum integrals."""
-    phased = half * grid.phase
-    axes = tuple(range(grid.dim - 1))  # index i -> -i mod N on these
-    # (-1)^j is even in j, so the mirrored columns carry their own phase
-    mirror = np.roll(np.flip(phased[..., -2:0:-1], axes), 1, axes)
-    return np.concatenate([phased, np.conj(mirror)], axis=-1)
 
 
 def transform_forward(f: RealField) -> SpectralField:

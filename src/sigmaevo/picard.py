@@ -41,11 +41,12 @@ recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
    and spread onto its ``u`` rows, zero outside the band, where they
    stay until phase 2 writes ``u_i`` over them.
 2. Recurrence, per snapshot.  ``F`` and ``S`` are the two rows of one
-   ``(2, 2) + half`` buffer per parity, so one ``M(dt)`` advance moves
-   both; two adds write the snapshot's ``u_t`` and ``u``.  The advance
-   multiplies by complex copies of the tables of ``M(dt)``, made once
-   per call: the products have the bits of the float tables, which
-   numpy would cast to complex in every product.
+   ``(2, 2) + half`` buffer per parity, so one ``M(dt)`` advance (a
+   ``StepTables.flow`` call per row of ``M``) moves both; two adds
+   write the snapshot's ``u_t`` and ``u``.  The advance multiplies by
+   complex copies of the tables of ``M(dt)``, made once per call: the
+   products have the bits of the float tables, which numpy would cast
+   to complex in every product.
 3. Norm rows.  The new ``u`` rows go back into the real block for one
    ``L^m`` pass (``grid._lm_norm`` on rows); the L2-type norms are row
    sums (``grid._half_l2_rows``) whose squares take the real block's
@@ -163,8 +164,8 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
         for i, g_i in enumerate(g, lo):
             f_u, f_ut, s_u, s_ut = parts[i % 2]
             if i > 0:
-                tables.advance(*pairs[1 - i % 2], out=pairs[i % 2],
-                               scratch=scratch, matrix=matrix)
+                for row, out in enumerate(pairs[i % 2]):
+                    tables.flow(row, *pairs[1 - i % 2], out, scratch, matrix)
                 s_ut += g_i
             np.add(f_ut, s_ut, out=block[1, i])
             s_ut += g_i

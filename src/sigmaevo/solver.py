@@ -148,7 +148,7 @@ def make_data(config: SolverConfig, grid: Grid | None = None) -> RealField:
         grid = build_grid(config.grid)
     return make_profile(grid, config.data_profile, config.data_amplitude,
                         seed=config.seed, mean_zero=config.mean_zero,
-                        n=config.params.n, m=config.params.m)
+                        m=config.params.m)
 
 
 def _data_hat(config: SolverConfig, grid: Grid) -> np.ndarray:
@@ -258,36 +258,21 @@ class StepTables(_ForcingTables):
         self.xi_sigma = (grid.xi_mag if params.sigma == 1.0
                          else grid.xi_mag ** params.sigma)
 
-    def advance(self, u_hat: np.ndarray, ut_hat: np.ndarray,
-                out: tuple[np.ndarray, np.ndarray], scratch: np.ndarray,
-                matrix: tuple[np.ndarray, ...] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Free flow over one step: ``M(dt) (u, u_t)`` per mode, written
-        into the pair ``out`` (not the input's arrays), one row of ``M``
-        at a time (``flow``).
-
-        Leading axes of the inputs index rows that all advance at once;
-        ``scratch`` is a complex array of the inputs' shape, and no
-        input's.  ``matrix`` stands in for ``(A, K1, dA, dK1)``: complex
-        copies give the same bits without numpy casting each float table
-        in every product.
-        """
-        new_u, new_ut = out
-        self.flow(0, u_hat, ut_hat, new_u, scratch, matrix)
-        self.flow(1, u_hat, ut_hat, new_ut, scratch, matrix)
-        return new_u, new_ut
-
     def flow(self, row: int, u_hat: np.ndarray, ut_hat: np.ndarray,
              out: np.ndarray, scratch: np.ndarray,
              matrix: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-        """Row ``row`` of the free flow: ``out <- A u + K1 u_t`` (row 0)
-        or ``dA u + dK1 u_t`` (row 1) per mode, the second product formed
-        in ``scratch`` (a contiguous complex array).
+        """Row ``row`` of the free flow over one step, ``M(dt) (u, u_t)``:
+        ``out <- A u + K1 u_t`` (row 0) or ``dA u + dK1 u_t`` (row 1) per
+        mode, the second product formed in ``scratch`` (a contiguous
+        complex array of the inputs' shape).  Leading axes of the inputs
+        index rows that all advance at once.
 
         Without ``matrix``, row 0 first forms ``A`` in the float memory
         of ``scratch``, which the second product overwrites once ``A u``
         is formed; so row 0's ``scratch`` is no input, while row 1's may
-        be ``u_hat`` itself.
+        be ``u_hat`` itself.  ``matrix`` stands in for
+        ``(A, K1, dA, dK1)``: complex copies give the same bits without
+        numpy casting each float table in every product.
         """
         first, second = (matrix or (None, self.K1, self.dA, self.dK1))[
             2 * row:2 * row + 2]

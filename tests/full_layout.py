@@ -5,7 +5,9 @@ Coefficients of all ``N^dim`` wavevectors, computed by ``numpy.fft.fftn``
 with the quadrature weight and the lattice phase ``(-1)^(j_1+...+j_dim)``
 on both sides of a round trip, so that they approximate the continuum
 integrals.  The package itself keeps only the half spectrum;
-``sigmaevo.grid.full_from_half`` maps it onto this layout.
+``full_from_half`` maps it onto this layout by conjugate symmetry.  No
+run needs the full layout, so the map lives here, next to the reference
+it is tested against.
 
 ``parseval_reference`` and ``l1_reference`` are the plain ``np.sum``
 formulas of the half-spectrum Parseval sum and the ``L^1`` norm, written
@@ -27,6 +29,17 @@ def full_xi_mag(grid):
     """``|xi|`` on the full layout."""
     mags = np.meshgrid(*grid.wavenumbers, indexing="ij")
     return np.sqrt(sum(m * m for m in mags))
+
+
+def full_from_half(grid, half):
+    """Full ``N^dim`` spectrum times the lattice phase, columns ``j > N/2``
+    filled by conjugate symmetry ``F(-j) = conj(F(j))``; its entries
+    approximate the continuum integrals."""
+    phased = half * grid.phase
+    axes = tuple(range(grid.dim - 1))  # index i -> -i mod N on these
+    # (-1)^j is even in j, so the mirrored columns carry their own phase
+    mirror = np.roll(np.flip(phased[..., -2:0:-1], axes), 1, axes)
+    return np.concatenate([phased, np.conj(mirror)], axis=-1)
 
 
 def full_forward(grid, values):

@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from sigmaevo.checks import (integral_inequality_check, kernel_oracle_suite,
-                             riesz_cross_check)
+from sigmaevo.checks import (RIESZ_ALPHAS, integral_inequality_check,
+                             kernel_oracle_suite, riesz_cross_check)
 from sigmaevo.decay import check_rate, fit_decay, run_linear
-from sigmaevo.grid import GridSpec, RealField, build_grid, full_from_half
+from sigmaevo.grid import GridSpec, RealField, build_grid
 from sigmaevo.operators import lebesgue_norm, sobolev_seminorm
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import picard_apply
@@ -19,7 +19,7 @@ from sigmaevo.solver import (SolverConfig, integrate, make_data, xt_distance,
                              xt_norm, zero_trajectory)
 from sigmaevo.theory import admissibility, critical_exponent, gn_theta
 
-from full_layout import full_inverse
+from full_layout import full_from_half, full_inverse
 
 REFERENCE = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -93,7 +93,7 @@ def test_criterion_3_l2_boundedness(linear_reference_series):
 
 def test_criterion_4_riesz_cross_validation():
     start = time.perf_counter()
-    errors = {alpha: riesz_cross_check(alpha) for alpha in (0.25, 0.5, 0.75)}
+    errors = {alpha: riesz_cross_check(alpha) for alpha in RIESZ_ALPHAS}
     elapsed = time.perf_counter() - start
     ok = max(errors.values()) <= 0.02 and elapsed < 30.0
     report(4, ok,

@@ -56,7 +56,7 @@ def _reference_profile(grid, profile, seed, mean_zero, n, m):
 def test_profiles_match_full_layout_reference(dim, points, mean_zero, profile):
     grid = build_grid(GridSpec(dim, points, 30.0))
     got = make_profile(grid, profile, 1.0, seed=7, mean_zero=mean_zero,
-                       n=dim, m=1.5).values
+                       m=1.5).values
     ref = _reference_profile(grid, profile, 7, mean_zero, dim, 1.5)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

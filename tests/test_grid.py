@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sigmaevo.grid import (GridSpec, RealField, SpectralField, build_grid,
-                           full_from_half, transform_forward,
-                           transform_inverse, _forward_half, _half_energy,
-                           _half_l2_rows, _inverse_half, _lm_norm,
-                           _multiplier_l2, _parseval_sum)
+                           transform_forward, transform_inverse,
+                           _forward_half, _half_energy, _half_l2_rows,
+                           _inverse_half, _lm_norm, _multiplier_l2,
+                           _parseval_sum)
 
-from full_layout import (field_from_function, full_forward, full_phase,
-                         full_xi_mag, l1_reference, parseval_reference)
+from full_layout import (field_from_function, full_forward, full_from_half,
+                         full_phase, full_xi_mag, l1_reference,
+                         parseval_reference)
 
 
 def test_wavenumbers_unit_box():

@@ -8,7 +8,7 @@ import pytest
 from sigmaevo.checks import picard_gap
 from sigmaevo.grid import (GridSpec, _chunk_rows, _forward_half,
                            _half_l2_rows, _inverse_half, build_grid,
-                           full_from_half, transform_forward)
+                           transform_forward)
 from sigmaevo.params import ModelParams
 from sigmaevo.picard import MAX_HORIZON, picard_apply
 from sigmaevo.propagator import kernel_arrays, propagate_linear
@@ -17,7 +17,7 @@ from sigmaevo.solver import (BlowUpSignal, SolverConfig, StepTables,
                              integrate, make_data, xt_distance, xt_norm,
                              xt_weighted_sums, zero_trajectory)
 
-from full_layout import full_forward, full_xi_mag
+from full_layout import full_forward, full_from_half, full_xi_mag
 
 PARAMS = ModelParams(n=1, sigma=1.0, alpha=0.5, p=4.0, m=1.0)
 
@@ -267,8 +267,8 @@ def test_picard_norms_are_the_record_norms_of_its_states(case):
 
 def _float_table_states(traj_in, u1, cfg):
     """Reference: the recurrence of the module docstring one snapshot at a
-    time, with ``F`` and ``S`` advanced apart by ``StepTables.advance`` on
-    its float tables."""
+    time, with ``F`` and ``S`` advanced apart by ``StepTables.flow``, one
+    row of ``M(dt)`` per call, on its float tables."""
     grid = traj_in.grid
     tables = StepTables(grid, cfg.params, cfg.dt, cfg.dealias)
     zero = np.zeros(grid.xi_mag.shape, complex)
@@ -279,9 +279,9 @@ def _float_table_states(traj_in, u1, cfg):
             _inverse_half(grid, u)[np.newaxis], tables, (t,), i))[0] \
             * (0.5 * cfg.dt)
         if i > 0:
-            flows = [tables.advance(*flow, out=(np.empty_like(zero),
-                                                np.empty_like(zero)),
-                                    scratch=np.empty_like(zero))
+            flows = [tuple(tables.flow(row, *flow, np.empty_like(zero),
+                                       np.empty_like(zero))
+                           for row in (0, 1))
                      for flow in flows]
             flows[1] = (flows[1][0], flows[1][1] + g)
         (f_u, f_ut), (s_u, s_ut) = flows

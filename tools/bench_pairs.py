@@ -13,7 +13,10 @@ and with it ``peak_rss_mb``, follows the length of the path it runs
 from, so checkouts at paths of unequal length are refused.  Whether
 ``PYTHONDONTWRITEBYTECODE`` is set is recorded: run.py passes it on, and
 children that compile every module from source read more memory and
-time.
+time.  The ``cpu`` line of ``/proc/stat`` is read before and after each
+run: the run's steal share (time the hypervisor gave other guests) and
+idle share (idle and iowait) of the host's CPU time are printed and
+kept, since threaded code is only faster while a second CPU is free.
 
 For each metric it prints both sides' median and quartiles over the
 pairs (the calibrated end-to-end metrics, then run.py's ``# raw``
@@ -38,16 +41,45 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RAW = ("wall_raw_s", "setup_raw_s", "cal_s")
+# fields of /proc/stat's cpu line: user nice system idle iowait irq
+# softirq steal (guest time is already counted in user and nice)
+IDLE, IOWAIT, STEAL = 3, 4, 7
+
+
+def cpu_times() -> list[int] | None:
+    """The first eight fields of ``/proc/stat``'s ``cpu`` line, in clock
+    ticks, or None where the file cannot be read."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = stat.readline().split()
+    except OSError:
+        return None
+    return [int(v) for v in fields[1:9]]
+
+
+def contention(before: list[int] | None, after: list[int] | None) -> dict:
+    """Steal and idle shares of the host's CPU time between two reads of
+    ``cpu_times``; empty when either read failed or no tick passed."""
+    if before is None or after is None:
+        return {}
+    delta = [b - a for a, b in zip(before, after)]
+    total = sum(delta)
+    if total <= 0:
+        return {}
+    return {"steal_share": delta[STEAL] / total,
+            "idle_share": (delta[IDLE] + delta[IOWAIT]) / total}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float
              ) -> dict:
     """One ``run.py --trace 0`` in ``checkout``: its result line, its raw
-    medians and its metadata."""
+    medians, its metadata and the host's contention while it ran."""
+    before = cpu_times()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    host = contention(before, cpu_times())
     lines = proc.stdout.splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: run.py printed nothing (exit status "
@@ -59,7 +91,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float
     values.update(tagged.get("# raw ", {}))
     return {"exit_status": proc.returncode, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "values": values, "meta": tagged.get("# meta ")}
+            "values": values, "meta": tagged.get("# meta "), "host": host}
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -110,7 +142,9 @@ def main(argv: list[str]) -> int:
             runs[side].append(run)
             print(f"pair {pair} {side}: " + ", ".join(
                 f"{k} {v:.6g}" for k, v in run["values"].items())
-                + f" (failed {run['failed']} of {run['attempted']})",
+                + f" (failed {run['failed']} of {run['attempted']}"
+                + "".join(f"; {k.removesuffix('_share')} {100 * v:.1f} %"
+                          for k, v in run["host"].items()) + ")",
                 flush=True)
 
     verdicts = {}
