@@ -253,9 +253,9 @@ def parse_config(path: str | Path | None = None,
 def _verdict_payload(series, config: RunConfig) -> dict:
     payload = {"label": series.label, "truncated": series.blew_up}
     if series.blew_up:
-        payload.update(blowup_time=series.blowup_time,
-                       blowup_step=series.blowup_step,
-                       blowup_reason=series.blowup_reason)
+        sig = series.blowup
+        payload.update(blowup_time=sig.time, blowup_step=sig.step,
+                       blowup_reason=sig.reason)
     payload.update(window=list(config.window), fits={}, verdicts={})
     if series.blew_up:
         return payload

@@ -47,10 +47,11 @@ recurrence, so each chunk of ``grid._chunk_rows`` snapshots (about
    complex copies of the tables of ``M(dt)``, made once per call: the
    products have the bits of the float tables, which numpy would cast
    to complex in every product.
-3. Norm rows.  The new ``u`` rows go back into the real block for one
-   ``L^m`` pass (``grid._lm_norm`` on rows); the L2-type norms are row
-   sums (``grid._half_l2_rows``) whose squares take the real block's
-   memory.  Every norm has the bits of the per-snapshot record.
+3. Norm rows.  One ``solver._record_norms`` call on the chunk's rows,
+   the record of ``integrate``: the L2-type norms are row sums whose
+   squares take the real block's memory, then the new ``u`` rows go
+   back into the real block for one ``L^m`` pass.  Every norm has the
+   bits of the per-snapshot record.
 
 Each call writes its states into one ``(2, n_snap) + half`` block (the
 ``u`` rows, then the ``u_t`` rows), so that the forcing rows of a chunk
@@ -71,10 +72,10 @@ import math
 
 import numpy as np
 
-from .grid import (RealField, _chunk_rows, _forward_half, _half_l2_rows,
-                   _inverse_half, _lm_norm)
+from .grid import RealField, _chunk_rows, _forward_half, _inverse_half
 from .params import ValidationError
-from .solver import SolverConfig, StepTables, Trajectory, _nonlinearity_hat
+from .solver import (SolverConfig, StepTables, Trajectory, _nonlinearity_hat,
+                     _record_norms)
 
 __all__ = ["picard_apply"]
 
@@ -171,11 +172,7 @@ def picard_apply(traj_in: Trajectory, u1: RealField, config: SolverConfig
             s_ut += g_i
             np.add(f_u, s_u, out=g_i)  # u_i over (dt/2) f_i
         # 3. norm rows
-        u_rows = block[0, rows]
-        u_phys = _inverse_half(grid, u_rows, out=samples[:k])
-        lm[rows] = _lm_norm(grid, u_phys, params.m, out=u_phys)
-        l2[rows] = _half_l2_rows(grid, u_rows, None, squares)
-        dt_l2[rows] = _half_l2_rows(grid, block[1, rows], None, squares)
-        hsigma[rows] = _half_l2_rows(grid, u_rows, tables.xi_sigma, squares)
+        l2[rows], dt_l2[rows], hsigma[rows], lm[rows] = _record_norms(
+            tables, block[0, rows], block[1, rows], samples[:k], squares)
     return Trajectory(times.copy(), l2, dt_l2, hsigma, lm, params, grid,
                       states=block.swapaxes(0, 1))

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,13 @@ class SolverConfig:
             raise ValidationError(f"dt must lie in (0, 0.5]; got {self.dt}")
         if not self.t_end >= self.dt:
             raise ValidationError(f"t_end must be >= dt; got {self.t_end}")
-        if not self.data_amplitude >= 0:
-            raise ValidationError(
-                f"data_amplitude must be nonnegative; got {self.data_amplitude}")
+        if not 0 <= self.data_amplitude < math.inf:
+            raise ValidationError("data_amplitude must be finite and "
+                                  f"nonnegative; got {self.data_amplitude}")
         if self.data_profile not in PROFILES:
             raise ValidationError(f"unknown data profile '{self.data_profile}'")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0; got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0; got {self.seed}")
         if self.params.n != self.grid.dim:
             raise ValidationError(
                 f"params.n = {self.params.n} does not match grid dim = {self.grid.dim}")
@@ -475,7 +476,9 @@ class Trajectory:
     ``(u, du/dt)`` pair at the last time.  Every norm series, and
     ``states`` when present, holds one entry per time; a mismatch raises
     ``ValueError``, and the fields cannot be reassigned afterwards.  A
-    run cut by a ``BlowUpSignal`` keeps its time, step and reason.
+    run cut by a ``BlowUpSignal`` keeps the signal, with its time, step
+    and reason, as ``blowup`` (without its traceback), and ``blew_up``
+    is whether there is one.
     """
 
     times: np.ndarray
@@ -487,10 +490,7 @@ class Trajectory:
     grid: Grid
     states: np.ndarray | None = None
     final_state: tuple[np.ndarray, np.ndarray] | None = None
-    blew_up: bool = False
-    blowup_time: float | None = None
-    blowup_step: int | None = None
-    blowup_reason: str | None = None
+    blowup: BlowUpSignal | None = None
 
     def __post_init__(self):
         if len(self.times) == 0:
@@ -510,6 +510,10 @@ class Trajectory:
         # a blown-up run may end on the runaway record
         if not self.blew_up and not np.all(np.isfinite(norms)):
             raise ValueError("norms must be finite unless the run blew up")
+
+    @property
+    def blew_up(self) -> bool:
+        return self.blowup is not None
 
     @classmethod
     def from_records(cls, times, records, params: ModelParams, grid: Grid,
@@ -536,13 +540,18 @@ class Trajectory:
 
 
 @_QUIET
-def _record_norms(tables: StepTables, work: _StepWork, u_hat, ut_hat,
-                  squares: np.ndarray):
+def _record_norms(tables: StepTables, u_hat, ut_hat, field: np.ndarray,
+                  squares):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
-    state, formed in ``squares`` (one of ``work.squares``, of a pair that
-    does not hold the state) and ``work.field`` under one numpy error
-    state: the norms' bodies (``__wrapped__``) take the one-field route."""
-    grid, sq, field = tables.grid, squares, work.field[0]
+    state ``(u_hat, ut_hat)``, or one array of each per row of a block
+    (rows as in ``grid._forward_half``), under one numpy error state:
+    the norms' bodies (``__wrapped__``) run without their own.
+
+    The L2 squares are formed in ``squares`` (two float tables of at
+    least the state's rows) and the samples of ``u`` in ``field``.  The
+    two may share memory: the L2 sums have filled ``squares`` before the
+    inverse transform writes ``field``."""
+    grid, sq = tables.grid, squares
     l2, lm = _half_l2_rows.__wrapped__, _lm_norm.__wrapped__
     return (l2(grid, u_hat, None, sq), l2(grid, ut_hat, None, sq),
             l2(grid, u_hat, tables.xi_sigma, sq),
@@ -582,7 +591,8 @@ def integrate(config: SolverConfig) -> Trajectory:
     del data_hat
 
     times = [0.0]
-    records = [_record_norms(tables, work, u_hat, ut_hat, work.squares[1])]
+    records = [_record_norms(tables, u_hat, ut_hat, work.field[0],
+                             work.squares[1])]
     states = None
     if config.store_states:
         n_rec = n_steps // every + 1 + (n_steps % every != 0)
@@ -599,7 +609,7 @@ def integrate(config: SolverConfig) -> Trajectory:
                 nonlinear=config.nonlinearity_enabled,
                 out=work.pairs[step % 2])
             if step % every == 0 or step == n_steps:
-                rec = _record_norms(tables, work, u_hat, ut_hat,
+                rec = _record_norms(tables, u_hat, ut_hat, work.field[0],
                                     work.squares[1 - step % 2])
                 times.append(t)
                 records.append(rec)
@@ -610,17 +620,16 @@ def integrate(config: SolverConfig) -> Trajectory:
                         or max(rec) > BLOWUP_FACTOR * ref):
                     raise BlowUpSignal(t, step, "runaway or non-finite norms")
     except BlowUpSignal as sig:
-        blowup = sig
+        # its traceback holds this frame, which holds the signal: kept,
+        # the cycle would keep the tables and buffers until gc runs
+        blowup = sig.with_traceback(None)
 
-    cut = {} if blowup is None else dict(
-        blew_up=True, blowup_time=blowup.time, blowup_step=blowup.step,
-        blowup_reason=blowup.reason)
     if states is not None:
         states = states[:len(times)]
     return Trajectory.from_records(times, records, params, grid,
                                    states=states,
                                    final_state=(u_hat.copy(), ut_hat.copy()),
-                                   **cut)
+                                   blowup=blowup)
 
 
 def zero_trajectory(config: SolverConfig) -> Trajectory:

@@ -259,7 +259,8 @@ def test_picard_norms_are_the_record_norms_of_its_states(case):
     tables = StepTables(iters[0].grid, cfg.params, cfg.dt, cfg.dealias)
     work = _StepWork(tables)
     for traj in iters[1:]:
-        want = np.array([_record_norms(tables, work, u, ut, work.squares[0])
+        want = np.array([_record_norms(tables, u, ut, work.field[0],
+                                       work.squares[0])
                          for u, ut in traj.states])
         got = np.stack([traj.l2, traj.dt_l2, traj.hsigma, traj.lm], axis=1)
         assert got.tobytes() == want.tobytes()

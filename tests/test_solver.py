@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import re
 import sys
@@ -401,10 +402,27 @@ def test_blowup_is_labeled_and_deterministic():
     a = integrate(cfg)
     b = integrate(cfg)
     assert a.blew_up and b.blew_up
-    assert a.blowup_time == b.blowup_time
-    assert a.blowup_step == b.blowup_step == 18
-    assert a.blowup_reason == "runaway or non-finite norms"
+    assert a.blowup.time == b.blowup.time
+    assert a.blowup.step == b.blowup.step == 18
+    assert a.blowup.reason == "runaway or non-finite norms"
     assert len(a.times) == len(b.times)
+
+
+def test_blown_up_run_leaves_nothing_for_the_cyclic_collector():
+    # The caught signal's traceback holds integrate's frame, which holds
+    # the signal: kept as it was, that cycle kept the run's tables and
+    # step buffers alive until the collector ran (24 objects here).
+    cfg = small_config(grid=GridSpec(1, 1024, 60.0), data_amplitude=50.0,
+                       t_end=4.0)
+    gc.collect()
+    gc.disable()
+    try:
+        traj = integrate(cfg)
+        assert traj.blowup.step == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert traj.blowup.__traceback__ is None
 
 
 @pytest.mark.parametrize("p, amplitude, reason", [
@@ -417,7 +435,7 @@ def test_blown_up_dense_run_ends_on_its_last_snapshot(p, amplitude, reason):
                        t_end=20.0, data_amplitude=amplitude,
                        store_states=True, snapshot_interval=0.1)
     traj = integrate(cfg)
-    assert traj.blowup_reason == reason
+    assert traj.blowup.reason == reason
     assert all(np.array_equal(a, b)
                for a, b in zip(traj.final_state, traj.states[-1]))
     # the block allocated for all 201 rows is cut to the recorded ones
@@ -431,7 +449,7 @@ def test_step_cut_in_mid_step_keeps_the_last_completed_state():
     cfg = SolverConfig(params=params, grid=GridSpec(1, 256, 100.0), dt=0.1,
                        t_end=2.0, data_amplitude=1e154, snapshot_interval=1.0)
     traj = integrate(cfg)
-    assert (traj.blowup_step, traj.blowup_reason) \
+    assert (traj.blowup.step, traj.blowup.reason) \
         == (2, "overflow in pointwise power")
     # a run of one step ends on the state after that step (its record
     # trips the runaway check, which cuts nothing)
@@ -463,7 +481,7 @@ def test_blowup_in_either_forcing_keeps_the_last_completed_state(
         return out
     monkeypatch.setattr(solver, "_nonlinearity_hat", forcing_then_signal)
     traj = integrate(cfg)
-    assert (traj.blowup_step, traj.blowup_reason) == (3, "injected")
+    assert (traj.blowup.step, traj.blowup.reason) == (3, "injected")
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(traj.final_state, two_steps.final_state))
 
@@ -664,8 +682,9 @@ def _assert_same_run(a, b):
     assert (a.states is None) == (b.states is None)
     if a.states is not None:
         assert a.states.tobytes() == b.states.tobytes()
-    assert (a.blew_up, a.blowup_time, a.blowup_step, a.blowup_reason) \
-        == (b.blew_up, b.blowup_time, b.blowup_step, b.blowup_reason)
+    cut = [t.blowup and (t.blowup.time, t.blowup.step, t.blowup.reason)
+           for t in (a, b)]
+    assert cut[0] == cut[1]
 
 
 @pytest.mark.parametrize("spec, alpha", THREAD_GRIDS)
@@ -703,7 +722,7 @@ def test_concurrent_integrate_blowups_match_the_inline_run(p, amplitude, N, L,
         # np.errstate is per thread: each run silences its own overflows
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate(cfg)
-    assert _assert_alone_and_concurrent_agree(run).blowup_reason == reason
+    assert _assert_alone_and_concurrent_agree(run).blowup.reason == reason
 
 
 def test_concurrent_integrate_callers_keep_their_bits_under_thread_stress():
@@ -808,6 +827,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="match"):
         SolverConfig(params=PARAMS, grid=GridSpec(2, 64, 10.0), dt=0.1,
                      t_end=1.0, data_amplitude=1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("data_amplitude", np.inf), ("data_amplitude", np.nan),
+    ("data_amplitude", -1.0), ("seed", 1.5), ("seed", -1), ("seed", "0")])
+def test_bad_amplitude_or_seed_is_refused_as_input(key, value):
+    # an infinite amplitude once failed only in make_profile, with a
+    # plain ValueError; seed 1.5 raised numpy's TypeError for noise data
+    # and every other profile took it
+    with pytest.raises(ValidationError, match=key):
+        small_config(data_profile="noise_bandlimited", **{key: value})
+    assert small_config(seed=np.int64(3)).seed == 3  # numpy integers pass
 
 
 # --- weighted supremum norm ----------------------------------------------

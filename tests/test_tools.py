@@ -1,15 +1,24 @@
-"""The claim rule and the guards of ``tools/bench_pairs.py``, imported by
-path (``tools/`` is no package)."""
+"""The claim rule and the guards of ``tools/bench_pairs.py``, and the
+count of ``tools/code_lines.py``, each imported by path (``tools/`` is
+no package)."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+code_lines = _tool("code_lines")
 
 # ten parent runs 1.00, 1.01, ..., 1.09: median 1.045, quartiles 1.0225
 # and 1.0675, so the parent's interquartile range is 0.045
@@ -88,3 +97,42 @@ def test_contention_shares_come_from_the_cpu_line_deltas():
     assert shares["idle_share"] == pytest.approx(90 / 190)
     assert bench_pairs.contention(None, after) == {}
     assert bench_pairs.contention(before, before) == {}
+
+
+# every kind of line the count leaves out, and two it keeps that look
+# like them: a string that is no docstring, and a call over two lines
+TOY = '''"""Module docstring,
+over two lines."""
+
+import os  # code, then a comment
+
+# a comment-only line
+
+
+class Box:
+    """Class docstring."""
+
+    def size(self):
+        """Function docstring."""
+        "a bare string, not the first statement"
+        return len(
+            os.sep)
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    toy = tmp_path / "toy.py"
+    toy.write_text(TOY)
+    # import, class, def, the bare string and the two lines of the call
+    assert code_lines.code_lines(toy) == 6
+
+
+def test_code_lines_main_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "toy.py").write_text(TOY)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py                 1",
+        "toy.py               6",
+        "total                7",
+    ]
