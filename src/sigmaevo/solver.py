@@ -543,9 +543,10 @@ class Trajectory:
 def _record_norms(tables: StepTables, u_hat, ut_hat, field: np.ndarray,
                   squares):
     """Norms ``(L2, dt L2, H^sigma seminorm, L^m)`` of a half-spectrum
-    state ``(u_hat, ut_hat)``, or one array of each per row of a block
-    (rows as in ``grid._forward_half``), under one numpy error state:
-    the norms' bodies (``__wrapped__``) run without their own.
+    state ``(u_hat, ut_hat)``, four floats, or of a block of states
+    (rows as in ``grid._forward_half``), four arrays of one norm per
+    row, under one numpy error state: the norms' bodies
+    (``__wrapped__``) run without their own.
 
     The L2 squares are formed in ``squares`` (two float tables of at
     least the state's rows) and the samples of ``u`` in ``field``.  The

@@ -409,9 +409,9 @@ def test_blowup_is_labeled_and_deterministic():
 
 
 def test_blown_up_run_leaves_nothing_for_the_cyclic_collector():
-    # The caught signal's traceback holds integrate's frame, which holds
-    # the signal: kept as it was, that cycle kept the run's tables and
-    # step buffers alive until the collector ran (24 objects here).
+    # A signal kept with its traceback holds integrate's frame, which
+    # holds the signal: a cycle that keeps the run's tables and step
+    # buffers alive until the cyclic collector runs.
     cfg = small_config(grid=GridSpec(1, 1024, 60.0), data_amplitude=50.0,
                        t_end=4.0)
     gc.collect()
@@ -833,9 +833,9 @@ def test_config_validation():
     ("data_amplitude", np.inf), ("data_amplitude", np.nan),
     ("data_amplitude", -1.0), ("seed", 1.5), ("seed", -1), ("seed", "0")])
 def test_bad_amplitude_or_seed_is_refused_as_input(key, value):
-    # an infinite amplitude once failed only in make_profile, with a
-    # plain ValueError; seed 1.5 raised numpy's TypeError for noise data
-    # and every other profile took it
+    # refused at construction, naming the key: not in make_profile as a
+    # plain ValueError (inf), nor as numpy's TypeError or not at all,
+    # depending on the profile (a float seed)
     with pytest.raises(ValidationError, match=key):
         small_config(data_profile="noise_bandlimited", **{key: value})
     assert small_config(seed=np.int64(3)).seed == 3  # numpy integers pass
